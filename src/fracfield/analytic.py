@@ -314,7 +314,6 @@ def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
         n=x0.shape[0],
         fn=fn,
         support_radius=float(np.linalg.norm(x0)) + r + eps,
-        lipschitz=1.0 / eps,
         sup_bound=1.0,
         smooth=False,
         cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0)})",

@@ -22,23 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliconfig import ExperimentConfig, load_config
+from .cliconfig import OPERATORS, ExperimentConfig, load_config
 from .errors import ConfigError, DomainError, EmbeddingError, FracfieldError, PreconditionError
 from .fileio import config_digest, write_grid, write_table
 from .measures import RadonMeasure
-from .quadrature import (
-    frac_divergence_batch,
-    frac_gradient_batch,
-    riesz_potential_batch,
-    riesz_transform_batch,
-)
-from .spectral import (
-    embed,
-    spectral_frac_divergence,
-    spectral_frac_gradient,
-    spectral_riesz_potential,
-    spectral_riesz_transform,
-)
+from .quadrature import frac_gradient_batch
+from .spectral import embed, spectral_frac_gradient
 from .verify import (
     convergence_sweep_direct,
     convergence_sweep_spectral,
@@ -112,30 +101,17 @@ def run_op(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.engine == "both":
         raise ConfigError("op runs take a single engine; use bench to compare")
 
+    direct, spectral = OPERATORS[operator]
     if cfg.engine == "spectral":
         L, N = cfg.spectral_params()
         pf = embed(field, L, N)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            if operator == "frac-gradient":
-                out = spectral_frac_gradient(pf, alpha)
-            elif operator == "frac-divergence":
-                out = spectral_frac_divergence(pf, alpha)
-            elif operator == "riesz-potential":
-                out = spectral_riesz_potential(pf, alpha)
-            else:
-                out = spectral_riesz_transform(pf)
+            out = spectral(pf, alpha)
         vals = out.sample_linear(pts)
         errs = np.zeros(pts.shape[0])
     else:
-        if operator == "frac-gradient":
-            vals, errs = frac_gradient_batch(field, alpha, pts, qcfg)
-        elif operator == "frac-divergence":
-            vals, errs = frac_divergence_batch(field, alpha, pts, qcfg)
-        elif operator == "riesz-potential":
-            vals, errs = riesz_potential_batch(field, alpha, pts, qcfg)
-        else:
-            vals, errs = riesz_transform_batch(field, pts, qcfg)
+        vals, errs = direct(field, alpha, pts, qcfg)
 
     planes = {}
     vals = np.asarray(vals)
@@ -257,16 +233,28 @@ def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _bench_points(rng, n: int, m: int):
+    """m points at radii 0.2..1.4 in uniformly random directions of R^n."""
+    ang = rng.uniform(0.0, 2.0 * math.pi, m)
+    rad = rng.uniform(0.2, 1.4, m)
+    if n == 1:
+        dirs = np.sign(np.cos(ang))[:, None]
+    elif n == 2:
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    else:
+        z = rng.uniform(-1.0, 1.0, m)  # uniform z gives uniform area on S^2
+        s = np.sqrt(1.0 - z * z)
+        dirs = np.stack([s * np.cos(ang), s * np.sin(ang), z], axis=-1)
+    return rad[:, None] * dirs
+
+
 def run_bench(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Wall-time and agreement comparison of the two engines."""
     section = cfg.raw["bench"]
     field = cfg.build_field(section["field"])
     alpha = float(section.get("alpha", 0.5))
     n_pts = int(section["points"])
-    rng = np.random.default_rng(cfg.seed)
-    ang = rng.uniform(0.0, 2.0 * math.pi, n_pts)
-    rad = rng.uniform(0.2, 1.4, n_pts)
-    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+    pts = _bench_points(np.random.default_rng(cfg.seed), field.n, n_pts)
     qcfg = cfg.quadrature()
 
     t0 = time.time()

@@ -20,10 +20,19 @@ from .analytic import cantor_measure, make_convolved, make_delta_pair
 from .errors import ConfigError
 from .fields import GridSpec, compact_bump, gaussian, gaussian_vector, ball_indicator
 from .measures import RadonMeasure
+from . import quadrature, spectral
 from .quadrature import QuadratureConfig
 
 KINDS = ("op", "verify", "convergence", "decay", "bench")
-OPERATORS = ("frac-gradient", "frac-divergence", "riesz-potential", "riesz-transform")
+# operator name -> (direct, spectral), called as direct(field, order, points,
+# quadrature_config) and spectral(periodic_field, order)
+OPERATORS = {
+    "frac-gradient": (quadrature.frac_gradient_batch, spectral.spectral_frac_gradient),
+    "frac-divergence": (quadrature.frac_divergence_batch, spectral.spectral_frac_divergence),
+    "riesz-potential": (quadrature.riesz_potential_batch, spectral.spectral_riesz_potential),
+    "riesz-transform": (lambda f, _order, x, cfg: quadrature.riesz_transform_batch(f, x, cfg),
+                        lambda pf, _order: spectral.spectral_riesz_transform(pf)),
+}
 TEMPLATES = ("gaussian", "gaussian-vector", "bump", "delta-pair", "convolved",
              "indicator-ball", "cantor")
 
@@ -114,7 +123,8 @@ class ExperimentConfig:
     def _validate_op(self, s: dict) -> None:
         operator = s.get("operator")
         if operator not in OPERATORS:
-            raise ConfigError(f"op.operator must be one of {OPERATORS}, got {operator!r}")
+            raise ConfigError(
+                f"op.operator must be one of {tuple(OPERATORS)}, got {operator!r}")
         self._field_ref(s, "field")
         tpl = self.fields[s["field"]]["template"]
         smooth = tpl in ("gaussian", "gaussian-vector", "bump")
@@ -122,7 +132,6 @@ class ExperimentConfig:
             raise ConfigError("spectral engine requires smooth field")
         alpha = s.get("alpha", s.get("order"))
         if operator in ("frac-gradient", "frac-divergence"):
-            lo, hi = (0.0, 1.0) if self.engine != "direct" else (0.0, 1.0)
             if alpha is None or not (0.0 < float(alpha) < 1.0):
                 raise ConfigError(f"op.alpha must lie in (0, 1), got {alpha!r}")
         elif operator == "riesz-potential":

@@ -3,8 +3,7 @@
 Fields are immutable value objects wrapping a vectorized evaluator
 (points shaped (..., n) -> values shaped (...)), plus the metadata the
 quadrature engine needs for tails and error bounds: a hard support radius
-about the origin, or a decay envelope |f(x)| <= C |x|^(-s), a Lipschitz
-constant when known, and a sup bound.
+about the origin, or a decay envelope |f(x)| <= C |x|^(-s), and a sup bound.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ class ScalarField:
     fn: Callable[[Array], Array]
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None  # (C, s): |f| <= C |x|^-s far out
-    lipschitz: Optional[float] = None
     sup_bound: Optional[float] = None
     grad_fn: Optional[Callable[[Array], Array]] = None
     smooth: bool = True
@@ -134,7 +132,6 @@ class ScalarField:
             fn=lambda p: a * base(p),
             grad_fn=(lambda p: a * gf(p)) if gf is not None else None,
             sup_bound=None if self.sup_bound is None else abs(a) * self.sup_bound,
-            lipschitz=None if self.lipschitz is None else abs(a) * self.lipschitz,
             decay=None if self.decay is None else (abs(a) * self.decay[0], self.decay[1]),
             cache_token=None if self.cache_token is None else f"{a}*({self.cache_token})",
         )
@@ -148,7 +145,6 @@ class VectorField:
     fn: Callable[[Array], Array]  # (..., n) -> (..., n)
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None
-    lipschitz: Optional[float] = None
     sup_bound: Optional[float] = None
     smooth: bool = True
     cache_token: Optional[str] = None
@@ -168,7 +164,6 @@ class VectorField:
             fn=lambda p, i=i: np.asarray(self.fn(p))[..., i],
             support_radius=self.support_radius,
             decay=self.decay,
-            lipschitz=self.lipschitz,
             sup_bound=self.sup_bound,
             smooth=self.smooth,
             cache_token=None if self.cache_token is None else f"{self.cache_token}[{i}]",
@@ -187,7 +182,6 @@ def vector_from_components(components: Sequence[ScalarField]) -> VectorField:
     else:
         s_min = min(d[1] for d in decays)
         decay = (sum(d[0] for d in decays), s_min)
-    lips = [c.lipschitz for c in components]
     sups_b = [c.sup_bound for c in components]
     toks = [c.cache_token for c in components]
     return VectorField(
@@ -195,7 +189,6 @@ def vector_from_components(components: Sequence[ScalarField]) -> VectorField:
         fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components], axis=-1),
         support_radius=support,
         decay=decay,
-        lipschitz=None if any(v is None for v in lips) else max(lips),
         sup_bound=None if any(v is None for v in sups_b) else max(sups_b),
         smooth=all(c.smooth for c in components),
         cache_token=None if any(t is None for t in toks) else "vec(" + ",".join(toks) + ")",
@@ -212,9 +205,6 @@ def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
         n=f.n,
         fn=lambda p: a * f.fn(p) + b * g.fn(p),
         support_radius=support,
-        lipschitz=None
-        if f.lipschitz is None or g.lipschitz is None
-        else abs(a) * f.lipschitz + abs(b) * g.lipschitz,
         sup_bound=None
         if f.sup_bound is None or g.sup_bound is None
         else abs(a) * f.sup_bound + abs(b) * g.sup_bound,
@@ -228,14 +218,10 @@ def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
         raise ConfigError("fields must share the dimension")
     sups = (g.support_radius, F.support_radius)
     support = None if all(s is None for s in sups) else min(s for s in sups if s is not None)
-    lip = None
-    if None not in (g.lipschitz, F.lipschitz, g.sup_bound, F.sup_bound):
-        lip = g.lipschitz * F.sup_bound + g.sup_bound * F.lipschitz
     return VectorField(
         n=g.n,
         fn=lambda p: np.asarray(g(p))[..., None] * np.asarray(F(p)),
         support_radius=support,
-        lipschitz=lip,
         sup_bound=None
         if g.sup_bound is None or F.sup_bound is None
         else g.sup_bound * F.sup_bound,
@@ -271,7 +257,6 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         n=n,
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + 4.0 * w,
-        lipschitz=abs(a) * math.sqrt(2.0 * math.pi / math.e) / w,
         sup_bound=abs(a),
         grad_fn=grad,
         smooth=True,
@@ -306,12 +291,10 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
         out[inside] = a * np.exp(1.0 - 1.0 / (1.0 - safe[inside]))
         return out
 
-    # max |d/dt exp(1-1/(1-t^2))| over [0,1) is ~1.213; scaled by 1/R
     return ScalarField(
         n=n,
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + R,
-        lipschitz=1.3 * abs(a) / R,
         sup_bound=abs(a),
         smooth=True,
         cache_token=f"bump(c={tuple(c)},R={R},a={a})",
@@ -319,7 +302,7 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
 
 
 def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
-    """Indicator of the open ball B_R(c); not smooth, no Lipschitz hint."""
+    """Indicator of the open ball B_R(c); not smooth."""
     c = np.asarray(center, dtype=float)
     R = float(radius)
     if R <= 0:
@@ -417,7 +400,6 @@ def mollifier(eps: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=eps,
-        lipschitz=1.3 * c / eps ** (n + 1),
         sup_bound=c * math.exp(-1.0) / eps**n,
         smooth=True,
         cache_token=f"mollifier(eps={eps},n={n})",
@@ -450,7 +432,6 @@ def cutoff(R: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=2.0 * R,
-        lipschitz=2.5 / R,
         sup_bound=1.0,
         smooth=True,
         cache_token=f"cutoff(R={R},n={n})",

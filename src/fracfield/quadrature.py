@@ -17,7 +17,8 @@ with a three-way split:
 
 The error estimate is |fine - coarse| (half node counts) plus the tail bound.
 All evaluators are batched over evaluation points: internals broadcast the
-shared node template against a batch of centers.
+shared node template against a batch of centers. Every public operator is one
+call of the driver `_run_op` with its kernel order, constant and integrand kind.
 """
 
 from __future__ import annotations
@@ -166,15 +167,11 @@ def panel_radial_rule(r0: float, r1: float, growth: float, m: int) -> tuple[Arra
 # ---------------------------------------------------------------------------
 # far-field handling
 
-def _hints(field) -> tuple[Optional[float], Optional[tuple[float, float]]]:
-    return field.support_radius, field.decay
-
-
 def _decay_tail_bound(C: float, s: float, xmax: float, R: float, kern: float,
                       n: int) -> float:
     """Bound int_{|y-x|>R} C |y|^-s r^(-1-kern) r^(n-1) dr dOmega using
-    |y| >= r - xmax, valid for R > xmax; kern is the far kernel order (alpha
-    for increment kernels, s - beta rearranged by the caller for potentials).
+    |y| >= r - xmax, valid for R > xmax; kern is the operator order (alpha
+    for the increment kernels, -beta for the potential).
     """
     ex = s + kern
     if ex <= 0 or R <= xmax:
@@ -195,7 +192,7 @@ def _far_cutoff_for(fields, X: Array, cfg: QuadratureConfig,
     need = cfg.near_radius * 2.0
     known = False
     for f in fields:
-        sup, dec = _hints(f)
+        sup, dec = f.support_radius, f.decay
         if sup is not None:
             need = max(need, sup + xmax + 1e-9)
             known = True
@@ -219,23 +216,18 @@ def _far_cutoff_for(fields, X: Array, cfg: QuadratureConfig,
     return need
 
 
-def _increment_tail(fields, X: Array, R: float, alpha: float, n: int,
-                    cfg: QuadratureConfig) -> float:
-    """Bound on the neglected |y-x| > R part of an increment-kernel integral.
+def _tail_bound(fields, X: Array, R: float, order: float, n: int,
+                cfg: QuadratureConfig) -> float:
+    """Bound on the neglected |y-x| > R part of an operator integral.
 
-    The frozen-value part of the increment integrates to exactly zero over
-    full annuli (odd kernel), so only the field values beyond R contribute.
+    For increment kernels the frozen-value part integrates to exactly zero
+    over full annuli (odd kernel); the potential has no frozen part. Either
+    way only the field values beyond R contribute.
     """
     xmax = float(np.max(np.sqrt(np.sum(X * X, axis=-1))))
-    covered = all(
-        f.support_radius is not None and R >= f.support_radius + xmax - 1e-12
-        for f in fields
-    )
-    if covered:
-        return 0.0
     total = 0.0
     for f in fields:
-        sup, dec = _hints(f)
+        sup, dec = f.support_radius, f.decay
         if sup is not None and R >= sup + xmax - 1e-12:
             continue
         if dec is None:
@@ -243,7 +235,7 @@ def _increment_tail(fields, X: Array, R: float, alpha: float, n: int,
                 return math.nan  # caller extrapolates instead
             raise ConfigError("decaying far field needs a decay hint")
         C, s = dec
-        total += _decay_tail_bound(C, s, xmax, R, alpha, n)
+        total += _decay_tail_bound(C, s, xmax, R, order, n)
     return total
 
 
@@ -366,33 +358,100 @@ def _extrapolated_tail(n, X, numer, kern_pow, cfg, vector, far_R) -> float:
     return 2.0 * mag  # sum of a ratio<=1/2 geometric series bounded by first term x2
 
 
-def _run_op(fields, n, X, make_numer, kern_pow, near_divide, constant, cfg, vector,
-            alpha_for_tail, far_src=None, far_src_vector=False):
+def _integrand(scalars, vec, X: Array, increment: bool):
+    """numer(pts, dirs) of the polar passes around the points X.
+
+    The product of the scalar fields' increments f(y) - f(x), times the
+    vector field's increment projected on the direction; with
+    increment=False, the single scalar field's values.
+    """
+    if not increment:
+        f, = scalars
+        return lambda pts, dirs: f(pts)
+    bases = [f(X) for f in scalars]
+    vbase = None if vec is None else vec(X)
+
+    def numer(pts, dirs):
+        vals = None
+        for f, b in zip(scalars, bases):
+            d = f(pts) - b[:, None, None]
+            vals = d if vals is None else vals * d
+        if vec is not None:
+            proj = np.einsum("mrak,ak->mra", vec(pts) - vbase[:, None, None, :], dirs)
+            vals = proj if vals is None else vals * proj
+        return vals
+
+    return numer
+
+
+def _source(scalars, vec):
+    """The product of the field values, the source of the far-point rule."""
+    def src(y):
+        vals = None
+        for f in scalars:
+            v = f(y)
+            vals = v if vals is None else vals * v
+        if vec is not None:
+            V = vec(y)
+            vals = V if vals is None else vals[..., None] * V
+        return vals
+
+    return src
+
+
+def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfig,
+            increment: bool = True):
+    """The direct engine's one driver: constant * integral of the integrand
+    against the kernel of the given order, with its error estimate.
+
+    `scalars` are ScalarFields and `vec` an optional VectorField. Increment
+    integrands (the gradients, divergences and Riesz transform) are divided
+    by r near the point and integrated against (y-x)|y-x|^(-n-1-order); the
+    output is an n-vector unless a vector field is contracted. A value
+    integrand (the potential, order -beta) meets |y-x|^(-n-order).
+    """
+    fields = tuple(scalars) + (() if vec is None else (vec,))
+    kinds = (ScalarField,) * len(scalars) + (VectorField,)  # zip drops the last if vec is None
+    for f, kind in zip(fields, kinds):
+        if not isinstance(f, kind):
+            raise ConfigError(f"operator takes a {kind.__name__}, got {type(f).__name__}")
+    n = fields[0].n
+    if any(f.n != n for f in fields):
+        raise ConfigError("fields must share the dimension")
+    if not increment:
+        f, = fields
+        if f.support_radius is None:
+            if f.decay is None:
+                raise ConfigError("Riesz potential needs a support or decay hint")
+            if f.decay[1] <= -order:
+                raise DomainError(f"Riesz potential diverges: decay exponent "
+                                  f"{f.decay[1]} <= order {-order}")
+    X = _points(x, n)
+    vector = increment and vec is None
+    kern_pow = -1.0 - order
     sups = [f.support_radius for f in fields]
     out_shape = (X.shape[0], n) if vector else (X.shape[0],)
     fine = np.zeros(out_shape)
     coarse = np.zeros(out_shape)
     tails = np.zeros(X.shape[0])
-    if far_src is not None and all(s is not None for s in sups):
-        S = max(sups)
-        far = np.sqrt(np.sum(X * X, axis=-1)) > S + 1.0
+    if all(s is not None for s in sups):
+        far = np.sqrt(np.sum(X * X, axis=-1)) > max(sups) + 1.0
     else:
         far = np.zeros(X.shape[0], dtype=bool)
     if np.any(far):
-        f_f, f_c = _far_source_eval(far_src, far_src_vector, vector,
-                                    n + alpha_for_tail + 1.0, X[far],
-                                    max(s for s in sups), n, cfg)
-        fine[far] = f_f
-        coarse[far] = f_c
+        fine[far], coarse[far] = _far_source_eval(
+            _source(scalars, vec), vec is not None, vector,
+            n + order + (1.0 if increment else 0.0),
+            X[far], max(sups), n, cfg)
     if np.any(~far):
         Xn = X[~far]
-        numer = make_numer(Xn)
-        far_R = _far_cutoff_for(fields, Xn, cfg, kern=alpha_for_tail)
-        fine[~far] = _batched_polar(n, Xn, numer, kern_pow, near_divide, cfg,
+        numer = _integrand(scalars, vec, Xn, increment)
+        far_R = _far_cutoff_for(fields, Xn, cfg, kern=order)
+        fine[~far] = _batched_polar(n, Xn, numer, kern_pow, increment, cfg,
                                     vector, far_R)
-        coarse[~far] = _batched_polar(n, Xn, numer, kern_pow, near_divide,
+        coarse[~far] = _batched_polar(n, Xn, numer, kern_pow, increment,
                                       cfg.coarsened(), vector, far_R)
-        tail = _increment_tail(fields, Xn, far_R, alpha_for_tail, n, cfg)
+        tail = _tail_bound(fields, Xn, far_R, order, n, cfg)
         if math.isnan(tail):
             tail = _extrapolated_tail(n, Xn, numer, kern_pow, cfg, vector, far_R)
         tails[~far] = tail
@@ -410,13 +469,20 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _points(x, n) -> tuple[Array, bool]:
+def _points(x, n) -> Array:
     X = np.asarray(x, dtype=float)
     if X.shape == (n,):
-        return X[None, :], True
+        return X[None, :]
     if X.ndim == 2 and X.shape[1] == n:
-        return X, False
+        return X
     raise ConfigError(f"evaluation points must have shape (n,) or (m, n) with n={n}")
+
+
+def _first(batch) -> OperatorResult:
+    """The single-point form of a batch result."""
+    vals, errs = batch
+    value = vals[0] if vals.ndim == 2 else float(vals[0])
+    return OperatorResult(value, float(errs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,183 +491,65 @@ def _points(x, n) -> tuple[Array, bool]:
 def frac_gradient_batch(xi: ScalarField, alpha: float, x, cfg: QuadratureConfig):
     """Fractional gradient of a scalar field at a batch of points."""
     alpha = _check_alpha(alpha)
-    n = xi.n
-    X, _ = _points(x, n)
-
-    def make_numer(Xs):
-        base = xi(Xs)
-
-        def numer(pts, dirs):
-            return xi(pts) - base[:, None, None]
-
-        return numer
-
-    return _run_op((xi,), n, X, make_numer, -1.0 - alpha, True,
-                   mu_const(n, alpha), cfg, True, alpha, far_src=xi)
+    return _run_op((xi,), None, x, alpha, mu_const(xi.n, alpha), cfg)
 
 
 def frac_gradient(xi: ScalarField, alpha: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = frac_gradient_batch(xi, alpha, x, cfg)
-    return OperatorResult(vals[0], float(errs[0]))
+    return _first(frac_gradient_batch(xi, alpha, x, cfg))
 
 
 def frac_divergence_batch(F: VectorField, alpha: float, x, cfg: QuadratureConfig):
     """Fractional divergence of a vector field at a batch of points."""
     alpha = _check_alpha(alpha)
-    n = F.n
-    X, _ = _points(x, n)
-
-    def make_numer(Xs):
-        base = F(Xs)
-
-        def numer(pts, dirs):
-            dF = F(pts) - base[:, None, None, :]
-            return np.einsum("mrak,ak->mra", dF, dirs)
-
-        return numer
-
-    return _run_op((F,), n, X, make_numer, -1.0 - alpha, True,
-                   mu_const(n, alpha), cfg, False, alpha,
-                   far_src=F, far_src_vector=True)
+    return _run_op((), F, x, alpha, mu_const(F.n, alpha), cfg)
 
 
 def frac_divergence(F: VectorField, alpha: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = frac_divergence_batch(F, alpha, x, cfg)
-    return OperatorResult(float(vals[0]), float(errs[0]))
+    return _first(frac_divergence_batch(F, alpha, x, cfg))
 
 
 def nl_gradient_batch(f: ScalarField, g: ScalarField, alpha: float, x,
                       cfg: QuadratureConfig):
     """Bilinear nonlocal gradient of the couple (f, g)."""
     alpha = _check_alpha(alpha)
-    n = f.n
-    if g.n != n:
-        raise ConfigError("fields must share the dimension")
-    X, _ = _points(x, n)
-
-    def make_numer(Xs):
-        fb = f(Xs)
-        gb = g(Xs)
-
-        def numer(pts, dirs):
-            return (f(pts) - fb[:, None, None]) * (g(pts) - gb[:, None, None])
-
-        return numer
-
-    return _run_op((f, g), n, X, make_numer, -1.0 - alpha, True,
-                   mu_const(n, alpha), cfg, True, alpha,
-                   far_src=lambda y: np.asarray(f(y)) * np.asarray(g(y)))
+    return _run_op((f, g), None, x, alpha, mu_const(f.n, alpha), cfg)
 
 
 def nl_gradient(f: ScalarField, g: ScalarField, alpha: float, x,
                 cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = nl_gradient_batch(f, g, alpha, x, cfg)
-    return OperatorResult(vals[0], float(errs[0]))
+    return _first(nl_gradient_batch(f, g, alpha, x, cfg))
 
 
 def nl_divergence_batch(g: ScalarField, F: VectorField, alpha: float, x,
                         cfg: QuadratureConfig):
     """Bilinear nonlocal divergence of the couple (g, F)."""
     alpha = _check_alpha(alpha)
-    n = g.n
-    if F.n != n:
-        raise ConfigError("fields must share the dimension")
-    X, _ = _points(x, n)
-
-    def make_numer(Xs):
-        gb = g(Xs)
-        Fb = F(Xs)
-
-        def numer(pts, dirs):
-            dF = F(pts) - Fb[:, None, None, :]
-            return (g(pts) - gb[:, None, None]) * np.einsum("mrak,ak->mra", dF, dirs)
-
-        return numer
-
-    return _run_op((g, F), n, X, make_numer, -1.0 - alpha, True,
-                   mu_const(n, alpha), cfg, False, alpha,
-                   far_src=lambda y: np.asarray(g(y))[..., None] * np.asarray(F(y)),
-                   far_src_vector=True)
+    return _run_op((g,), F, x, alpha, mu_const(g.n, alpha), cfg)
 
 
 def nl_divergence(g: ScalarField, F: VectorField, alpha: float, x,
                   cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = nl_divergence_batch(g, F, alpha, x, cfg)
-    return OperatorResult(float(vals[0]), float(errs[0]))
+    return _first(nl_divergence_batch(g, F, alpha, x, cfg))
 
 
 def riesz_potential_batch(f: ScalarField, beta: float, x, cfg: QuadratureConfig):
     """Order-beta Riesz potential; requires decay s > beta (or compact support)."""
     beta = float(beta)
-    n = f.n
-    if not 0.0 < beta < n:
-        raise DomainError(f"Riesz potential order must lie in (0, n), got {beta!r}")
-    if f.support_radius is None:
-        if f.decay is None:
-            raise ConfigError("Riesz potential needs a support or decay hint")
-        if f.decay[1] <= beta:
-            raise DomainError(
-                f"Riesz potential diverges: decay exponent {f.decay[1]} <= order {beta}"
-            )
-    X, _ = _points(x, n)
-
-    def numer(pts, dirs):
-        return f(pts)
-
-    const = riesz_potential_const(n, beta)  # numer has no per-point state
-    fine = np.zeros(X.shape[0])
-    coarse = np.zeros(X.shape[0])
-    if f.support_radius is not None:
-        far = np.sqrt(np.sum(X * X, axis=-1)) > f.support_radius + 1.0
-    else:
-        far = np.zeros(X.shape[0], dtype=bool)
-    if np.any(far):
-        f_f, f_c = _far_source_eval(f, False, False, n - beta, X[far],
-                                    f.support_radius, n, cfg)
-        fine[far] = f_f
-        coarse[far] = f_c
-    tail = 0.0
-    if np.any(~far):
-        Xn = X[~far]
-        far_R = _far_cutoff_for((f,), Xn, cfg, kern=-beta)
-        fine[~far] = _batched_polar(n, Xn, numer, beta - 1.0, False, cfg,
-                                    False, far_R)
-        coarse[~far] = _batched_polar(n, Xn, numer, beta - 1.0, False,
-                                      cfg.coarsened(), False, far_R)
-        xmax = float(np.max(np.sqrt(np.sum(Xn * Xn, axis=-1))))
-        if not (f.support_radius is not None
-                and far_R >= f.support_radius + xmax - 1e-12):
-            C, s = f.decay
-            tail = _decay_tail_bound(C, s, xmax, far_R, -beta, n)
-    errs = abs(const) * (np.abs(fine - coarse) + tail) + 1e-15 * (1.0 + np.abs(fine))
-    return const * fine, errs
+    return _run_op((f,), None, x, -beta, riesz_potential_const(f.n, beta), cfg,
+                   increment=False)
 
 
 def riesz_potential(f: ScalarField, beta: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = riesz_potential_batch(f, beta, x, cfg)
-    return OperatorResult(float(vals[0]), float(errs[0]))
+    return _first(riesz_potential_batch(f, beta, x, cfg))
 
 
 def riesz_transform_batch(f: ScalarField, x, cfg: QuadratureConfig):
     """Vector Riesz transform: principal value via symmetric increment shells."""
-    n = f.n
-    X, _ = _points(x, n)
-
-    def make_numer(Xs):
-        base = f(Xs)
-
-        def numer(pts, dirs):
-            return f(pts) - base[:, None, None]
-
-        return numer
-
-    return _run_op((f,), n, X, make_numer, -1.0, True,
-                   riesz_transform_const(n), cfg, True, 0.0, far_src=f)
+    return _run_op((f,), None, x, 0.0, riesz_transform_const(f.n), cfg)
 
 
 def riesz_transform(f: ScalarField, x, cfg: QuadratureConfig) -> OperatorResult:
-    vals, errs = riesz_transform_batch(f, x, cfg)
-    return OperatorResult(vals[0], float(errs[0]))
+    return _first(riesz_transform_batch(f, x, cfg))
 
 
 # ---------------------------------------------------------------------------

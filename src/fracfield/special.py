@@ -146,13 +146,3 @@ class FracParams:
         """One-sided lower bound n/q - alpha for ball-mass log-log slopes."""
         nq = 0.0 if math.isinf(self.q) else self.n / self.q
         return nq - self.alpha
-
-    def leibniz_besov_thresholds(self) -> dict[str, float]:
-        """Admissibility thresholds for Besov multipliers (metadata only)."""
-        q = self.q
-        if math.isinf(q):
-            return {"beta": math.nan, "gamma": math.nan}
-        return {
-            "beta": (self.alpha + self.n - self.n / q) / q,
-            "gamma": self.n / (self.n + (1.0 - self.alpha) * q),
-        }

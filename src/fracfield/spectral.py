@@ -23,7 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -35,20 +34,6 @@ Array = np.ndarray
 
 def _is_pow2(m: int) -> bool:
     return m >= 2 and (m & (m - 1)) == 0
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Operator tag + order, resolvable to a per-mode symbol."""
-
-    operator: str  # frac-gradient | frac-divergence | riesz-potential | riesz-transform
-    order: float = 0.0
-    zero_mode: float = 0.0
-
-    def __post_init__(self) -> None:
-        ops = ("frac-gradient", "frac-divergence", "riesz-potential", "riesz-transform")
-        if self.operator not in ops:
-            raise ConfigError(f"unknown operator {self.operator!r}; expected one of {ops}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +150,40 @@ def _freq_grids(grid: GridSpec) -> tuple[tuple[Array, ...], Array]:
     return tuple(ks), mag
 
 
-def _nyquist_mask(grid: GridSpec, axis: int) -> Optional[tuple]:
-    """Index selecting the Nyquist plane of one axis in the rfft layout."""
-    c = grid.counts[axis]
-    if axis == grid.n - 1:
-        return tuple([slice(None)] * axis + [c // 2])
-    return tuple([slice(None)] * axis + [c // 2])
+def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicField:
+    """The spectral engine's one driver: multiply by |2 pi k|^power.
 
-
-def _zero_special(spec: Array, grid: GridSpec, axis: Optional[int]) -> None:
-    spec[(0,) * grid.n] = 0.0
-    if axis is not None:
-        spec[_nyquist_mask(grid, axis)] = 0.0
-
-
-def _irfft(spec: Array, grid: GridSpec) -> Array:
-    return np.fft.irfftn(spec, s=grid.counts, axes=tuple(range(grid.n)))
+    With `gradient`, component j also takes the factor 2 pi i k_j and has its
+    Nyquist plane zeroed; a scalar input then gives the n-vector of
+    components and a vector input is contracted (the divergence), summed in
+    place. The zero mode is always set to 0.
+    """
+    grid = f.grid
+    ks, mag = _freq_grids(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.where(mag > 0.0, mag ** power, 0.0)
+    axes = tuple(range(grid.n))
+    spec = None if f.vector else np.fft.rfftn(f.data)
+    comps, acc = [], None
+    for j in range(grid.n) if gradient else (None,):
+        sj = np.fft.rfftn(f.data[j]) if f.vector else spec
+        if j is not None:
+            sj = sj * (2j * math.pi * ks[j])
+        sj = sj * amp
+        sj[(0,) * grid.n] = 0.0
+        if j is not None:
+            sj[(slice(None),) * j + (grid.counts[j] // 2,)] = 0.0
+        if not f.vector:
+            comps.append(np.fft.irfftn(sj, s=grid.counts, axes=axes))
+        elif acc is None:
+            acc = sj
+        else:
+            acc += sj
+    if f.vector:
+        return PeriodicField(grid, np.fft.irfftn(acc, s=grid.counts, axes=axes))
+    if gradient:
+        return PeriodicField(grid, np.stack(comps), vector=True)
+    return PeriodicField(grid, comps[0])
 
 
 def spectral_frac_gradient(f: PeriodicField, alpha: float) -> PeriodicField:
@@ -191,16 +194,7 @@ def spectral_frac_gradient(f: PeriodicField, alpha: float) -> PeriodicField:
         raise DomainError(f"spectral gradient order must lie in [0, 1], got {alpha!r}")
     if f.vector:
         raise ConfigError("frac gradient takes a scalar field")
-    ks, mag = _freq_grids(f.grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0.0, mag ** (alpha - 1.0), 0.0)
-    spec = np.fft.rfftn(f.data)
-    comps = []
-    for j in range(f.n):
-        gj = spec * (2j * math.pi * ks[j]) * amp
-        _zero_special(gj, f.grid, j)
-        comps.append(_irfft(gj, f.grid))
-    return PeriodicField(f.grid, np.stack(comps), vector=True)
+    return _apply_symbol(f, alpha - 1.0, gradient=True)
 
 
 def spectral_frac_divergence(F: PeriodicField, alpha: float) -> PeriodicField:
@@ -210,15 +204,7 @@ def spectral_frac_divergence(F: PeriodicField, alpha: float) -> PeriodicField:
         raise DomainError(f"spectral divergence order must lie in [0, 1], got {alpha!r}")
     if not F.vector:
         raise ConfigError("frac divergence takes a vector field")
-    ks, mag = _freq_grids(F.grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0.0, mag ** (alpha - 1.0), 0.0)
-    acc = None
-    for j in range(F.n):
-        gj = np.fft.rfftn(F.data[j]) * (2j * math.pi * ks[j]) * amp
-        _zero_special(gj, F.grid, j)
-        acc = gj if acc is None else acc + gj
-    return PeriodicField(F.grid, _irfft(acc, F.grid))
+    return _apply_symbol(F, alpha - 1.0, gradient=True)
 
 
 def spectral_riesz_potential(f: PeriodicField, beta: float) -> PeriodicField:
@@ -248,39 +234,13 @@ def spectral_riesz_potential(f: PeriodicField, beta: float) -> PeriodicField:
             RuntimeWarning,
             stacklevel=2,
         )
-    _, mag = _freq_grids(f.grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0.0, mag ** (-beta), 0.0)
-    spec = np.fft.rfftn(f.data) * amp
-    _zero_special(spec, f.grid, None)
-    return PeriodicField(f.grid, _irfft(spec, f.grid))
+    return _apply_symbol(f, -beta, gradient=False)
 
 
 def spectral_riesz_transform(f: PeriodicField) -> PeriodicField:
-    """Vector Riesz transform, symbol i k_j / |k| per component."""
-    if f.vector:
-        raise ConfigError("riesz transform takes a scalar field")
-    ks, mag = _freq_grids(f.grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(mag > 0.0, 1.0 / mag, 0.0)
-    spec = np.fft.rfftn(f.data)
-    comps = []
-    for j in range(f.n):
-        gj = spec * (1j * 2.0 * math.pi * ks[j]) * inv
-        _zero_special(gj, f.grid, j)
-        comps.append(_irfft(gj, f.grid))
-    return PeriodicField(f.grid, np.stack(comps), vector=True)
-
-
-def apply_multiplier(f: PeriodicField, spec: MultiplierSpec) -> PeriodicField:
-    """Dispatch a MultiplierSpec to the concrete operator."""
-    if spec.operator == "frac-gradient":
-        return spectral_frac_gradient(f, spec.order)
-    if spec.operator == "frac-divergence":
-        return spectral_frac_divergence(f, spec.order)
-    if spec.operator == "riesz-potential":
-        return spectral_riesz_potential(f, spec.order)
-    return spectral_riesz_transform(f)
+    """Vector Riesz transform, symbol i k_j / |k| per component: the alpha = 0
+    fractional gradient."""
+    return spectral_frac_gradient(f, 0.0)
 
 
 def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:

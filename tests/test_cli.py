@@ -202,3 +202,34 @@ def test_cli_jobs_env(tmp_path, monkeypatch):
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "verify_report.jsonl").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_cli_direct_op_refuses_wrong_field_kind(tmp_path):
+    cfgp = tmp_path / "wrong.toml"
+    cfgp.write_text(
+        'kind = "op"\nengine = "direct"\n'
+        '[fields.f]\ntemplate = "gaussian"\ncenter = [0.0, 0.0]\n'
+        '[grid]\nlower = [-1.0, -1.0]\nupper = [1.0, 1.0]\ncounts = [4, 4]\n'
+        '[op]\noperator = "frac-divergence"\nfield = "f"\nalpha = 0.5\n'
+    )
+    res = run_cli(["op", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "VectorField" in res.stderr
+
+
+@pytest.mark.parametrize("center,resolution", [("[0.1]", 512), ("[0.1, 0.0, -0.1]", 32)],
+                         ids=["n1", "n3"])
+def test_cli_bench_other_dimensions(tmp_path, center, resolution):
+    cfgp = tmp_path / "b.toml"
+    cfgp.write_text(
+        'kind = "bench"\n'
+        f'[fields.f]\ntemplate = "gaussian"\ncenter = {center}\n'
+        f'[spectral]\nbox = 16.0\nresolution = {resolution}\n'
+        '[bench]\nfield = "f"\npoints = 4\n'
+    )
+    res = run_cli(["bench", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    rows = [l.split(",") for l in (tmp_path / "bench.csv").read_text().splitlines()
+            if l.startswith(("direct,", "spectral,"))]
+    assert [r[0] for r in rows] == ["direct", "spectral"]
+    assert all(math.isfinite(float(r[3])) for r in rows)

@@ -113,6 +113,43 @@ def test_missing_hints_config_error(cfg):
         frac_gradient(bare, 0.5, (0.0, 0.0), cfg)
 
 
+def test_extrapolated_tail_without_hints():
+    """tail_model=False with an explicit far cutoff runs a hintless field and
+    agrees with the hinted run within the returned estimate."""
+    from dataclasses import replace
+
+    hinted = gaussian((0.0, 0.0))
+    bare = replace(hinted, support_radius=None)
+    pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
+    fallback = QuadratureConfig(tail_model=False, far_cutoff=6.0)
+    v, e = frac_gradient_batch(bare, 0.5, pts, fallback)
+    ref, _ = frac_gradient_batch(hinted, 0.5, pts, QuadratureConfig())
+    assert np.all(np.isfinite(e)) and np.all(e > 0.0)
+    assert np.all(np.sqrt(np.sum((v - ref) ** 2, axis=-1)) <= e)
+    with pytest.raises(ConfigError):
+        frac_gradient_batch(bare, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, F, pair, cfg: frac_divergence_batch(G, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: frac_gradient_batch(F, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: frac_gradient(pair, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: riesz_potential_batch(F, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: riesz_transform_batch(pair, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: nl_divergence(F, G, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: nl_gradient(G, F, 0.5, (0.3, 0.1), cfg),
+], ids=["div-of-scalar", "grad-of-vector", "grad-of-pair", "potential-of-vector",
+        "transform-of-pair", "nl-div-swapped", "nl-grad-of-vector"])
+def test_wrong_field_kind_config_error(cfg, call):
+    from fracfield.analytic import make_delta_pair
+
+    G = gaussian((0.0, 0.0))
+    F = gaussian_vector((0.0, 0.0))
+    pair = make_delta_pair((0.0, 0.0), (1.0, 0.0), 0.5)
+    with pytest.raises(ConfigError, match="takes a"):
+        call(G, F, pair, cfg)
+
+
 # ---------------------------------------------------------------------------
 # frozen whole-space references
 

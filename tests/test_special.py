@@ -124,13 +124,6 @@ def test_frac_params_regimes():
     assert fp.decay_exponent_floor() == pytest.approx(1.5)
 
 
-def test_frac_params_thresholds_metadata():
-    th = FracParams(0.5, 2, 3.0).leibniz_besov_thresholds()
-    q = 1.5
-    assert th["beta"] == pytest.approx((0.5 + 2 - 2 / q) / q)
-    assert th["gamma"] == pytest.approx(2 / (2 + 0.5 * q))
-
-
 def test_frac_params_validation():
     with pytest.raises(DomainError):
         FracParams(0.0, 2, 2.0)

@@ -191,19 +191,6 @@ def test_potential_value_differences_match_whole_space(cfg):
     assert np.max(np.abs(d_diff - s_diff)) < 1e-3
 
 
-def test_multiplier_spec_dispatch(small_grid):
-    from fracfield.spectral import MultiplierSpec, apply_multiplier
-
-    f = random_band_limited(small_grid, 4, seed=5)
-    a = apply_multiplier(f, MultiplierSpec("frac-gradient", 0.5))
-    b = spectral_frac_gradient(f, 0.5)
-    assert np.array_equal(a.data, b.data)
-    c = apply_multiplier(f, MultiplierSpec("riesz-transform"))
-    assert np.array_equal(c.data, spectral_riesz_transform(f).data)
-    with pytest.raises(ConfigError):
-        MultiplierSpec("laplace", 1.0)
-
-
 def test_one_dimensional_engines(cfg):
     """n = 1: direct vs spectral agreement for the fractional derivative."""
     g = gaussian((0.0,))
