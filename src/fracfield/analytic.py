@@ -26,10 +26,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, _dist2, _inner
 from .measures import RadonMeasure
 from .quadrature import (
     QuadratureConfig,
+    _leggauss,
     panel_radial_rule,
     singular_radial_rule,
     sphere_rule,
@@ -45,7 +46,7 @@ _E1 = {1: np.array([1.0]), 2: np.array([1.0, 0.0]), 3: np.array([1.0, 0.0, 0.0])
 def _pair_kernel(pts: Array, pole: Array, expo: float) -> Array:
     """(x-p)/|x-p|^expo, zero at the pole itself."""
     d = pts - pole
-    r2 = np.sum(d * d, axis=-1)
+    r2 = _inner(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(r2 > 0.0, r2 ** (-expo / 2.0), 0.0)
     return d * w[..., None]
@@ -87,7 +88,7 @@ def _measured_decay(fn, n: int, s: float, ring: float) -> tuple[float, float]:
     """Empirical decay constant: C = max |F| on a far ring, times margin."""
     dirs, _ = sphere_rule(n, 32)
     vals = fn(ring * dirs)
-    mag = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
+    mag = float(np.max(np.sqrt(_inner(vals))))
     return (1.3 * mag * ring**s, s)
 
 
@@ -222,7 +223,7 @@ def cantor_measure(level: int, embed_dim: int = 1) -> RadonMeasure:
 
 def _graded_gl(m: int, kappa: float) -> tuple[Array, Array]:
     """Gauss-Legendre on [0,1] pushed through t -> t^kappa (grades toward 0)."""
-    t, w = np.polynomial.legendre.leggauss(int(m))
+    t, w = _leggauss(m)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
     return t**kappa, kappa * t ** (kappa - 1.0) * w
@@ -307,7 +308,7 @@ def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
     r = float(r)
 
     def fn(pts: Array) -> Array:
-        dist = np.sqrt(np.sum((pts - x0) ** 2, axis=-1))
+        dist = np.sqrt(_dist2(pts, x0))
         return np.clip((r + eps - dist) / eps, 0.0, 1.0)
 
     return ScalarField(
@@ -370,7 +371,7 @@ def grad_cutoff_annulus(eps: float, r: float, x0, alpha: float, y,
         e = (y - x0) / rho_y
         d = max(min(abs(rho_y - r), abs(rho_y - (r + eps))), 1e-12)
         kappa = float(np.clip(1.0 + math.log10(max(r, rho_y) / d), 1.0, 9.0))
-        tg, wg = np.polynomial.legendre.leggauss(max(6, cfg.mid_panel_nodes))
+        tg, wg = _leggauss(max(6, cfg.mid_panel_nodes))
         rr = 0.5 * eps * (tg + 1.0) + r
         wr = 0.5 * eps * wg
         if n == 1:
@@ -412,12 +413,12 @@ def grad_cutoff_annulus(eps: float, r: float, x0, alpha: float, y,
             if a < 1e-14:
                 t, wt = singular_radial_rule(b, -alpha, cfg.near_radial_nodes)
             else:
-                tg, wg = np.polynomial.legendre.leggauss(cfg.mid_panel_nodes * 2)
+                tg, wg = _leggauss(cfg.mid_panel_nodes * 2)
                 t = 0.5 * (b - a) * (tg + 1.0) + a
                 wt = 0.5 * (b - a) * wg * t ** (-alpha)
             z = y + t[:, None] * d[None, :]
             u = x0[None, :] - z
-            un = np.sqrt(np.sum(u * u, axis=-1))
+            un = np.sqrt(_inner(u))
             un = np.where(un > 0, un, 1.0)
             acc += wa * np.sum(u / un[:, None] * wt[:, None], axis=0)
     return const * acc
@@ -443,12 +444,12 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
         raise ConfigError("nl_gradient_ball needs a compactly supported field")
     mu = mu_const(n, alpha)
     dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
-    wmax = float(np.max(np.sqrt(np.sum(Wp * Wp, axis=-1))))
+    wmax = float(np.max(np.sqrt(_inner(Wp))))
     R_far = max(xi.support_radius + wmax, float(np.linalg.norm(x0)) + r + wmax) + 1.0
-    tg, wg = np.polynomial.legendre.leggauss(cfg.mid_panel_nodes)
+    tg, wg = _leggauss(cfg.mid_panel_nodes)
     out = np.zeros((Wp.shape[0], n))
     xw = xi(Wp)
-    inside = np.sum((Wp - x0) ** 2, axis=-1) < r * r
+    inside = _dist2(Wp, x0) < r * r
     for j, w in enumerate(Wp):
         lo, hi = _ray_sphere(w, dirs, x0, r)  # (A,), (A,)
         if inside[j]:
@@ -501,13 +502,13 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
     x = np.asarray(x, dtype=float)
     poles = np.asarray(pole_field.poles, dtype=float)
     if poles.shape[0] > 1:
-        d2 = np.sum((poles[:, None, :] - poles[None, :, :]) ** 2, axis=-1)
+        d2 = _dist2(poles[:, None, :], poles[None, :, :])
         np.fill_diagonal(d2, np.inf)
         sep = math.sqrt(float(np.min(d2)))
     else:
         sep = 1.0
     d = min(0.45 * sep, 0.5)
-    dist_x = float(np.min(np.sqrt(np.sum((poles - x) ** 2, axis=-1))))
+    dist_x = float(np.min(np.sqrt(_dist2(poles, x))))
     if dist_x <= d:
         raise DomainError("evaluation point must sit outside the pole windows")
 
@@ -515,7 +516,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         vals = np.asarray(F(pts))
         w = np.ones(vals.shape[:-1])
         for p in poles:
-            dist = np.sqrt(np.sum((pts - p) ** 2, axis=-1))
+            dist = np.sqrt(_dist2(pts, p))
             w = w * (1.0 - _window(dist, 0.5 * d, d))
         return w[..., None] * vals
 
@@ -530,7 +531,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         pts = p[None, None, :] + rr[:, None, None] * dirs[None, :, :]
         fv = F(pts.reshape(-1, n)).reshape(rr.shape[0], dirs.shape[0], n)
         diff = pts - x[None, None, :]
-        dn = np.sqrt(np.sum(diff * diff, axis=-1))
+        dn = np.sqrt(_inner(diff))
         kv = diff * (dn ** (-(n + alpha + 1.0)))[..., None]
         win = _window(rr, 0.5 * d, d)[:, None]
         S = np.einsum("rak,rak->ra", fv, kv) * win * (rr ** (n - alpha))[:, None]
@@ -580,7 +581,7 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float,
     # integrate around the bump instead (a rule centered at the kernel point
     # would see the bump in a shrinking cone)
     far_idx = np.where(~near)[0]
-    tg, wg = np.polynomial.legendre.leggauss(16)
+    tg, wg = _leggauss(16)
     z_r = 0.5 * eps * (tg + 1.0)
     z_w = 0.5 * eps * wg
     z_pts = z_r[:, None, None] * dirs[None, :, :]            # (R, A, n)
@@ -590,7 +591,7 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float,
     for lo_i in range(0, far_idx.shape[0], 2000):
         sel = far_idx[lo_i : lo_i + 2000]
         u = ts[sel][:, None, None, None] * e1 + z_pts[None, :, :, :]
-        dist = np.sqrt(np.sum(u * u, axis=-1))
+        dist = np.sqrt(_inner(u))
         k1 = u[..., 0] * dist**expo
         kappa[sel] = np.einsum("tra,ra->t", k1, rho_w)
 
@@ -612,7 +613,7 @@ def mollified_pole_field(pole_field, eps: float, cfg: QuadratureConfig,
         acc = np.zeros(pts.shape)
         for p, s in zip(poles, strengths):
             d = pts - p
-            dist = np.sqrt(np.sum(d * d, axis=-1))
+            dist = np.sqrt(_inner(d))
             k = np.interp(dist, ts, kappa, right=0.0)
             safe = np.where(dist > 0.0, dist, 1.0)
             acc += s * (k / safe)[..., None] * d
@@ -680,7 +681,7 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig,
     G = spectral_gradient_of(xi, alpha, L, N)
     if pole_radius is None:
         if poles.shape[0] > 1:
-            d2 = np.sum((poles[:, None, :] - poles[None, :, :]) ** 2, axis=-1)
+            d2 = _dist2(poles[:, None, :], poles[None, :, :])
             np.fill_diagonal(d2, np.inf)
             sep = math.sqrt(float(np.min(d2)))
         else:
@@ -694,11 +695,11 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig,
         fv = F(pts)
         w = np.ones(pts.shape[:-1])
         for p in poles:
-            dist = np.sqrt(np.sum((pts - p) ** 2, axis=-1))
+            dist = np.sqrt(_dist2(pts, p))
             w *= 1.0 - _window(dist, 0.5 * pole_radius, pole_radius)
-        rad = np.sqrt(np.sum(pts * pts, axis=-1))
+        rad = np.sqrt(_inner(pts))
         w *= _window(rad, L / 2.0 - 3.0, L / 2.0 - 1.0)
-        return float(np.sum(w * np.sum(fv * gv, axis=-1))) * grid.cell_volume * stride**n
+        return float(np.sum(w * _inner(fv, gv))) * grid.cell_volume * stride**n
 
     def pole_part(m_rad: int, m_ang: int) -> float:
         dirs, w_ang = sphere_rule(n, m_ang)
@@ -711,7 +712,7 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig,
             dist = rr[:, None]
             # the bulk carries weight 1 - win, so the pole part integrates win
             win = _window(dist, 0.5 * pole_radius, pole_radius)
-            S = np.sum(fv * gv, axis=-1) * win * dist ** (n - alpha)
+            S = _inner(fv, gv) * win * dist ** (n - alpha)
             total += float(np.einsum("ra,r,a->", S, wr, w_ang))
         return total
 

@@ -17,13 +17,13 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .cliconfig import OPERATORS, ExperimentConfig, load_config
 from .errors import ConfigError, DomainError, EmbeddingError, FracfieldError, PreconditionError
+from .fields import _dist2, _inner
 from .fileio import config_digest, write_grid, write_table
 from .measures import RadonMeasure
 from .quadrature import frac_gradient_batch
@@ -105,9 +105,7 @@ def run_op(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.engine == "spectral":
         L, N = cfg.spectral_params()
         pf = embed(field, L, N)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = spectral(pf, alpha)
+        out = spectral(pf, alpha)
         vals = out.sample_linear(pts)
         errs = np.zeros(pts.shape[0])
     else:
@@ -134,9 +132,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = section.get("checks", "default")
     names = None if checks == "default" else list(checks)
     qcfg = cfg.quadrature()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        reports = run_suite(qcfg, seed=cfg.seed, jobs=cfg.jobs, names=names)
+    reports = run_suite(qcfg, seed=cfg.seed, jobs=cfg.jobs, names=names)
     tol_abs = section.get("tolerance_abs")
     if tol_abs is not None:
         # override: re-decide every pass flag against a single absolute bound
@@ -181,7 +177,6 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
 def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Ball-mass scaling table with fitted slope and theoretical floor."""
     section = cfg.raw["decay"]
-    source_spec = cfg.fields[section["source"]]
     source = cfg.build_field(section["source"])
     alpha = float(section.get("alpha", 0.5))
     p_raw = section.get("p", "inf")
@@ -190,16 +185,10 @@ def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
         radii = np.array([float(r) for r in section["radii"]])
     else:
         radii = 3.0 ** -np.arange(0, int(section["pow3_levels"]))
-    if source_spec["template"] == "cantor":
-        n_dim = source_spec["dim"]
-    else:
-        n_dim = len(source_spec.get("center", source_spec.get("y", (0.0, 0.0))))
-    center = np.array(section.get("center", [0.0] * n_dim), dtype=float)
+    center = np.array(section.get("center", [0.0] * source.n), dtype=float)
     expect = section.get("expect", "floor")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = decay_scan(source, alpha, p, center, radii, cfg.quadrature(),
-                         expect=expect, target=section.get("target"), name="decay")
+    rep = decay_scan(source, alpha, p, center, radii, cfg.quadrature(),
+                     expect=expect, target=section.get("target"), name="decay")
     # rebuild the mass table for the output file
     meas = source.abs() if isinstance(source, RadonMeasure) else None
     if meas is None and hasattr(source, "measure"):
@@ -268,8 +257,7 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path) -> int:
     sv = sp.sample_linear(pts)
     t_spectral = time.time() - t0
 
-    rel = np.sqrt(np.sum((dv - sv) ** 2, axis=-1)) / np.maximum(
-        np.sqrt(np.sum(dv * dv, axis=-1)), 1e-9)
+    rel = np.sqrt(_dist2(dv, sv)) / np.maximum(np.sqrt(_inner(dv)), 1e-9)
     worst = float(np.max(rel))
     rows = [
         ["direct", n_pts, t_direct, worst],

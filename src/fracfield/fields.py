@@ -81,6 +81,33 @@ class GridSpec:
         return self._mesh([self.axis_centers(i) for i in range(self.n)])
 
 
+def _inner(a: Array, b: Optional[Array] = None) -> Array:
+    """sum_k a[..., k] * b[..., k] over the trailing (space) axis; |a|^2
+    when b is omitted.
+
+    Added component by component: for a trailing length n <= 3 the values
+    equal np.sum(a * b, axis=-1) bit for bit (only a sum of negative zeros
+    comes out -0.0 instead of 0.0), without numpy's slow short-axis reduction.
+    """
+    b = a if b is None else b
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def _dist2(p: Array, c: Array) -> Array:
+    """|p - c|^2 over the trailing axis: the bits of _inner(p - c), without
+    forming the (..., n) difference."""
+    out = p[..., 0] - c[..., 0]
+    out *= out
+    for k in range(1, p.shape[-1]):
+        d = p[..., k] - c[..., k]
+        d *= d
+        out += d
+    return out
+
+
 def _as_points(x, n: int) -> Array:
     pts = np.asarray(x, dtype=float)
     if pts.shape == (n,):
@@ -108,7 +135,7 @@ class ScalarField:
         single = np.asarray(x, dtype=float).shape == (self.n,)
         vals = np.asarray(self.fn(pts), dtype=float)
         if self.support_radius is not None:
-            r2 = np.sum(pts * pts, axis=-1)
+            r2 = _inner(pts)
             vals = np.where(r2 <= self.support_radius**2, vals, 0.0)
         return float(vals[0]) if single else vals
 
@@ -119,7 +146,7 @@ class ScalarField:
         single = np.asarray(x, dtype=float).shape == (self.n,)
         g = np.asarray(self.grad_fn(pts), dtype=float)
         if self.support_radius is not None:
-            r2 = np.sum(pts * pts, axis=-1)
+            r2 = _inner(pts)
             g = np.where(r2[..., None] <= self.support_radius**2, g, 0.0)
         return g[0] if single else g
 
@@ -154,7 +181,7 @@ class VectorField:
         single = np.asarray(x, dtype=float).shape == (self.n,)
         vals = np.asarray(self.fn(pts), dtype=float)
         if self.support_radius is not None:
-            r2 = np.sum(pts * pts, axis=-1)
+            r2 = _inner(pts)
             vals = np.where(r2[..., None] <= self.support_radius**2, vals, 0.0)
         return vals[0] if single else vals
 
@@ -245,12 +272,11 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         raise DomainError("gaussian width must be positive")
 
     def fn(p: Array) -> Array:
-        d = p - c
-        return a * np.exp(-math.pi * np.sum(d * d, axis=-1) / w**2)
+        return a * np.exp(-math.pi * _dist2(p, c) / w**2)
 
     def grad(p: Array) -> Array:
         d = p - c
-        val = a * np.exp(-math.pi * np.sum(d * d, axis=-1) / w**2)
+        val = a * np.exp(-math.pi * _inner(d) / w**2)
         return (-2.0 * math.pi / w**2) * d * val[..., None]
 
     return ScalarField(
@@ -266,12 +292,27 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
 
 def gaussian_vector(center: Sequence[float], width: float = 1.0,
                     amplitudes: Optional[Sequence[float]] = None) -> VectorField:
-    """Vector field (a_1, ..., a_n) * exp(-pi |x-c|^2 / w^2)."""
+    """Vector field (a_1, ..., a_n) * exp(-pi |x-c|^2 / w^2).
+
+    One exp per point, scaled by the amplitude vector: the same bits and
+    hints as the stack of the n component Gaussians.
+    """
     c = np.asarray(center, dtype=float)
     n = c.shape[0]
-    amps = np.ones(n) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    comps = [gaussian(center, width, float(amps[i])) for i in range(n)]
-    return vector_from_components(comps)
+    amps = np.ones(n) if amplitudes is None else np.array(amplitudes, dtype=float)
+    if amps.shape != (n,):
+        raise ConfigError(f"gaussian_vector needs {n} amplitudes, got shape {amps.shape}")
+    unit = gaussian(center, width)  # amplitude 1: its values are the bare exp
+    w = float(width)
+    return VectorField(
+        n=n,
+        fn=lambda p: unit.fn(p)[..., None] * amps,
+        support_radius=unit.support_radius,
+        sup_bound=float(np.max(np.abs(amps))),
+        smooth=True,
+        cache_token="vec(" + ",".join(
+            f"gaussian(c={tuple(c)},w={w},a={float(a)})" for a in amps) + ")",
+    )
 
 
 def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0) -> ScalarField:
@@ -284,7 +325,7 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
         raise DomainError("bump radius must be positive")
 
     def fn(p: Array) -> Array:
-        t2 = np.sum((p - c) ** 2, axis=-1) / R**2
+        t2 = _dist2(p, c) / R**2
         inside = t2 < 1.0
         out = np.zeros(t2.shape)
         safe = np.where(inside, t2, 0.0)
@@ -309,7 +350,7 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
         raise DomainError("indicator radius must be positive")
 
     def fn(p: Array) -> Array:
-        return (np.sum((p - c) ** 2, axis=-1) < R**2).astype(float)
+        return (_dist2(p, c) < R**2).astype(float)
 
     return ScalarField(
         n=c.shape[0],
@@ -369,7 +410,9 @@ _BUMP_NORM_CACHE: dict[int, float] = {}
 def _bump_normalizer(n: int) -> float:
     """1 / integral_{B_1} exp(-1/(1-|x|^2)) dx, via radial Gauss-Legendre."""
     if n not in _BUMP_NORM_CACHE:
-        t, w = np.polynomial.legendre.leggauss(200)
+        from .quadrature import _leggauss  # local import: quadrature depends on this module
+
+        t, w = _leggauss(200)
         r = 0.5 * (t + 1.0)
         wr = 0.5 * w
         prof = np.exp(-1.0 / (1.0 - r**2))
@@ -390,7 +433,7 @@ def mollifier(eps: float, n: int) -> ScalarField:
     c = _bump_normalizer(n)
 
     def fn(p: Array) -> Array:
-        t2 = np.sum(p * p, axis=-1) / eps**2
+        t2 = _inner(p) / eps**2
         inside = t2 < 1.0
         out = np.zeros(t2.shape)
         out[inside] = c * np.exp(-1.0 / (1.0 - t2[inside])) / eps**n
@@ -425,7 +468,7 @@ def cutoff(R: float, n: int) -> ScalarField:
         raise DomainError("cutoff radius must be positive")
 
     def fn(p: Array) -> Array:
-        r = np.sqrt(np.sum(p * p, axis=-1))
+        r = np.sqrt(_inner(p))
         return _smoothstep(2.0 - r / R)
 
     return ScalarField(

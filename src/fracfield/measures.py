@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .fields import GridSpec
+from .fields import GridSpec, _dist2
 
 Array = np.ndarray
 
@@ -38,7 +38,7 @@ class RadonMeasure:
             raise ConfigError("atom points and weights must have equal length")
         if pts.shape[0] > 1:
             # pairwise-distinct atoms; k is small in every use here
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            d2 = _dist2(pts[:, None, :], pts[None, :, :])
             np.fill_diagonal(d2, np.inf)
             if np.min(d2) <= 0.0:
                 raise ConfigError("atom points must be pairwise distinct")
@@ -90,12 +90,12 @@ def measure_ball_mass(mu: RadonMeasure, center, r: float) -> float:
     c = np.asarray(center, dtype=float).reshape(mu.n)
     total = 0.0
     if mu.atom_points.shape[0]:
-        d2 = np.sum((mu.atom_points - c) ** 2, axis=-1)
+        d2 = _dist2(mu.atom_points, c)
         total += float(np.sum(mu.atom_weights[d2 < r * r]))
     if mu.density_grid is not None:
         grid = mu.density_grid
         centers = grid.center_points()
-        dist = np.sqrt(np.sum((centers - c) ** 2, axis=-1))
+        dist = np.sqrt(_dist2(centers, c))
         half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
         vol = grid.cell_volume
         inside = dist <= r - half_diag
@@ -106,7 +106,7 @@ def measure_ball_mass(mu: RadonMeasure, center, r: float) -> float:
             bv = mu.density_values[boundary]
             offs = _subcell_offsets(grid)
             sub = bc[:, None, :] + offs[None, :, :]
-            frac = np.mean(np.sum((sub - c) ** 2, axis=-1) < r * r, axis=1)
+            frac = np.mean(_dist2(sub, c) < r * r, axis=1)
             total += float(np.sum(bv * frac)) * vol
     return total
 

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .fields import GridSpec, ScalarField, VectorField
+from .fields import GridSpec, ScalarField, VectorField, _inner
 from .quadrature import QuadratureConfig, panel_radial_rule, singular_radial_rule, sphere_rule
 from .special import sphere_area
 
@@ -30,7 +30,7 @@ Array = np.ndarray
 def _abs_values(f, pts: Array) -> Array:
     vals = np.asarray(f(pts))
     if isinstance(f, VectorField):
-        return np.sqrt(np.sum(vals * vals, axis=-1))
+        return np.sqrt(_inner(vals))
     return np.abs(vals)
 
 

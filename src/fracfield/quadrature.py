@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, _inner
 from .special import mu_const, riesz_potential_const, riesz_transform_const, sphere_area
 
 Array = np.ndarray
@@ -98,7 +98,11 @@ class OperatorResult:
 
 @lru_cache(maxsize=128)
 def _leggauss(m: int) -> tuple[Array, Array]:
-    return np.polynomial.legendre.leggauss(m)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    t, w = np.polynomial.legendre.leggauss(int(m))
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @lru_cache(maxsize=128)
@@ -142,7 +146,7 @@ def singular_radial_rule(r_max: float, rho: float, m: int) -> tuple[Array, Array
     p = 1.0 + rho
     if p <= 0:
         raise DomainError(f"radial power {rho} is not integrable at 0")
-    t, wt = _leggauss(int(m))
+    t, wt = _leggauss(m)
     U = r_max**p
     u = 0.5 * U * (t + 1.0)
     r = u ** (1.0 / p)
@@ -156,12 +160,10 @@ def panel_radial_rule(r0: float, r1: float, growth: float, m: int) -> tuple[Arra
     while edges[-1] * growth < r1:
         edges.append(edges[-1] * growth)
     edges.append(r1)
-    t, wt = _leggauss(int(m))
-    rs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rs.append(0.5 * (b - a) * (t + 1.0) + a)
-        ws.append(0.5 * (b - a) * wt)
-    return np.concatenate(rs), np.concatenate(ws)
+    t, wt = _leggauss(m)
+    a = np.array(edges[:-1])[:, None]
+    half = 0.5 * (np.array(edges[1:])[:, None] - a)
+    return (half * (t + 1.0) + a).ravel(), (half * wt).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def _far_cutoff_for(fields, X: Array, cfg: QuadratureConfig,
     target tolerance (capped), so truncation never dominates the budget.
     """
     n = X.shape[1]
-    xmax = float(np.max(np.sqrt(np.sum(X * X, axis=-1))))
+    xmax = float(np.max(np.sqrt(_inner(X))))
     need = cfg.near_radius * 2.0
     known = False
     for f in fields:
@@ -224,7 +226,7 @@ def _tail_bound(fields, X: Array, R: float, order: float, n: int,
     over full annuli (odd kernel); the potential has no frozen part. Either
     way only the field values beyond R contribute.
     """
-    xmax = float(np.max(np.sqrt(np.sum(X * X, axis=-1))))
+    xmax = float(np.max(np.sqrt(_inner(X))))
     total = 0.0
     for f in fields:
         sup, dec = f.support_radius, f.decay
@@ -330,7 +332,7 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
         for i0 in range(0, X.shape[0], chunk):
             xs = X[i0 : i0 + chunk]
             d = y[None, :, :] - xs[:, None, :]
-            rr = np.sqrt(np.sum(d * d, axis=-1))
+            rr = np.sqrt(_inner(d))
             ker = rr ** (-expo)
             if out_vector:
                 out[i0 : i0 + chunk] = np.einsum("y,xy,xyk,y->xk", sv, ker, d, w)
@@ -435,7 +437,7 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
     coarse = np.zeros(out_shape)
     tails = np.zeros(X.shape[0])
     if all(s is not None for s in sups):
-        far = np.sqrt(np.sum(X * X, axis=-1)) > max(sups) + 1.0
+        far = np.sqrt(_inner(X)) > max(sups) + 1.0
     else:
         far = np.zeros(X.shape[0], dtype=bool)
     if np.any(far):
@@ -456,8 +458,8 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
             tail = _extrapolated_tail(n, Xn, numer, kern_pow, cfg, vector, far_R)
         tails[~far] = tail
     diff = np.abs(fine - coarse)
-    per_point = diff if not vector else np.sqrt(np.sum(diff * diff, axis=-1))
-    scale = np.abs(fine) if not vector else np.sqrt(np.sum(fine * fine, axis=-1))
+    per_point = diff if not vector else np.sqrt(_inner(diff))
+    scale = np.abs(fine) if not vector else np.sqrt(_inner(fine))
     errs = abs(constant) * (per_point + tails) + 1e-15 * (1.0 + abs(constant) * scale)
     return constant * fine, errs
 

@@ -233,3 +233,36 @@ def test_cli_bench_other_dimensions(tmp_path, center, resolution):
             if l.startswith(("direct,", "spectral,"))]
     assert [r[0] for r in rows] == ["direct", "spectral"]
     assert all(math.isfinite(float(r[3])) for r in rows)
+
+
+def test_cli_spectral_potential_reports_mean_bias_warning(tmp_path):
+    cfgp = tmp_path / "pot.toml"
+    cfgp.write_text(
+        'kind = "op"\nengine = "spectral"\n'
+        '[fields.f]\ntemplate = "gaussian"\ncenter = [0.0, 0.0]\n'
+        '[grid]\nlower = [-1.0, -1.0]\nupper = [1.0, 1.0]\ncounts = [4, 4]\n'
+        '[spectral]\nbox = 16.0\nresolution = 64\n'
+        '[op]\noperator = "riesz-potential"\nfield = "f"\nalpha = 0.5\n'
+    )
+    res = run_cli(["op", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" in res.stderr and "non-negligible mean" in res.stderr
+
+
+def test_cli_decay_takes_dimension_from_source(tmp_path):
+    """A 1-D convolved source without a centre is scanned about the 1-D origin
+    (p = inf: the floor n - alpha shows the dimension)."""
+    cfgp = tmp_path / "d.toml"
+    cfgp.write_text(
+        'kind = "decay"\n'
+        '[fields.nu]\ntemplate = "convolved"\n'
+        'atoms = [[[0.0], 1.0], [[0.5], -0.7]]\nalpha = 0.5\n'
+        '[decay]\nsource = "nu"\nalpha = 0.5\np = "inf"\n'
+        'radii = [0.05, 0.1, 0.2, 0.4]\n'
+    )
+    res = run_cli(["decay", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    text = (tmp_path / "decay_table.csv").read_text()
+    floor = float(next(l for l in text.splitlines()
+                       if l.startswith("# theoretical_floor")).split()[-1])
+    assert floor == pytest.approx(0.5)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import (
     GridSpec,
+    _dist2,
+    _inner,
     ball_indicator,
     compact_bump,
     cutoff,
@@ -150,3 +153,60 @@ def test_vector_from_components_validation():
 def test_scaled_field_property(x, y):
     f = gaussian((0.0, 0.0))
     assert f.scaled(-2.5)((x, y)) == pytest.approx(-2.5 * f((x, y)), rel=1e-12)
+
+
+# products of these stay finite, so both sums see the same finite terms
+_FINITE = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _operand_pair(draw):
+    n = draw(st.integers(1, 3))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=5))
+    a = draw(hnp.arrays(float, lead + (n,), elements=_FINITE))
+    b = draw(hnp.arrays(float, lead + (n,), elements=_FINITE))
+    return a, b
+
+
+def _strided(a):
+    """Same values, trailing axis with stride 2 elements."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+def _trailing_major(a):
+    """Same values, trailing axis the slowest in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operand_pair())
+def test_inner_and_dist2_bit_identical_to_numpy_sum(pair):
+    a, b = pair
+    ref = np.sum(a * b, axis=-1)
+    assert np.array_equal(_inner(a, b), ref)
+    assert np.array_equal(_inner(a), np.sum(a * a, axis=-1))
+    dist = np.sum((a - b) ** 2, axis=-1)
+    assert np.array_equal(_dist2(a, b), dist)
+    centre = b.reshape(-1, b.shape[-1])[0] if b.size else np.zeros(b.shape[-1])
+    assert np.array_equal(_dist2(a, centre), np.sum((a - centre) ** 2, axis=-1))
+    for layout in (_strided, _trailing_major):
+        assert np.array_equal(_inner(layout(a), layout(b)), ref)
+        assert np.array_equal(_inner(layout(a), b), ref)
+        assert np.array_equal(_dist2(layout(a), layout(b)), dist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_vector_bit_identical_to_component_stack(n):
+    center = np.linspace(0.3, -0.2, n)
+    amps = np.linspace(-1.5, 2.0, n)
+    F = gaussian_vector(center, 0.7, amps)
+    ref = vector_from_components([gaussian(center, 0.7, float(a)) for a in amps])
+    pts = np.random.default_rng(n).uniform(-3.5, 3.5, (40, 7, n))
+    assert np.array_equal(F(pts), ref(pts))
+    assert np.array_equal(F.fn(pts), ref.fn(pts))
+    for hint in ("n", "support_radius", "decay", "sup_bound", "smooth", "cache_token"):
+        assert getattr(F, hint) == getattr(ref, hint), hint
+    default = gaussian_vector(center)
+    assert default.cache_token == vector_from_components([gaussian(center)] * n).cache_token
+    with pytest.raises(ConfigError):
+        gaussian_vector(center, 0.7, np.ones(n + 1))

@@ -19,6 +19,8 @@ from fracfield.quadrature import (
     riesz_potential_batch,
     riesz_transform,
     riesz_transform_batch,
+    _leggauss,
+    panel_radial_rule,
     singular_radial_rule,
     sphere_rule,
 )
@@ -60,6 +62,29 @@ def test_singular_radial_rule_exactness():
     assert val == pytest.approx(exact, rel=1e-8)
     with pytest.raises(DomainError):
         singular_radial_rule(1.0, -1.2, 8)
+
+
+@pytest.mark.parametrize("r0,r1,growth,m", [(0.2, 9.0, 2.0, 6), (0.2, 9.0, 2.0, 3),
+                                             (0.05, 3.0, 1.5, 4), (1.0, 1.5, 2.0, 12)])
+def test_panel_radial_rule_matches_panel_loop(r0, r1, growth, m):
+    edges = [r0]
+    while edges[-1] * growth < r1:
+        edges.append(edges[-1] * growth)
+    edges.append(r1)
+    t, wt = np.polynomial.legendre.leggauss(m)
+    ref_r = np.concatenate([0.5 * (b - a) * (t + 1.0) + a for a, b in zip(edges[:-1], edges[1:])])
+    ref_w = np.concatenate([0.5 * (b - a) * wt for a, b in zip(edges[:-1], edges[1:])])
+    r, w = panel_radial_rule(r0, r1, growth, m)
+    assert np.array_equal(r, ref_r) and np.array_equal(w, ref_w)
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    t, w = _leggauss(8)
+    assert _leggauss(8)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
 
 
 def test_config_validation():

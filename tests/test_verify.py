@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fracfield.analytic import make_delta_pair
 from fracfield.errors import ConfigError
 from fracfield.fields import cutoff, gaussian, gaussian_vector
+from fracfield.quadrature import QuadratureConfig
 from fracfield.verify import (
     TolerancePolicy,
     VerifyReport,
@@ -13,6 +15,8 @@ from fracfield.verify import (
     check_duality,
     check_global_ibp,
     check_leibniz_pointwise,
+    check_semigroup_spectral,
+    check_symbol_factorization,
     check_zero_mass_nl,
     decay_scan,
     run_suite,
@@ -167,3 +171,13 @@ def test_nl_l1_bound_scale_invariant_ratio(cfg, gauss2d):
     r2 = check_nl_l1_bound(gauss2d.scaled(2.0), F, 0.5, 2.0, cfg)
     assert r1.passed and r2.passed
     assert r1.rel_err == pytest.approx(r2.rel_err, rel=1e-3)  # the ratio
+
+
+@pytest.mark.parametrize("check", [check_semigroup_spectral, check_symbol_factorization])
+def test_spectral_roundoff_checks_raise_no_warning(check):
+    """The mean-free input keeps the Riesz potential's mean-bias warning quiet
+    without silencing warnings from inside a (possibly threaded) check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check(QuadratureConfig())
+    assert rep.passed and rep.abs_err <= 1e-10
