@@ -1,4 +1,5 @@
-"""Layer microbenchmarks: field evaluation and the spectral embedding.
+"""Layer microbenchmarks: field evaluation, the direct engine's passes and
+the spectral embedding.
 
 Run from the repository root:
 
@@ -10,12 +11,18 @@ a block of the direct engine's node template, (points, radii, angles, n), and
 stores its median cost per point as `extra_info["ns_per_eval"]`. The raw
 evaluator (`fn`) and the masked `__call__` are timed apart, so their
 difference is the cost of the support mask.
+
+The direct-engine benchmarks call the public batch operators on 2048 points
+in R^2 and store the median cost per point as `extra_info["us_per_pt"]`.
+Points inside the support run only the near/mid polar passes (fine and
+coarse); points beyond support + 1 run only the far-source rule.
 """
 
 import numpy as np
 import pytest
 
 from fracfield.fields import gaussian, gaussian_vector
+from fracfield.quadrature import QuadratureConfig, frac_divergence_batch, frac_gradient_batch
 from fracfield.spectral import embed
 
 BLOCK = (1000, 25, 40, 2)  # 1M points in R^2
@@ -46,6 +53,33 @@ def test_evaluator(benchmark, points, name):
 @pytest.mark.parametrize("name", FIELDS)
 def test_masked_call(benchmark, points, name):
     _per_eval(benchmark, FIELDS[name], points)
+
+
+DIRECT_POINTS = 2048
+DIRECT_OPS = {
+    "frac_gradient": lambda X: frac_gradient_batch(FIELDS["gaussian"], 0.5, X, QuadratureConfig()),
+    "frac_divergence": lambda X: frac_divergence_batch(FIELDS["gaussian_vector"], 0.5, X,
+                                                       QuadratureConfig()),
+}
+
+
+def _per_point(benchmark, fn, X):
+    benchmark(fn, X)
+    benchmark.extra_info["us_per_pt"] = benchmark.stats.stats.median / len(X) * 1e6
+
+
+@pytest.mark.parametrize("op", DIRECT_OPS)
+def test_polar_passes(benchmark, op):
+    X = np.random.default_rng(1).uniform(-1.5, 1.5, (DIRECT_POINTS, 2))
+    _per_point(benchmark, DIRECT_OPS[op], X)
+
+
+def test_far_source_rule(benchmark):
+    rng = np.random.default_rng(2)
+    theta = rng.uniform(0.0, 2.0 * np.pi, DIRECT_POINTS)
+    radius = FIELDS["gaussian"].support_radius + 1.0 + rng.uniform(0.1, 3.0, DIRECT_POINTS)
+    X = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    _per_point(benchmark, DIRECT_OPS["frac_gradient"], X)
 
 
 def test_embed_1024(benchmark):

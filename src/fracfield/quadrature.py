@@ -16,9 +16,10 @@ with a three-way split:
   R_far >= support + |x|.
 
 The error estimate is |fine - coarse| (half node counts) plus the tail bound.
-All evaluators are batched over evaluation points: internals broadcast the
-shared node template against a batch of centers. Every public operator is one
-call of the driver `_run_op` with its kernel order, constant and integrand kind.
+All evaluators are batched over evaluation points: each pass builds its node
+template once and evaluates it around blocks of points sized so a block's
+temporaries stay in cache (`_BLOCK_NODES`). Every public operator is one call
+of the driver `_run_op` with its kernel order, constant and integrand kind.
 """
 
 from __future__ import annotations
@@ -278,28 +279,49 @@ def _batched_polar(
     return acc
 
 
+# Nodes per block of evaluation points: a (points, radii, angles, n)
+# temporary of 2^15 nodes is 0.5 MB at n = 2, so the working set of each
+# elementwise step stays within a 2 MB L2 cache instead of streaming the batch.
+_BLOCK_NODES = 1 << 15
+
+
+def _blocks(m_pts: int, nodes_per_pt: int):
+    """Row slices of at most _BLOCK_NODES nodes each (at least one point).
+
+    A point with more nodes than numpy's buffer (np.getbufsize()) gets a
+    block of its own: einsum reduces such a row in one piece when it is alone
+    in a call and in buffer-sized pieces otherwise, so a shared block would
+    make the point's bits depend on its neighbours in the batch.
+    """
+    step = _BLOCK_NODES // nodes_per_pt if nodes_per_pt <= np.getbufsize() else 1
+    step = max(1, step)
+    return (slice(i, i + step) for i in range(0, m_pts, step))
+
+
 def _polar_sum(X, numer, dirs, w_ang, r, w_rad, divide, extra_pow, vector):
-    """Accumulate sum_{r,omega} numer(x + r w, w) * weight, chunked over radii."""
+    """Accumulate sum_{r,omega} numer(x + r w, w, rows) * weight over blocks
+    of points.
+
+    The displacement template r*omega and the weights (times the directions
+    for a vector output) are built once per pass; each block of points then
+    holds at most _BLOCK_NODES nodes.
+    """
     m_pts, n = X.shape
-    out = np.zeros((m_pts, n) if vector else (m_pts,))
-    n_ang = dirs.shape[0]
-    # chunk radii so the point batch never exceeds ~4M nodes
-    chunk = max(1, int(4_000_000 / max(1, m_pts * n_ang)))
-    for i0 in range(0, r.shape[0], chunk):
-        rc = r[i0 : i0 + chunk]
-        wc = w_rad[i0 : i0 + chunk]
-        disp = rc[:, None, None] * dirs[None, :, :]          # (R, A, n)
-        pts = X[:, None, None, :] + disp[None, :, :, :]      # (m, R, A, n)
-        vals = numer(pts, dirs)                              # (m, R, A)
+    disp = dirs.T[:, None, :] * r[None, :, None]              # (n, R, A)
+    w = w_rad[:, None] * w_ang[None, :]
+    if extra_pow != 0.0:
+        w = w * r[:, None] ** extra_pow
+    if vector:
+        w = np.multiply(w, dirs.T[:, None, :], order="C")     # (n, R, A)
+    out = np.empty((m_pts, n) if vector else (m_pts,))
+    for rows in _blocks(m_pts, r.size * dirs.shape[0]):
+        # nodes stored component-major, (n, b, R, A), and seen as (b, R, A, n):
+        # every elementwise step then runs over contiguous components
+        pts = np.add(X[rows].T[:, :, None, None], disp[:, None], order="C").transpose(1, 2, 3, 0)
+        vals = numer(pts, dirs, rows)                            # (b, R, A)
         if divide:
-            vals = vals / rc[None, :, None]
-        w = wc[:, None] * w_ang[None, :]
-        if extra_pow != 0.0:
-            w = w * rc[:, None] ** extra_pow
-        if vector:
-            out += np.einsum("mra,ra,ak->mk", vals, w, dirs)
-        else:
-            out += np.einsum("mra,ra->m", vals, w)
+            vals = vals / r[:, None]
+        out[rows] = np.einsum("mra,kra->mk" if vector else "mra,ra->m", vals, w)
     return out
 
 
@@ -326,22 +348,18 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
         y = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
         w = ((wr * r ** (n - 1))[:, None] * w_ang[None, :]).reshape(-1)
         sv = src_fn(y)
-        out_shape = (X.shape[0], n) if out_vector else (X.shape[0],)
-        out = np.zeros(out_shape)
-        chunk = max(1, int(4_000_000 / max(1, y.shape[0])))
-        for i0 in range(0, X.shape[0], chunk):
-            xs = X[i0 : i0 + chunk]
-            d = y[None, :, :] - xs[:, None, :]
-            rr = np.sqrt(_inner(d))
-            ker = rr ** (-expo)
+        out = np.empty((X.shape[0], n) if out_vector else (X.shape[0],))
+        for rows in _blocks(X.shape[0], y.shape[0]):
+            # component-major, so the contraction reads each component contiguously
+            dk = np.subtract(y.T[:, None, :], X[rows].T[:, :, None], order="C")  # (n, b, Y)
+            d = dk.transpose(1, 2, 0)                         # (b, Y, n) view
+            ker = np.sqrt(_inner(d)) ** (-expo)
             if out_vector:
-                out[i0 : i0 + chunk] = np.einsum("y,xy,xyk,y->xk", sv, ker, d, w)
+                out[rows] = np.einsum("xy,kxy->xk", ker * (sv * w), dk)
             elif src_vector:
-                out[i0 : i0 + chunk] = np.einsum(
-                    "xy,xy->x", np.einsum("yk,xyk->xy", sv, d), ker * w[None, :]
-                )
+                out[rows] = np.einsum("xy,xy->x", _inner(d, sv), ker * w)
             else:
-                out[i0 : i0 + chunk] = np.einsum("y,xy,y->x", sv, ker, w)
+                out[rows] = np.einsum("y,xy,y->x", sv, ker, w)
         return out
 
     fine = run(max(cfg.mid_angular_nodes, 32), max(cfg.mid_panel_nodes, 6))
@@ -351,35 +369,57 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
 
 def _extrapolated_tail(n, X, numer, kern_pow, cfg, vector, far_R) -> float:
     """Truncation estimate when no analytic bound exists: geometric
-    extrapolation of the outermost octave's contribution."""
+    extrapolation of the outermost octave's contribution.
+
+    The estimate assumes the octave contributions fall at least by half per
+    octave; the octave [R/4, R/2] checks that against [R/2, R], and a field
+    whose tail falls slower is refused.
+    """
     dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
-    r, w_rad = panel_radial_rule(far_R / 2.0, far_R, 2.0, cfg.mid_panel_nodes)
-    last = _polar_sum(X, numer, dirs, w_ang, r, w_rad,
-                      divide=False, extra_pow=kern_pow, vector=vector)
-    mag = float(np.max(np.abs(last)))
-    return 2.0 * mag  # sum of a ratio<=1/2 geometric series bounded by first term x2
+
+    def octave(lo: float) -> float:
+        r, w_rad = panel_radial_rule(lo, 2.0 * lo, 2.0, cfg.mid_panel_nodes)
+        return float(np.max(np.abs(_polar_sum(X, numer, dirs, w_ang, r, w_rad,
+                                              divide=False, extra_pow=kern_pow,
+                                              vector=vector))))
+
+    inner, last = octave(far_R / 4.0), octave(far_R / 2.0)
+    if last > 0.5 * inner:
+        raise DomainError(
+            f"far tail does not decay geometrically beyond far_cutoff={far_R:g}: "
+            f"octave contributions {inner:.3g} then {last:.3g} fall by less than "
+            "half; give the field a support or decay hint")
+    return 2.0 * last  # sum of a ratio<=1/2 geometric series bounded by first term x2
 
 
 def _integrand(scalars, vec, X: Array, increment: bool):
-    """numer(pts, dirs) of the polar passes around the points X.
+    """numer(pts, dirs, rows) of the polar passes around the points X[rows].
 
     The product of the scalar fields' increments f(y) - f(x), times the
     vector field's increment projected on the direction; with
-    increment=False, the single scalar field's values.
+    increment=False, the single scalar field's values. The base values f(X)
+    are computed once and sliced per block of points.
     """
     if not increment:
         f, = scalars
-        return lambda pts, dirs: f(pts)
+        return lambda pts, dirs, rows: f(pts)
     bases = [f(X) for f in scalars]
-    vbase = None if vec is None else vec(X)
+    vbase = None if vec is None else np.ascontiguousarray(vec(X).T)   # (n, m)
 
-    def numer(pts, dirs):
+    def numer(pts, dirs, rows):
         vals = None
         for f, b in zip(scalars, bases):
-            d = f(pts) - b[:, None, None]
+            d = f(pts) - b[rows, None, None]
             vals = d if vals is None else vals * d
         if vec is not None:
-            proj = np.einsum("mrak,ak->mra", vec(pts) - vbase[:, None, None, :], dirs)
+            # (V(y) - V(x)) . omega added component by component, the bits of
+            # fields._inner, without a (b, R, A, n) difference
+            V, dT = vec(pts), np.ascontiguousarray(dirs.T)
+            proj = (V[..., 0] - vbase[0, rows, None, None]) * dT[0]
+            for k in range(1, len(dT)):
+                dk = V[..., k] - vbase[k, rows, None, None]
+                dk *= dT[k]
+                proj += dk
             vals = proj if vals is None else vals * proj
         return vals
 

@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracfield import quadrature
 from fracfield.errors import ConfigError, DomainError
-from fracfield.fields import GridSpec, ScalarField, ball_indicator, gaussian, gaussian_vector, lin_comb
+from fracfield.fields import (GridSpec, ScalarField, _inner, ball_indicator, gaussian,
+                              gaussian_vector, lin_comb)
 from fracfield.norms import besov_seminorm, lp_norm
 from fracfield.quadrature import (
     OperatorResult,
@@ -14,7 +19,9 @@ from fracfield.quadrature import (
     frac_gradient,
     frac_gradient_batch,
     nl_divergence,
+    nl_divergence_batch,
     nl_gradient,
+    nl_gradient_batch,
     riesz_potential,
     riesz_potential_batch,
     riesz_transform,
@@ -153,6 +160,16 @@ def test_extrapolated_tail_without_hints():
     assert np.all(np.sqrt(np.sum((v - ref) ** 2, axis=-1)) <= e)
     with pytest.raises(ConfigError):
         frac_gradient_batch(bare, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
+
+
+def test_extrapolated_tail_refuses_slow_decay():
+    """The extrapolated tail assumes octave contributions fall by half; a
+    hintless field decaying like |x|^-0.1 (octave ratio about 0.73) is
+    refused instead of getting an estimate that understates its tail."""
+    slow = ScalarField(n=2, fn=lambda p: p[..., 0] / (1.0 + _inner(p)) ** 0.55)
+    pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
+    with pytest.raises(DomainError, match="decay geometrically"):
+        frac_gradient_batch(slow, 0.5, pts, QuadratureConfig(tail_model=False, far_cutoff=6.0))
 
 
 @pytest.mark.parametrize("call", [
@@ -417,3 +434,92 @@ def test_nl_divergence_brute_force_oracle(cfg, gauss2d):
 
     brute *= mu_const(2, alpha)
     assert engine.value == pytest.approx(brute, abs=max(1e-4, 5.0 * engine.error))
+
+
+# ---------------------------------------------------------------------------
+# blocked passes
+
+def _unblocked_polar_sum(X, numer, dirs, w_ang, r, w_rad, divide, extra_pow, vector):
+    """The polar pass over the whole batch at once: the reference the
+    point-blocked quadrature._polar_sum is compared against."""
+    pts = X[:, None, None, :] + r[:, None, None] * dirs[None, :, :]
+    vals = numer(pts, dirs, slice(None))
+    if divide:
+        vals = vals / r[:, None]
+    w = w_rad[:, None] * w_ang[None, :]
+    if extra_pow != 0.0:
+        w = w * r[:, None] ** extra_pow
+    if vector:
+        return np.einsum("mra,kra->mk", vals, np.multiply(w, dirs.T[:, None, :], order="C"))
+    return np.einsum("mra,ra->m", vals, w)
+
+
+def _operator_calls(n):
+    rng = np.random.default_rng(40 + n)
+    f = gaussian(rng.uniform(-0.3, 0.3, n), 0.9, 1.3)
+    g = gaussian(rng.uniform(-0.3, 0.3, n), 1.05)
+    F = gaussian_vector(rng.uniform(-0.3, 0.3, n), 0.95, tuple(rng.uniform(0.5, 1.5, n)))
+    cfg = QuadratureConfig()
+    return f.support_radius, {
+        "frac_gradient": lambda X: frac_gradient_batch(f, 0.4, X, cfg),
+        "frac_divergence": lambda X: frac_divergence_batch(F, 0.6, X, cfg),
+        "nl_gradient": lambda X: nl_gradient_batch(f, g, 0.5, X, cfg),
+        "nl_divergence": lambda X: nl_divergence_batch(g, F, 0.3, X, cfg),
+        "riesz_potential": lambda X: riesz_potential_batch(f, 0.7, X, cfg),
+        "riesz_transform": lambda X: riesz_transform_batch(f, X, cfg),
+    }
+
+
+def _batches(n, support, m, seed):
+    """Near, far (beyond support + 1: the far-source rule) and mixed points."""
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(-1.5, 1.5, (m, n))
+    dirs = rng.normal(size=(m, n))
+    far = dirs / np.sqrt(_inner(dirs))[:, None] * rng.uniform(support + 1.5, support + 4.0, (m, 1))
+    mixed = np.where(rng.uniform(size=(m, 1)) < 0.3, far, near)
+    return {"near": near, "far": far, "mixed": mixed}
+
+
+@pytest.mark.parametrize("block_nodes", [1, 700, quadrature._BLOCK_NODES],
+                         ids=["one-point", "partial-last", "default"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocked_passes_match_unblocked(monkeypatch, n, block_nodes):
+    """Every operator's values and estimates from the point-blocked passes
+    equal a whole-batch evaluation: bit for bit at n <= 2, within 1e-13 of
+    the batch's largest value at n = 3, where einsum's reduction order
+    depends on the rows per call."""
+    support, calls = _operator_calls(n)
+    batches = _batches(n, support, 29, seed=n)
+    ref = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_polar_sum", _unblocked_polar_sum)
+        mp.setattr(quadrature, "_BLOCK_NODES", 1 << 40)   # far rule in one block
+        for (bn, X), (op, call) in itertools.product(batches.items(), calls.items()):
+            ref[bn, op] = call(X)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", block_nodes)
+    for (bn, X), (op, call) in itertools.product(batches.items(), calls.items()):
+        (vals, errs), (ref_vals, ref_errs) = call(X), ref[bn, op]
+        if n <= 2:
+            assert np.array_equal(vals, ref_vals) and np.array_equal(errs, ref_errs), (bn, op)
+        else:
+            # an estimate is |fine - coarse|: value roundoff lands on it in absolute terms
+            atol = 1e-13 * np.max(np.abs(ref_vals))
+            np.testing.assert_allclose(vals, ref_vals, rtol=1e-13, atol=atol, err_msg=f"{bn} {op}")
+            np.testing.assert_allclose(errs, ref_errs, rtol=1e-13, atol=atol, err_msg=f"{bn} {op}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), op=st.sampled_from(sorted(_operator_calls(1)[1])),
+       block_nodes=st.sampled_from([700, quadrature._BLOCK_NODES]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_permuted_batch_permutes_results(n, op, block_nodes, seed, data):
+    """Results do not depend on a point's position in the batch, whichever
+    block it falls in."""
+    support, calls = _operator_calls(n)
+    X = _batches(n, support, 13, seed)["mixed"]
+    perm = np.array(data.draw(st.permutations(range(len(X)))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_BLOCK_NODES", block_nodes)
+        vals, errs = calls[op](X)
+        pvals, perrs = calls[op](X[perm])
+    assert np.array_equal(pvals, vals[perm]) and np.array_equal(perrs, errs[perm])
