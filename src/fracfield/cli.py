@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliconfig import OPERATORS, ExperimentConfig, load_config
+from .cliconfig import KINDS, OPERATORS, ExperimentConfig, load_config
 from .errors import ConfigError, DomainError, EmbeddingError, FracfieldError, PreconditionError
 from .fields import _dist2, _inner
 from .fileio import config_digest, write_grid, write_table
-from .measures import RadonMeasure
 from .quadrature import frac_gradient_batch
 from .spectral import embed, spectral_frac_gradient
 from .verify import (
@@ -42,7 +41,7 @@ def main(argv=None) -> int:
         prog="fracfield",
         description="nonlocal fractional vector calculus: operators and verifiers",
     )
-    parser.add_argument("kind", choices=("op", "verify", "convergence", "decay", "bench"))
+    parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--config", required=True, help="TOML or JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--engine", default=None, choices=("direct", "spectral", "both"))
@@ -187,28 +186,15 @@ def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
         radii = 3.0 ** -np.arange(0, int(section["pow3_levels"]))
     center = np.array(section.get("center", [0.0] * source.n), dtype=float)
     expect = section.get("expect", "floor")
-    rep = decay_scan(source, alpha, p, center, radii, cfg.quadrature(),
-                     expect=expect, target=section.get("target"), name="decay")
-    # rebuild the mass table for the output file
-    meas = source.abs() if isinstance(source, RadonMeasure) else None
-    if meas is None and hasattr(source, "measure"):
-        meas = source.measure.abs()
+    rep = decay_scan(source, alpha, p, center, radii, expect=expect,
+                     target=section.get("target"))
     rows = []
-    from .measures import measure_ball_mass
-
-    if meas is not None:
-        masses = [measure_ball_mass(meas, center, r) for r in radii]
-    else:
-        masses = None
     prev = None
-    for i, r in enumerate(radii):
-        m = masses[i] if masses is not None else math.nan
-        lr, lm = math.log(r), (math.log(m) if m > 0 else math.nan)
-        run_slope = math.nan
-        if prev is not None and masses is not None and m > 0 and prev[1] > 0:
-            run_slope = (lm - math.log(prev[1])) / (lr - math.log(prev[0]))
+    for r, m in zip(radii, rep.params["masses"]):
+        lr, lm = math.log(r), math.log(m)
+        run_slope = math.nan if prev is None else (lm - prev[1]) / (lr - prev[0])
         rows.append([float(r), m, lr, lm, run_slope])
-        prev = (r, m)
+        prev = (lr, lm)
     path = out_dir / "decay_table.csv"
     write_table(
         path, _digest(cfg),

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .analytic import (
     grad_chi_ball_profile,
     make_convolved,
     make_delta_pair,
+    mollified_pole_field,
     nl_gradient_ball,
     spectral_gradient_of,
 )
@@ -48,10 +49,11 @@ from .quadrature import (
     singular_radial_rule,
     sphere_rule,
 )
-from .special import mu_const
+from .special import mu_const, sphere_area
 from .spectral import (
     PeriodicField,
     embed,
+    random_band_limited,
     spectral_frac_divergence,
     spectral_frac_gradient,
     spectral_riesz_potential,
@@ -132,33 +134,60 @@ def _report(name, params, lhs, rhs, est, policy, t0, scale=None, notes="") -> Ve
 # ---------------------------------------------------------------------------
 # shared quadrature helpers
 
+def _polar_sum(fn, c: Array, r: Array, w_r: Array, m_ang: int) -> tuple[float, float]:
+    """Tensor rule over the points c + r w: sums fn's values and estimates
+    with weights w_r r^(n-1) w_w (radial nodes r, directions w)."""
+    n = c.shape[0]
+    dirs, w_ang = sphere_rule(n, m_ang)
+    pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    vals, ests = fn(pts)
+    w = (w_r * r ** (n - 1))[:, None] * w_ang[None, :]
+    return float(np.sum(vals.reshape(w.shape) * w)), float(np.sum(ests.reshape(w.shape) * w))
+
+
+def _fine_coarse(c: Array, radial, fine, coarse) -> tuple[float, float]:
+    """_polar_sum at two levels, each (fn, radial node count, angular node
+    count) with radial(m) -> (r, w_r). Returns the fine value and the
+    estimate |fine - coarse| + the fine level's summed estimates."""
+    (v_f, e_f), (v_c, _) = (_polar_sum(fn, c, *radial(m_rad), m_ang)
+                            for fn, m_rad, m_ang in (fine, coarse))
+    return v_f, abs(v_f - v_c) + e_f
+
+
 def polar_integral(fn_batch: Callable[[Array], tuple[Array, Array]], n: int,
-                   R: float, cfg: QuadratureConfig,
-                   center=None) -> tuple[float, float]:
-    """Integral over B_R(center) of a smooth decaying integrand.
+                   R: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    """Integral over B_R(0) of a smooth decaying integrand.
 
     fn_batch maps points (m, n) to (values (m,), error estimates (m,)).
     Returns (value, est): est combines per-point estimates with a coarse
     angular/radial Richardson delta.
     """
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    def radial(m):
+        r, w_r = panel_radial_rule(R / 64.0, R, cfg.mid_panel_growth, m)
+        t, wt = _leggauss(m)
+        return (np.concatenate([0.5 * R / 64.0 * (t + 1.0), r]),
+                np.concatenate([0.5 * R / 64.0 * wt, w_r]))
 
-    def run(m_ang: int, m_panel: int) -> tuple[float, float]:
-        dirs, w_ang = sphere_rule(n, m_ang)
-        r, w_r = panel_radial_rule(R / 64.0, R, cfg.mid_panel_growth, m_panel)
-        t, wt = _leggauss(m_panel)
-        r = np.concatenate([0.5 * R / 64.0 * (t + 1.0), r])
-        w_r = np.concatenate([0.5 * R / 64.0 * wt, w_r])
-        pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        vals, ests = fn_batch(pts)
-        vals = vals.reshape(r.shape[0], dirs.shape[0])
-        ests = ests.reshape(vals.shape)
-        w = (w_r * r ** (n - 1))[:, None] * w_ang[None, :]
-        return float(np.sum(vals * w)), float(np.sum(ests * w))
+    return _fine_coarse(
+        np.zeros(n), radial, (fn_batch, cfg.mid_panel_nodes, cfg.mid_angular_nodes),
+        (fn_batch, max(2, cfg.mid_panel_nodes // 2), max(4, cfg.mid_angular_nodes // 2)))
 
-    v_f, e_f = run(cfg.mid_angular_nodes, cfg.mid_panel_nodes)
-    v_c, _ = run(max(4, cfg.mid_angular_nodes // 2), max(2, cfg.mid_panel_nodes // 2))
-    return v_f, abs(v_f - v_c) + e_f
+
+def _pairing(F: VectorField, xi: ScalarField, alpha: float, cfg: QuadratureConfig):
+    """Integrand F . grad^a xi with estimate |F| times grad^a xi's estimate."""
+    def fn(pts):
+        gv, ge = frac_gradient_batch(xi, alpha, pts, cfg)
+        fv = F(pts)
+        return _inner(fv, gv), ge * np.sqrt(_inner(fv))
+    return fn
+
+
+def _refined(cfg: QuadratureConfig) -> QuadratureConfig:
+    """Inner rule for area-integrated values, which amplify per-point bias."""
+    return replace(cfg, near_radial_nodes=max(16, cfg.near_radial_nodes),
+                   near_angular_nodes=max(24, cfg.near_angular_nodes),
+                   mid_panel_nodes=max(10, cfg.mid_panel_nodes),
+                   mid_angular_nodes=max(48, cfg.mid_angular_nodes))
 
 
 def _support(*fields, default: float = 8.0) -> float:
@@ -188,33 +217,24 @@ def spectral_divergence_of(F: VectorField, alpha: float, L: float = 16.0,
 # ---------------------------------------------------------------------------
 # duality checks
 
-def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig,
-                  policy: Optional[TolerancePolicy] = None,
-                  name: str = "duality") -> VerifyReport:
+def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a xi dx  ==  - int xi d(div^a F).
 
     F is either an analytic pole field carrying its ground-truth measure, or
     a smooth VectorField (right side from the spectral divergence density).
     """
     t0 = time.time()
-    policy = policy or TolerancePolicy(rel_tol=1e-2)
+    policy = TolerancePolicy(rel_tol=1e-2)
     if hasattr(F, "measure"):  # analytic pole field
         lhs, est = duality_pairing(F, xi, cfg)
         mu = F.measure
         rhs = -float(np.sum(mu.atom_weights * xi(mu.atom_points)))
         params = {"alpha": F.alpha, "n": F.n, "field": F.field.cache_token,
                   "xi": xi.cache_token}
-        return _report(name, params, lhs, rhs, est, policy, t0,
+        return _report("duality", params, lhs, rhs, est, policy, t0,
                        scale=max(abs(rhs), 1e-6))
     n = F.n
-    R = _support(F)
-
-    def lhs_fn(pts):
-        gv, ge = frac_gradient_batch(xi, alpha, pts, cfg)
-        fv = F(pts)
-        return _inner(fv, gv), ge * np.sqrt(_inner(fv))
-
-    lhs, est_l = polar_integral(lhs_fn, n, R, cfg)
+    lhs, est_l = polar_integral(_pairing(F, xi, alpha, cfg), n, _support(F), cfg)
     dens = spectral_divergence_of(F, alpha)
 
     def rhs_fn(pts):
@@ -224,7 +244,7 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig,
     rhs_int, est_r = polar_integral(rhs_fn, n, _support(xi), cfg)
     rhs = -rhs_int
     params = {"alpha": alpha, "n": n, "field": F.cache_token, "xi": xi.cache_token}
-    return _report(name, params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("duality", params, lhs, rhs, est_l + est_r, policy, t0,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
@@ -232,16 +252,14 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig,
 # Leibniz rule family
 
 def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
-                            points, cfg: QuadratureConfig,
-                            policy: Optional[TolerancePolicy] = None,
-                            name: str = "leibniz_pointwise") -> VerifyReport:
+                            points, cfg: QuadratureConfig) -> VerifyReport:
     """Pointwise residual of div^a(gF) = g div^a F + F.grad^a g + div^a_NL(g,F).
 
     Each linear term is also cross-checked against the spectral engine; the
     bilinear term is compared with the spectral residual of the other three.
     """
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=0.0, est_factor=5.0)
+    policy = TolerancePolicy(abs_tol=0.0, est_factor=5.0)
     X = np.asarray(points, dtype=float)
     gF = scalar_times_vector(g, F)
     t_prod, e1 = frac_divergence_batch(gF, alpha, X, cfg)
@@ -271,49 +289,35 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
     )
     params = {"alpha": alpha, "n": g.n, "points": len(X),
               "g": g.cache_token, "F": F.cache_token}
-    return _report(name, params, lhs, 0.0, est, policy, t0,
+    return _report("leibniz_pointwise", params, lhs, 0.0, est, policy, t0,
                    scale=float(np.max(np.abs(t_prod))) + 1e-30,
                    notes=f"max spectral cross-term deviation {cross:.3e}")
 
 
 def check_zero_mass_nl(g: ScalarField, F: VectorField, alpha: float,
-                       cfg: QuadratureConfig,
-                       policy: Optional[TolerancePolicy] = None,
-                       name: str = "leibniz_zero_mass") -> VerifyReport:
+                       cfg: QuadratureConfig) -> VerifyReport:
     """int div^a_NL(g, F) dx == 0 over an expanding ball with decay tail."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     n = g.n
     R = _support(g, F) + 18.0
-    # area-integrated values amplify per-point bias: refine the inner rule
-    inner = replace(cfg, near_radial_nodes=max(16, cfg.near_radial_nodes),
-                    near_angular_nodes=max(24, cfg.near_angular_nodes),
-                    mid_panel_nodes=max(10, cfg.mid_panel_nodes),
-                    mid_angular_nodes=max(48, cfg.mid_angular_nodes))
+    inner = _refined(cfg)
 
     def fn(pts):
         return nl_divergence_batch(g, F, alpha, pts, inner)
 
     val, est = polar_integral(fn, n, R, cfg)
     params = {"alpha": alpha, "n": n, "R": R, "g": g.cache_token, "F": F.cache_token}
-    return _report(name, params, val, 0.0, est, policy, t0, scale=1.0)
+    return _report("leibniz_zero_mass", params, val, 0.0, est, policy, t0, scale=1.0)
 
 
 def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
-                     cfg: QuadratureConfig,
-                     policy: Optional[TolerancePolicy] = None,
-                     name: str = "leibniz_global_ibp") -> VerifyReport:
+                     cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a g dx == - int g d(div^a F) for smooth fields."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-6, rel_tol=1e-3, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-3, est_factor=0.0)
     n = g.n
-
-    def lhs_fn(pts):
-        gv, ge = frac_gradient_batch(g, alpha, pts, cfg)
-        fv = F(pts)
-        return _inner(fv, gv), ge * np.sqrt(_inner(fv))
-
-    lhs, est_l = polar_integral(lhs_fn, n, _support(F), cfg)
+    lhs, est_l = polar_integral(_pairing(F, g, alpha, cfg), n, _support(F), cfg)
 
     def rhs_fn(pts):
         dv, de = frac_divergence_batch(F, alpha, pts, cfg)
@@ -323,14 +327,12 @@ def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
     rhs_int, est_r = polar_integral(rhs_fn, n, _support(g), cfg)
     rhs = -rhs_int
     params = {"alpha": alpha, "n": n, "g": g.cache_token, "F": F.cache_token}
-    return _report(name, params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("leibniz_global_ibp", params, lhs, rhs, est_l + est_r, policy, t0,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
 def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
-                      cfg: QuadratureConfig,
-                      policy: Optional[TolerancePolicy] = None,
-                      name: str = "leibniz_l1_bound") -> VerifyReport:
+                      cfg: QuadratureConfig) -> VerifyReport:
     """||div^a_NL(g,F)||_L1 <= mu(n,a) [g]_{B^a_{q,1}} ||F||_Lp.
 
     The report's lhs/rhs are the two sides; pass iff ratio <= 1 + tol. The
@@ -338,7 +340,6 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     caveat recorded in the notes.
     """
     t0 = time.time()
-    policy = policy or TolerancePolicy()
     n = g.n
     q = p / (p - 1.0) if p > 1.0 else math.inf
     if math.isinf(q):
@@ -351,8 +352,6 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
 
     lhs, est = polar_integral(fn, n, R, cfg)
     # analytic continuation of the |x|^-(n+alpha) tail from a measured ring
-    from .special import sphere_area
-
     dirs, _ = sphere_rule(n, 16)
     ring, _ = nl_divergence_batch(g, F, alpha, R * dirs, cfg)
     c_ring = float(np.mean(np.abs(ring))) * R ** (n + alpha)
@@ -365,7 +364,7 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     t = time.time() - t0
     passed = ratio <= 1.0 + 0.02
     return VerifyReport(
-        name=name,
+        name="leibniz_l1_bound",
         params={"alpha": alpha, "n": n, "p": p, "q": q,
                 "g": g.cache_token, "F": F.cache_token},
         lhs=float(lhs),
@@ -385,26 +384,19 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
 # ball integration by parts
 
 def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
-                   cfg: QuadratureConfig,
-                   policy: Optional[TolerancePolicy] = None,
-                   name: str = "ball_ibp") -> VerifyReport:
+                   cfg: QuadratureConfig) -> VerifyReport:
     """Four-term balance on a ball:
 
     int_{B_r} F.grad^a xi + int xi F.grad^a chi_B + int F.gradNL^a(chi_B, xi)
         == - int_{B_r} xi d(div^a F).
     """
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-4, rel_tol=1e-2, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-4, rel_tol=1e-2, est_factor=0.0)
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
 
     # term 1: over the ball
-    def t1_fn(pts):
-        gv, ge = frac_gradient_batch(xi, alpha, pts, cfg)
-        fv = F(pts)
-        return _inner(fv, gv), ge * np.sqrt(_inner(fv))
-
-    t1, e1 = _ball_polar_integral(t1_fn, n, x0, r, cfg)
+    t1, e1 = _ball_polar_integral(_pairing(F, xi, alpha, cfg), x0, r, cfg)
 
     # term 2: radial profile of grad chi against the angular average of xi F . w
     t2, e2 = _term2_sphere_gradient(F, xi, x0, r, alpha, cfg)
@@ -418,7 +410,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     def t4_fn(pts):
         return xi(pts) * dens.sample_linear(pts), np.full(pts.shape[0], 1e-6)
 
-    t4_int, e4 = _ball_polar_integral(t4_fn, n, x0, r, cfg)
+    t4_int, e4 = _ball_polar_integral(t4_fn, x0, r, cfg)
     rhs = -t4_int
     lhs = t1 + t2 + t3
     est = e1 + e2 + e3 + e4
@@ -426,24 +418,18 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     params = {"alpha": alpha, "n": n, "r": r, "x0": tuple(x0),
               "F": F.cache_token, "xi": xi.cache_token,
               "terms": [round(t1, 6), round(t2, 6), round(t3, 6), round(rhs, 6)]}
-    return _report(name, params, lhs, rhs, est, policy, t0, scale=scale)
+    return _report("ball_ibp", params, lhs, rhs, est, policy, t0, scale=scale)
 
 
-def _ball_polar_integral(fn_batch, n, x0, r, cfg) -> tuple[float, float]:
-    def run(m_ang, m_rad):
-        dirs, w_ang = sphere_rule(n, m_ang)
-        t, wt = _leggauss(m_rad)
-        rr = 0.5 * r * (t + 1.0)
-        wr = 0.5 * r * wt
-        pts = (x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        vals, ests = fn_batch(pts)
-        w = (wr * rr ** (n - 1))[:, None] * w_ang[None, :]
-        return (float(np.sum(vals.reshape(len(rr), -1) * w)),
-                float(np.sum(ests.reshape(len(rr), -1) * w)))
+def _ball_polar_integral(fn_batch, x0, r, cfg) -> tuple[float, float]:
+    """Integral over B_r(x0) with Gauss-Legendre radii on [0, r]."""
+    def radial(m):
+        t, wt = _leggauss(m)
+        return 0.5 * r * (t + 1.0), 0.5 * r * wt
 
-    v_f, e_f = run(cfg.mid_angular_nodes, 4 * cfg.mid_panel_nodes)
-    v_c, _ = run(max(4, cfg.mid_angular_nodes // 2), 2 * cfg.mid_panel_nodes)
-    return v_f, abs(v_f - v_c) + e_f
+    return _fine_coarse(
+        x0, radial, (fn_batch, 4 * cfg.mid_panel_nodes, cfg.mid_angular_nodes),
+        (fn_batch, 2 * cfg.mid_panel_nodes, max(4, cfg.mid_angular_nodes // 2)))
 
 
 def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
@@ -452,7 +438,6 @@ def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
     The integrand is bounded but only Hoelder-1-alpha across the boundary;
     geometric panels toward rho = r keep the outer rule accurate.
     """
-    n = x0.shape[0]
     R_out = _support(F) + float(np.linalg.norm(x0)) + 1.0
 
     def radial_nodes(m):
@@ -471,22 +456,16 @@ def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
         w = np.concatenate([w_in, [s_min], [s_min], w_on, w_far])
         return rho, w
 
-    def run(m_rad, m_ang, inner_cfg):
-        rho, w_rho = radial_nodes(m_rad)
-        dirs, w_ang = sphere_rule(n, m_ang)
-        pts = (x0[None, None, :] + rho[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        nl = nl_gradient_ball(x0, r, xi, alpha, pts, inner_cfg)
-        fv = F(pts)
-        vals = _inner(fv, nl).reshape(len(rho), len(dirs))
-        w = (w_rho * rho ** (n - 1))[:, None] * w_ang[None, :]
-        return float(np.sum(vals * w))
+    def integrand(inner_cfg):
+        def fn(pts):
+            nl = nl_gradient_ball(x0, r, xi, alpha, pts, inner_cfg)
+            return _inner(F(pts), nl), np.zeros(pts.shape[0])
+        return fn
 
-    from dataclasses import replace
-
-    v_f = run(cfg.mid_panel_nodes, cfg.mid_angular_nodes, cfg)
-    v_c = run(max(2, cfg.mid_panel_nodes - 2), max(8, cfg.mid_angular_nodes // 2),
-              replace(cfg, mid_angular_nodes=max(16, cfg.mid_angular_nodes // 2)))
-    return v_f, abs(v_f - v_c)
+    coarse = replace(cfg, mid_angular_nodes=max(16, cfg.mid_angular_nodes // 2))
+    return _fine_coarse(
+        x0, radial_nodes, (integrand(cfg), cfg.mid_panel_nodes, cfg.mid_angular_nodes),
+        (integrand(coarse), max(2, cfg.mid_panel_nodes - 2), max(8, cfg.mid_angular_nodes // 2)))
 
 
 def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
@@ -539,22 +518,18 @@ def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # mollification, decay, totals
 
-def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig,
-                        policy: Optional[TolerancePolicy] = None,
-                        name: str = "mollification") -> VerifyReport:
+def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig) -> VerifyReport:
     """div^a (rho_eps * F) matches rho_eps * (div^a F) pointwise.
 
     For pole fields the right side is exact atom arithmetic:
     sum_i w_i rho_eps(x - p_i).
     """
-    from .analytic import mollified_pole_field
-
     t0 = time.time()
     X = np.asarray(points, dtype=float)
     n = X.shape[1]
     rho = mollifier(eps, n)
     scale = rho((0.0,) * n)
-    policy = policy or TolerancePolicy(abs_tol=0.02 * scale, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=0.02 * scale, est_factor=0.0)
     F_eps = mollified_pole_field(pole_field, eps, cfg)
     vals, ests = frac_divergence_batch(F_eps, pole_field.alpha, X, cfg)
     mu = pole_field.measure
@@ -564,22 +539,20 @@ def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig,
     worst = int(np.argmax(np.abs(vals - rhs)))
     params = {"alpha": pole_field.alpha, "n": n, "eps": eps, "points": len(X),
               "scale": scale}
-    return _report(name, params, float(vals[worst]), float(rhs[worst]),
+    return _report("mollification", params, float(vals[worst]), float(rhs[worst]),
                    float(np.max(ests)), policy, t0, scale=scale)
 
 
-def decay_scan(source, alpha: float, p: float, center, radii,
-               cfg: QuadratureConfig, expect: str = "floor",
-               target: Optional[float] = None,
-               policy: Optional[TolerancePolicy] = None,
-               name: str = "decay_scan") -> VerifyReport:
+def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "floor",
+               target: Optional[float] = None) -> VerifyReport:
     """Log-log slope of r -> |div^a F|(B_r(center)) against the n/q - alpha floor.
 
     source: a smooth VectorField (density created spectrally), an analytic
     pole field (atom masses, exact), or a RadonMeasure scanned directly.
     expect: "floor" asserts slope >= n/q - alpha - 0.1; "flat" asserts
     |slope| <= 0.05 (the no-absolute-continuity regime); "exponent" asserts
-    |slope - target| <= 0.05 (self-similar measures).
+    |slope - target| <= 0.05 (self-similar measures). params["masses"] holds
+    the ball masses the slope is fitted to.
 
     A remark, not a computation: the same ball-mass bound forces a
     nonnegative divergence measure to vanish identically in the subcritical
@@ -587,7 +560,6 @@ def decay_scan(source, alpha: float, p: float, center, radii,
     that rigidity is a pure consequence and is not exercised numerically.
     """
     t0 = time.time()
-    policy = policy or TolerancePolicy()
     c = np.asarray(center, dtype=float)
     n = c.shape[0]
     radii = np.asarray(radii, dtype=float)
@@ -625,10 +597,10 @@ def decay_scan(source, alpha: float, p: float, center, radii,
         passed = slope >= floor - 0.1
         rhs, abs_err = floor, max(0.0, floor - slope)
     return VerifyReport(
-        name=name,
+        name="decay_scan",
         params={"alpha": alpha, "n": n, "p": p, "center": tuple(c),
                 "radii": [float(r) for r in radii], "expect": expect,
-                "floor": floor},
+                "floor": floor, "masses": [float(m) for m in masses]},
         lhs=slope,
         rhs=rhs,
         abs_err=float(abs_err),
@@ -642,16 +614,11 @@ def decay_scan(source, alpha: float, p: float, center, radii,
 
 
 def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig,
-                     R: float = 12.0,
-                     policy: Optional[TolerancePolicy] = None,
-                     name: str = "zero_total") -> VerifyReport:
+                     R: float = 12.0) -> VerifyReport:
     """div^a F (R^n) == 0 for compact smooth fields in the subcritical range."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=2e-3, est_factor=0.0)
-    inner = replace(cfg, near_radial_nodes=max(16, cfg.near_radial_nodes),
-                    near_angular_nodes=max(24, cfg.near_angular_nodes),
-                    mid_panel_nodes=max(10, cfg.mid_panel_nodes),
-                    mid_angular_nodes=max(48, cfg.mid_angular_nodes))
+    policy = TolerancePolicy(abs_tol=2e-3, est_factor=0.0)
+    inner = _refined(cfg)
 
     def fn(pts):
         return frac_divergence_batch(F, alpha, pts, inner)
@@ -660,34 +627,23 @@ def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig,
     # tail correction: the monopole far term integrates to zero over full
     # annuli; the isotropic remainder is the rim's angular mean continued as
     # m(r) = m(R) (R/r)^(n+alpha+1), integrating to mean * |S| R^n / (alpha+1)
-    from .special import sphere_area
-
     dirs, wd = sphere_rule(F.n, 32)
     rim, _ = frac_divergence_batch(F, alpha, R * dirs, inner)
     mean_rim = float(np.sum(rim * wd)) / sphere_area(F.n)
     corr = mean_rim * sphere_area(F.n) * R**F.n / (alpha + 1.0)
     params = {"alpha": alpha, "n": F.n, "R": R, "F": F.cache_token,
               "tail_correction": corr}
-    return _report(name, params, val + corr, 0.0, est + 0.2 * abs(corr),
+    return _report("zero_total", params, val + corr, 0.0, est + 0.2 * abs(corr),
                    policy, t0, scale=1.0)
 
 
 def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
-                       cfg: QuadratureConfig,
-                       policy: Optional[TolerancePolicy] = None,
-                       name: str = "div_relation") -> VerifyReport:
+                       cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a phi == int (I_{1-a} F) . grad phi (two pipelines)."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-6, rel_tol=1e-2, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-2, est_factor=0.0)
     n = F.n
-
-    def lhs_fn(pts):
-        gv, ge = frac_gradient_batch(phi, alpha, pts, cfg)
-        fv = F(pts)
-        return _inner(fv, gv), ge * np.sqrt(_inner(fv))
-
-    lhs, est_l = polar_integral(lhs_fn, n, _support(F), cfg)
-    comps = [riesz_potential_field(F.component(k), 1.0 - alpha, cfg) for k in range(n)]
+    lhs, est_l = polar_integral(_pairing(F, phi, alpha, cfg), n, _support(F), cfg)
 
     def rhs_fn(pts):
         if phi.grad_fn is not None:
@@ -709,7 +665,7 @@ def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
 
     rhs, est_r = polar_integral(rhs_fn, n, _support(phi), cfg)
     params = {"alpha": alpha, "n": n, "F": F.cache_token, "phi": phi.cache_token}
-    return _report(name, params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("div_relation", params, lhs, rhs, est_l + est_r, policy, t0,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
@@ -723,25 +679,21 @@ def _mean_free(pf: PeriodicField) -> PeriodicField:
     return PeriodicField(pf.grid, pf.data - pf.mean())
 
 
-def check_semigroup_spectral(cfg: QuadratureConfig,
-                             policy: Optional[TolerancePolicy] = None,
-                             name: str = "semigroup_spectral") -> VerifyReport:
+def check_semigroup_spectral() -> VerifyReport:
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 1024))
     a = spectral_riesz_potential(spectral_riesz_potential(pf, 0.4), 0.3)
     b = spectral_riesz_potential(pf, 0.7)
     diff = float(np.max(np.abs(a.data - b.data)))
-    return _report(name, {"orders": [0.3, 0.4], "grid": "16/1024"},
+    return _report("semigroup_spectral", {"orders": [0.3, 0.4], "grid": "16/1024"},
                    diff, 0.0, 0.0, policy, t0, scale=1.0)
 
 
-def check_semigroup_direct(cfg: QuadratureConfig,
-                           policy: Optional[TolerancePolicy] = None,
-                           name: str = "semigroup_direct") -> VerifyReport:
+def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:
     """I_0.3 (I_0.4 f) == I_0.7 f at sample points by nested direct quadrature."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     G = gaussian((0.0, 0.0))
     X = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.9], [-1.3, 0.0], [1.0, 1.0]])
     inner = riesz_potential_field(G, 0.4, cfg)
@@ -749,34 +701,28 @@ def check_semigroup_direct(cfg: QuadratureConfig,
     rhs, e2 = riesz_potential_batch(G, 0.7, X, cfg)
     worst = int(np.argmax(np.abs(lhs - rhs)))
     params = {"orders": [0.3, 0.4], "points": X.shape[0]}
-    return _report(name, params, float(lhs[worst]), float(rhs[worst]),
+    return _report("semigroup_direct", params, float(lhs[worst]), float(rhs[worst]),
                    float(np.max(e1 + e2)), policy, t0, scale=1.0)
 
 
-def check_symbol_factorization(cfg: QuadratureConfig,
-                               policy: Optional[TolerancePolicy] = None,
-                               name: str = "symbol_factorization") -> VerifyReport:
+def check_symbol_factorization() -> VerifyReport:
     """Spectral grad^a f == spectral gradient of I_{1-a} f at roundoff."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 512))
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9):
         a = spectral_frac_gradient(pf, alpha)
         b = spectral_frac_gradient(spectral_riesz_potential(pf, 1.0 - alpha), 1.0)
         worst = max(worst, float(np.max(np.abs(a.data - b.data))))
-    return _report(name, {"alphas": [0.1, 0.5, 0.9]}, worst, 0.0, 0.0,
+    return _report("symbol_factorization", {"alphas": [0.1, 0.5, 0.9]}, worst, 0.0, 0.0,
                    policy, t0, scale=1.0)
 
 
-def check_riesz_square(cfg: QuadratureConfig,
-                       policy: Optional[TolerancePolicy] = None,
-                       name: str = "riesz_square") -> VerifyReport:
+def check_riesz_square() -> VerifyReport:
     """sum_i R_i^2 == -Id on mean-zero band-limited fields (spectral)."""
-    from .spectral import random_band_limited
-
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128), periodic=True)
     f = random_band_limited(grid, 6, seed=7)
     R = spectral_riesz_transform(f)
@@ -784,16 +730,14 @@ def check_riesz_square(cfg: QuadratureConfig,
     for j in range(2):
         acc += spectral_riesz_transform(PeriodicField(grid, R.data[j])).data[j]
     diff = float(np.max(np.abs(acc + f.data)))
-    return _report(name, {"grid": "16/128", "kmax": 6}, diff, 0.0, 0.0,
+    return _report("riesz_square", {"grid": "16/128", "kmax": 6}, diff, 0.0, 0.0,
                    policy, t0, scale=1.0)
 
 
-def check_cross_engine(cfg: QuadratureConfig, seed: int = 0,
-                       policy: Optional[TolerancePolicy] = None,
-                       name: str = "cross_engine") -> VerifyReport:
+def check_cross_engine(cfg: QuadratureConfig, seed: int = 0) -> VerifyReport:
     """Master oracle contract: direct vs spectral on a Gaussian point suite."""
     t0 = time.time()
-    policy = policy or TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
+    policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     rng = np.random.default_rng(seed)
     G = gaussian((0.0, 0.0))
     angles = rng.uniform(0, 2 * math.pi, 10)
@@ -811,7 +755,7 @@ def check_cross_engine(cfg: QuadratureConfig, seed: int = 0,
         worst = max(worst, float(np.max(rel)))
         est_max = max(est_max, float(np.max(de)))
     params = {"alphas": [0.3, 0.5, 0.7], "points": 10, "seed": seed}
-    return _report(name, params, worst, 0.0, 3.0 * est_max, policy, t0,
+    return _report("cross_engine", params, worst, 0.0, 3.0 * est_max, policy, t0,
                    scale=1.0, notes="max relative disagreement across ops/points")
 
 
@@ -873,9 +817,7 @@ def fitted_order(rows: list[dict], noise_floor: float = 1e-12) -> float:
     return max(orders) if orders else float("nan")
 
 
-def check_convergence_orders(cfg: QuadratureConfig,
-                             policy: Optional[TolerancePolicy] = None,
-                             name: str = "convergence_orders") -> VerifyReport:
+def check_convergence_orders() -> VerifyReport:
     t0 = time.time()
     rows_s = convergence_sweep_spectral()
     rows_d = convergence_sweep_direct()
@@ -883,7 +825,7 @@ def check_convergence_orders(cfg: QuadratureConfig,
     o_d = fitted_order(rows_d)
     passed = (o_s >= 4.0) and (o_d >= 1.8)
     return VerifyReport(
-        name=name,
+        name="convergence_orders",
         params={"spectral_levels": [r["level"] for r in rows_s],
                 "direct_levels": [r["level"] for r in rows_d]},
         lhs=float(o_s),
@@ -902,7 +844,8 @@ def check_convergence_orders(cfg: QuadratureConfig,
 # default suite
 
 def default_suite_registry(cfg: QuadratureConfig, seed: int = 0) -> dict[str, Callable[[], VerifyReport]]:
-    """Named thunks for the standard verification battery (n = 2)."""
+    """Named thunks for the standard verification battery (n = 2); each
+    report carries its registry key as its name."""
     y = np.array([0.0, 0.0])
     z = np.array([1.0, 0.0])
     xi = gaussian((0.4, 0.2))
@@ -914,48 +857,38 @@ def default_suite_registry(cfg: QuadratureConfig, seed: int = 0) -> dict[str, Ca
     reg: dict[str, Callable[[], VerifyReport]] = {}
     for a in (0.3, 0.5, 0.7):
         reg[f"duality_delta_pair_a{a}"] = (
-            lambda a=a: check_duality(make_delta_pair(y, z, a), xi, a, cfg,
-                                      name=f"duality_delta_pair_a{a}")
-        )
+            lambda a=a: check_duality(make_delta_pair(y, z, a), xi, a, cfg))
     nu = RadonMeasure(n=2, atom_points=np.array([[-1.2, -0.3], [0.4, 0.8], [-0.1, -1.0]]),
                       atom_weights=np.array([0.7, -0.4, 1.1]))
     reg["duality_convolved"] = lambda: check_duality(
-        make_convolved(nu, 0.6), gaussian((0.2, 0.0), width=1.2), 0.6, cfg,
-        name="duality_convolved")
-    reg["duality_smooth_spectral"] = lambda: check_duality(
-        F, xi, 0.5, cfg, name="duality_smooth_spectral")
+        make_convolved(nu, 0.6), gaussian((0.2, 0.0), width=1.2), 0.6, cfg)
+    reg["duality_smooth_spectral"] = lambda: check_duality(F, xi, 0.5, cfg)
     reg["leibniz_pointwise"] = lambda: check_leibniz_pointwise(g, F, 0.5, pts10, cfg)
     reg["leibniz_zero_mass"] = lambda: check_zero_mass_nl(g, F, 0.5, cfg)
     reg["leibniz_global_ibp"] = lambda: check_global_ibp(g, F, 0.5, cfg)
     reg["leibniz_l1_bound"] = lambda: check_nl_l1_bound(g, F, 0.5, 2.0, cfg)
     for r in (0.8, 1.0, 1.3):
-        reg[f"ball_ibp_r{r}"] = (
-            lambda r=r: check_ball_ibp(F, xi, np.zeros(2), r, 0.5, cfg,
-                                       name=f"ball_ibp_r{r}")
-        )
+        reg[f"ball_ibp_r{r}"] = lambda r=r: check_ball_ibp(F, xi, np.zeros(2), r, 0.5, cfg)
     reg["mollification"] = lambda: check_mollification(
         make_delta_pair(y, z, 0.5), 0.3,
         np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1], [0.15, -0.2], [2.0, 1.5]]),
         cfg)
     reg["decay_smooth_pinf"] = lambda: decay_scan(
-        F, 0.5, math.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6), cfg,
-        expect="floor", name="decay_smooth_pinf")
+        F, 0.5, math.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6), expect="floor")
     reg["decay_pole_flat"] = lambda: decay_scan(
-        make_delta_pair(y, z, 0.5), 0.5, 1.2, y,
-        np.geomspace(0.02, 0.4, 6), cfg, expect="flat", name="decay_pole_flat")
+        make_delta_pair(y, z, 0.5), 0.5, 1.2, y, np.geomspace(0.02, 0.4, 6), expect="flat")
     reg["cantor_scaling"] = lambda: decay_scan(
-        cantor_measure(10, 1), 0.5, 1.0, (0.0,), 3.0 ** -np.arange(0, 10), cfg,
-        expect="exponent", target=math.log(2.0) / math.log(3.0),
-        name="cantor_scaling")
+        cantor_measure(10, 1), 0.5, 1.0, (0.0,), 3.0 ** -np.arange(0, 10),
+        expect="exponent", target=math.log(2.0) / math.log(3.0))
     reg["zero_total"] = lambda: check_zero_total(F, 0.6, cfg)
     reg["div_relation"] = lambda: check_div_relation(F, xi, 0.5, cfg)
-    reg["semigroup_spectral"] = lambda: check_semigroup_spectral(cfg)
+    reg["semigroup_spectral"] = check_semigroup_spectral
     reg["semigroup_direct"] = lambda: check_semigroup_direct(cfg)
-    reg["symbol_factorization"] = lambda: check_symbol_factorization(cfg)
-    reg["riesz_square"] = lambda: check_riesz_square(cfg)
+    reg["symbol_factorization"] = check_symbol_factorization
+    reg["riesz_square"] = check_riesz_square
     reg["cross_engine"] = lambda: check_cross_engine(cfg, seed=seed)
-    reg["convergence_orders"] = lambda: check_convergence_orders(cfg)
-    return reg
+    reg["convergence_orders"] = check_convergence_orders
+    return {k: (lambda k=k, thunk=thunk: replace(thunk(), name=k)) for k, thunk in reg.items()}
 
 
 def run_suite(cfg: Optional[QuadratureConfig] = None, seed: int = 0,

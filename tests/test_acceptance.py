@@ -145,7 +145,7 @@ def test_criterion_05_mollification_commutes():
 def test_criterion_06_riesz_semigroup():
     """I_0.3 I_0.4 = I_0.7: spectral at 1e-10, direct nested quadrature at 1e-3."""
     t0 = time.time()
-    r1 = check_semigroup_spectral(CFG)
+    r1 = check_semigroup_spectral()
     assert r1.lhs <= 1e-10
     r2 = check_semigroup_direct(CFG)
     assert r2.abs_err <= 1e-3
@@ -157,7 +157,7 @@ def test_criterion_07_symbol_factorization():
     """grad^a = grad o I_{1-a}: spectral exact to 1e-10; weak-form
     cross-pipeline identity within 1e-2 relative."""
     t0 = time.time()
-    r1 = check_symbol_factorization(CFG)
+    r1 = check_symbol_factorization()
     assert r1.lhs <= 1e-10
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
     xi = gaussian((0.4, 0.2))
@@ -171,7 +171,7 @@ def test_criterion_07_symbol_factorization():
 def test_criterion_08_riesz_transform_squares():
     """sum_i R_i^2 = -Id on mean-zero band-limited fields, spectral 1e-10."""
     t0 = time.time()
-    rep = check_riesz_square(CFG)
+    rep = check_riesz_square()
     assert rep.lhs <= 1e-10
     _announce(8, "Riesz transform squares", True,
               f"max residual {rep.lhs:.1e}, {time.time()-t0:.1f}s")
@@ -182,11 +182,11 @@ def test_criterion_09_decay_regimes():
     anchored at its atom stays flat (|slope| <= 0.05)."""
     t0 = time.time()
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
-    r1 = decay_scan(F, 0.5, math.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6), CFG,
+    r1 = decay_scan(F, 0.5, math.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6),
                     expect="floor")
     assert r1.lhs >= 2.0 - 0.5 - 0.1
     pair = make_delta_pair(Y, Z, 0.5)
-    r2 = decay_scan(pair, 0.5, 1.2, Y, np.geomspace(0.02, 0.4, 6), CFG,
+    r2 = decay_scan(pair, 0.5, 1.2, Y, np.geomspace(0.02, 0.4, 6),
                     expect="flat")
     assert abs(r2.lhs) <= 0.05
     _announce(9, "decay regimes", True,
@@ -209,7 +209,7 @@ def test_criterion_11_cantor_scaling():
     t0 = time.time()
     target = math.log(2.0) / math.log(3.0)
     rep = decay_scan(cantor_measure(10, 1), 0.5, 1.0, (0.0,),
-                     3.0 ** -np.arange(0, 10), CFG, expect="exponent",
+                     3.0 ** -np.arange(0, 10), expect="exponent",
                      target=target)
     assert abs(rep.lhs - target) <= 0.05
     _announce(11, "Cantor ball-mass scaling", True,

@@ -156,6 +156,22 @@ def test_cli_decay_cantor(tmp_path):
     assert abs(slope - math.log(2) / math.log(3)) < 0.05
 
 
+def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path):
+    """A smooth source's table holds the spectral ball masses the slope was
+    fitted to: every mass finite and positive, every running slope finite."""
+    res = run_cli(["decay", "--config", str(CONFIG_DIR / "decay_smooth.toml"),
+                   "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "decay_table.csv").read_text().splitlines()
+    start = lines.index("r,mass,log_r,log_mass,running_slope") + 1
+    rows = [[float(v) for v in l.split(",")] for l in lines[start:]
+            if not l.startswith("#")]
+    assert len(rows) == 6
+    assert all(math.isfinite(row[1]) and row[1] > 0 for row in rows)
+    assert math.isnan(rows[0][4])
+    assert all(math.isfinite(row[4]) for row in rows[1:])
+
+
 def test_cli_convergence_rejects_single_level(tmp_path):
     cfgp = tmp_path / "c.toml"
     cfgp.write_text('kind = "convergence"\n[convergence]\nlevels = 1\n')
