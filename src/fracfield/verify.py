@@ -135,8 +135,8 @@ def _report(name, params, lhs, rhs, est, policy, t0, scale=None, notes="") -> Ve
 # shared quadrature helpers
 
 def _polar_sum(fn, c: Array, r: Array, w_r: Array, m_ang: int) -> tuple[float, float]:
-    """Tensor rule over the points c + r w: sums fn's values and estimates
-    with weights w_r r^(n-1) w_w (radial nodes r, directions w)."""
+    """Tensor rule over c + r w, with (w, w_w) the m_ang sphere rule: sums
+    fn's values and estimates with weights w_r r^(n-1) w_w."""
     n = c.shape[0]
     dirs, w_ang = sphere_rule(n, m_ang)
     pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
