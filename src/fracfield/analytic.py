@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,11 +36,12 @@ from .quadrature import (
     sphere_rule,
 )
 from .special import _mu_raw, mu_const, omega_const
-from .spectral import PeriodicField, embed, spectral_frac_gradient
+from .spectral import _BOX, PeriodicField, _cached_frac_derivative
 
 Array = np.ndarray
 
 _E1 = {1: np.array([1.0]), 2: np.array([1.0, 0.0]), 3: np.array([1.0, 0.0, 0.0])}
+_PROFILE_T_MAX = 48.0  # range of the mollified kernel profile
 
 
 def _pair_kernel(pts: Array, pole: Array, expo: float) -> Array:
@@ -84,6 +85,16 @@ class ConvolvedField:
         return self.field.n
 
 
+def _pole_radius(poles: Array) -> float:
+    """Pole window radius: 0.45 x the closest pole separation, at most 0.5."""
+    sep = 1.0
+    if poles.shape[0] > 1:
+        d2 = _dist2(poles[:, None, :], poles[None, :, :])
+        np.fill_diagonal(d2, np.inf)
+        sep = math.sqrt(float(np.min(d2)))
+    return min(0.45 * sep, 0.5)
+
+
 def _measured_decay(fn, n: int, s: float, ring: float) -> tuple[float, float]:
     """Empirical decay constant: C = max |F| on a far ring, times margin."""
     dirs, _ = sphere_rule(n, 32)
@@ -120,7 +131,7 @@ def make_delta_pair(y, z, alpha: float) -> DeltaPairField:
         fn=fn,
         decay=_measured_decay(fn, n, s, ring),
         smooth=False,
-        cache_token=f"deltapair(y={tuple(y)},z={tuple(z)},a={alpha})",
+        cache_token=f"deltapair(y={tuple(y.tolist())},z={tuple(z.tolist())},a={float(alpha)})",
     )
     measure = RadonMeasure(
         n=n, atom_points=np.stack([y, z]), atom_weights=np.array([1.0, -1.0])
@@ -185,7 +196,7 @@ def make_convolved(nu: RadonMeasure, alpha: float) -> ConvolvedField:
     else:
         decay = (0.0, s)
     field = VectorField(n=n, fn=fn, decay=decay, smooth=False,
-                        cache_token=f"convolved(a={alpha},k={len(pts_y)})")
+                        cache_token=f"convolved(a={float(alpha)},k={len(pts_y)})")
     return ConvolvedField(
         field=field,
         alpha=float(alpha),
@@ -317,7 +328,7 @@ def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
         support_radius=float(np.linalg.norm(x0)) + r + eps,
         sup_bound=1.0,
         smooth=False,
-        cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0)})",
+        cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0.tolist())})",
     )
 
 
@@ -501,13 +512,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
     n = F.n
     x = np.asarray(x, dtype=float)
     poles = np.asarray(pole_field.poles, dtype=float)
-    if poles.shape[0] > 1:
-        d2 = _dist2(poles[:, None, :], poles[None, :, :])
-        np.fill_diagonal(d2, np.inf)
-        sep = math.sqrt(float(np.min(d2)))
-    else:
-        sep = 1.0
-    d = min(0.45 * sep, 0.5)
+    d = _pole_radius(poles)
     dist_x = float(np.min(np.sqrt(_dist2(poles, x))))
     if dist_x <= d:
         raise DomainError("evaluation point must sit outside the pole windows")
@@ -543,26 +548,21 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
 # ---------------------------------------------------------------------------
 # mollified pole fields
 
-_MOLLIFIED_PROFILE_CACHE: dict = {}
-
-
-def _mollified_kernel_profile(n: int, alpha: float, eps: float,
-                              t_max: float) -> tuple[Array, Array]:
-    """Radial profile kappa(t) of rho_eps * K, K(v) = mu(n,-a) v |v|^(a-n-1).
+@lru_cache(maxsize=1)
+def _mollified_kernel_profile(n: int, alpha: float, eps: float) -> tuple[Array, Array]:
+    """Radial profile kappa(t) of rho_eps * K, K(v) = mu(n,-a) v |v|^(a-n-1),
+    on t in [0, _PROFILE_T_MAX], shared read-only.
 
     By symmetry the convolution is kappa(|v|) vhat; kappa is computed on a
     dense grid by polar quadrature (singular rule while the kernel point sits
     inside the mollifier support, plain Gauss-Legendre outside) and consumed
     through linear interpolation.
     """
-    key = (n, round(alpha, 12), round(eps, 12), round(t_max, 6))
-    if key in _MOLLIFIED_PROFILE_CACHE:
-        return _MOLLIFIED_PROFILE_CACHE[key]
     from .fields import mollifier
 
     rho = mollifier(eps, n)
     mu_minus = _mu_raw(n, -alpha)
-    ts = np.linspace(0.0, t_max, int(t_max / 2.5e-3) + 2)
+    ts = np.linspace(0.0, _PROFILE_T_MAX, int(_PROFILE_T_MAX / 2.5e-3) + 2)
     kappa = np.zeros(ts.shape[0])
     dirs, w_ang = sphere_rule(n, 32)
     e1 = _E1[n]
@@ -596,18 +596,18 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float,
         kappa[sel] = np.einsum("tra,ra->t", k1, rho_w)
 
     kappa *= mu_minus
-    _MOLLIFIED_PROFILE_CACHE[key] = (ts, kappa)
+    ts.setflags(write=False)
+    kappa.setflags(write=False)
     return ts, kappa
 
 
-def mollified_pole_field(pole_field, eps: float, cfg: QuadratureConfig,
-                         t_max: float = 48.0) -> VectorField:
+def mollified_pole_field(pole_field, eps: float) -> VectorField:
     """rho_eps * F for an analytic pole field, as a smooth VectorField."""
     n = pole_field.n
     alpha = pole_field.alpha
     poles = np.asarray(pole_field.poles, dtype=float)
     strengths = np.asarray(pole_field.pole_strengths, dtype=float)
-    ts, kappa = _mollified_kernel_profile(n, alpha, float(eps), t_max)
+    ts, kappa = _mollified_kernel_profile(n, alpha, float(eps))
 
     def fn(pts: Array) -> Array:
         acc = np.zeros(pts.shape)
@@ -620,14 +620,14 @@ def mollified_pole_field(pole_field, eps: float, cfg: QuadratureConfig,
         return acc
 
     s_dec = n + 1.0 - alpha
-    ring = min(10.0 * (1.0 + float(np.max(np.abs(poles)))), 0.8 * t_max)
+    ring = min(10.0 * (1.0 + float(np.max(np.abs(poles)))), 0.8 * _PROFILE_T_MAX)
     field = VectorField(
         n=n,
         fn=fn,
         decay=_measured_decay(fn, n, s_dec, ring),
         sup_bound=float(np.sum(np.abs(strengths)) * np.max(np.abs(kappa))),
         smooth=True,
-        cache_token=f"mollified({pole_field.field.cache_token},eps={eps})",
+        cache_token=f"mollified({pole_field.field.cache_token},eps={float(eps)})",
     )
     return field
 
@@ -635,20 +635,10 @@ def mollified_pole_field(pole_field, eps: float, cfg: QuadratureConfig,
 # ---------------------------------------------------------------------------
 # pairing integrals against pole fields
 
-_SPECTRAL_GRAD_CACHE: dict = {}
-
-
-def spectral_gradient_of(xi: ScalarField, alpha: float, L: float = 16.0,
-                         N: int = 1024) -> PeriodicField:
-    """Cached spectral fractional gradient of a smooth compact field."""
-    key = (xi.cache_token, float(alpha), float(L), int(N))
-    if xi.cache_token is None or key not in _SPECTRAL_GRAD_CACHE:
-        pf = embed(xi, L, N)
-        out = spectral_frac_gradient(pf, alpha)
-        if xi.cache_token is None:
-            return out
-        _SPECTRAL_GRAD_CACHE[key] = out
-    return _SPECTRAL_GRAD_CACHE[key]
+def spectral_gradient_of(xi: ScalarField, alpha: float) -> PeriodicField:
+    """Cached spectral fractional gradient of a smooth compact field (_BOX-wide
+    box, 1024^n nodes)."""
+    return _cached_frac_derivative(xi, float(alpha), 1024)
 
 
 def _window(dist: Array, inner: float, outer: float) -> Array:
@@ -660,9 +650,7 @@ def _window(dist: Array, inner: float, outer: float) -> Array:
     return a / (a + b)
 
 
-def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig,
-                    L: float = 16.0, N: int = 1024,
-                    pole_radius: Optional[float] = None) -> tuple[float, float]:
+def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig) -> tuple[float, float]:
     """int F . grad^alpha xi dx for an analytic pole field F.
 
     Splits the plane by a smooth partition of unity: polar quadrature with the
@@ -676,17 +664,11 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig,
     poles = np.asarray(pole_field.poles, dtype=float)
     if poles.shape[0] == 0:
         return 0.0, 0.0
+    L = _BOX
     if float(np.max(np.abs(poles))) > L / 4.0:
         raise ConfigError("pole constellation must sit within the inner quarter box")
-    G = spectral_gradient_of(xi, alpha, L, N)
-    if pole_radius is None:
-        if poles.shape[0] > 1:
-            d2 = _dist2(poles[:, None, :], poles[None, :, :])
-            np.fill_diagonal(d2, np.inf)
-            sep = math.sqrt(float(np.min(d2)))
-        else:
-            sep = 1.0
-        pole_radius = min(0.45 * sep, 0.5)
+    G = spectral_gradient_of(xi, alpha)
+    pole_radius = _pole_radius(poles)
 
     def bulk_sum(stride: int) -> float:
         grid = G.grid

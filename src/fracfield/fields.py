@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -286,7 +287,7 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         sup_bound=abs(a),
         grad_fn=grad,
         smooth=True,
-        cache_token=f"gaussian(c={tuple(c)},w={w},a={a})",
+        cache_token=f"gaussian(c={tuple(c.tolist())},w={w},a={a})",
     )
 
 
@@ -311,7 +312,7 @@ def gaussian_vector(center: Sequence[float], width: float = 1.0,
         sup_bound=float(np.max(np.abs(amps))),
         smooth=True,
         cache_token="vec(" + ",".join(
-            f"gaussian(c={tuple(c)},w={w},a={float(a)})" for a in amps) + ")",
+            f"gaussian(c={tuple(c.tolist())},w={w},a={a})" for a in amps.tolist()) + ")",
     )
 
 
@@ -338,7 +339,7 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
         support_radius=float(np.linalg.norm(c)) + R,
         sup_bound=abs(a),
         smooth=True,
-        cache_token=f"bump(c={tuple(c)},R={R},a={a})",
+        cache_token=f"bump(c={tuple(c.tolist())},R={R},a={a})",
     )
 
 
@@ -358,7 +359,7 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
         support_radius=float(np.linalg.norm(c)) + R,
         sup_bound=1.0,
         smooth=False,
-        cache_token=f"indicator(c={tuple(c)},R={R})",
+        cache_token=f"indicator(c={tuple(c.tolist())},R={R})",
     )
 
 
@@ -404,21 +405,17 @@ def _multilinear(grid: GridSpec, values: Array, pts: Array) -> Array:
 # ---------------------------------------------------------------------------
 # mollifier and cutoff profiles
 
-_BUMP_NORM_CACHE: dict[int, float] = {}
-
-
+@lru_cache(maxsize=1)
 def _bump_normalizer(n: int) -> float:
     """1 / integral_{B_1} exp(-1/(1-|x|^2)) dx, via radial Gauss-Legendre."""
-    if n not in _BUMP_NORM_CACHE:
-        from .quadrature import _leggauss  # local import: quadrature depends on this module
+    from .quadrature import _leggauss  # local import: quadrature depends on this module
 
-        t, w = _leggauss(200)
-        r = 0.5 * (t + 1.0)
-        wr = 0.5 * w
-        prof = np.exp(-1.0 / (1.0 - r**2))
-        integral = sphere_area(n) * float(np.sum(prof * r ** (n - 1) * wr))
-        _BUMP_NORM_CACHE[n] = 1.0 / integral
-    return _BUMP_NORM_CACHE[n]
+    t, w = _leggauss(200)
+    r = 0.5 * (t + 1.0)
+    wr = 0.5 * w
+    prof = np.exp(-1.0 / (1.0 - r**2))
+    integral = sphere_area(n) * float(np.sum(prof * r ** (n - 1) * wr))
+    return 1.0 / integral
 
 
 def mollifier(eps: float, n: int) -> ScalarField:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import ConfigError, DomainError, EmbeddingError
 from .fields import GridSpec, VectorField
 
 Array = np.ndarray
+_BOX = 16.0  # side of the box the cached spectral results are embedded in
 
 
 def _is_pow2(m: int) -> bool:
@@ -46,7 +47,6 @@ class PeriodicField:
     grid: GridSpec
     data: Array
     vector: bool = False
-    _spectrum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.grid.periodic:
@@ -110,6 +110,11 @@ class PeriodicField:
         shape = pts.shape[:-1]
         return out.reshape(shape) if not self.vector else out.reshape(shape + (self.n,))
 
+    @cached_property
+    def _spectrum(self) -> Array:
+        """Normalized full spectrum, computed on the first eval_fourier call."""
+        return np.fft.fftn(self.data) / float(np.prod(self.grid.counts))
+
     def eval_fourier(self, x) -> Array:
         """Exact trigonometric interpolation (scalar fields, n <= 3)."""
         if self.vector:
@@ -117,10 +122,7 @@ class PeriodicField:
         pts = np.asarray(x, dtype=float)
         single = pts.shape == (self.n,)
         P = pts.reshape(-1, self.n)
-        spec = self._spectrum_cache.get("full")
-        if spec is None:
-            spec = np.fft.fftn(self.data) / float(np.prod(self.grid.counts))
-            self._spectrum_cache["full"] = spec
+        spec = self._spectrum
         out = np.empty(P.shape[0])
         # fftfreq(c, d=h) returns cycles per unit length on the box lattice
         freqs = [np.fft.fftfreq(c, d=h)
@@ -262,13 +264,22 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
             f"support radius {sup} exceeds L/2 - margin = {L / 2.0 - margin}"
         )
     grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n, periodic=True)
-    pts = grid.node_points()
-    data = field(pts)
-    if isinstance(field, VectorField) or (hasattr(field, "n") and np.asarray(data).shape == pts.shape):
-        if np.asarray(data).shape == pts.shape:  # (..., n) component layout
-            data = np.moveaxis(np.asarray(data), -1, 0)
-            return PeriodicField(grid, data, vector=True)
-    return PeriodicField(grid, np.asarray(data))
+    data = field(grid.node_points())
+    if isinstance(field, VectorField):  # (..., n) -> component axis first
+        return PeriodicField(grid, np.moveaxis(data, -1, 0), vector=True)
+    return PeriodicField(grid, data)
+
+
+@lru_cache(maxsize=2)
+def _cached_frac_derivative(field, alpha: float, N: int) -> PeriodicField:
+    """grad^alpha of a ScalarField or div^alpha of a VectorField in the
+    _BOX-wide box at N^n nodes, keyed on the field itself (frozen: hints by
+    value, evaluator by identity), so two different fields never share an
+    entry. Callers pass float(alpha) and int(N) positionally."""
+    pf = embed(field, _BOX, N)
+    if isinstance(field, VectorField):
+        return spectral_frac_divergence(pf, alpha)
+    return spectral_frac_gradient(pf, alpha)
 
 
 def random_band_limited(grid: GridSpec, kmax: int, seed: int,

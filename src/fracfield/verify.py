@@ -49,12 +49,12 @@ from .quadrature import (
     singular_radial_rule,
     sphere_rule,
 )
-from .special import mu_const, sphere_area
+from .special import FracParams, mu_const, sphere_area
 from .spectral import (
     PeriodicField,
+    _cached_frac_derivative,
     embed,
     random_band_limited,
-    spectral_frac_divergence,
     spectral_frac_gradient,
     spectral_riesz_potential,
     spectral_riesz_transform,
@@ -200,18 +200,10 @@ def _support(*fields, default: float = 8.0) -> float:
     return out if found else default
 
 
-_EMBED_CACHE: dict = {}
-
-
-def spectral_divergence_of(F: VectorField, alpha: float, L: float = 16.0,
-                           N: int = 1024) -> PeriodicField:
-    key = ("div", F.cache_token, float(alpha), float(L), int(N))
-    if F.cache_token is None or key not in _EMBED_CACHE:
-        out = spectral_frac_divergence(embed(F, L, N), alpha)
-        if F.cache_token is None:
-            return out
-        _EMBED_CACHE[key] = out
-    return _EMBED_CACHE[key]
+def spectral_divergence_of(F: VectorField, alpha: float, N: int = 1024) -> PeriodicField:
+    """Cached spectral fractional divergence of a smooth compact field
+    (_BOX-wide box, N^n nodes)."""
+    return _cached_frac_derivative(F, float(alpha), int(N))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +268,7 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
     # spectral cross-checks of each term
     sp_prod = spectral_divergence_of(gF, alpha).sample_linear(X)
     sp_div = spectral_divergence_of(F, alpha).sample_linear(X)
-    sp_grad = np.stack(
-        [spectral_gradient_of(g, alpha).sample_linear(X)[..., k] for k in range(g.n)],
-        axis=-1,
-    )
+    sp_grad = spectral_gradient_of(g, alpha).sample_linear(X)
     sp_nl = sp_prod - gX * sp_div - _inner(FX, sp_grad)
     cross = max(
         float(np.max(np.abs(sp_prod - t_prod))),
@@ -341,7 +330,7 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     """
     t0 = time.time()
     n = g.n
-    q = p / (p - 1.0) if p > 1.0 else math.inf
+    q = FracParams(alpha, n, p).q
     if math.isinf(q):
         raise ConfigError("the L1 bound check needs q < inf (p > 1)")
     R = _support(g, F) + 10.0
@@ -405,7 +394,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     t3, e3 = _term3_nl_integral(F, xi, x0, r, alpha, cfg)
 
     # right side: spectral divergence density over the ball
-    dens = spectral_divergence_of(F, alpha, L=16.0, N=1024)
+    dens = spectral_divergence_of(F, alpha)
 
     def t4_fn(pts):
         return xi(pts) * dens.sample_linear(pts), np.full(pts.shape[0], 1e-6)
@@ -415,7 +404,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     lhs = t1 + t2 + t3
     est = e1 + e2 + e3 + e4
     scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-6)
-    params = {"alpha": alpha, "n": n, "r": r, "x0": tuple(x0),
+    params = {"alpha": alpha, "n": n, "r": r, "x0": tuple(x0.tolist()),
               "F": F.cache_token, "xi": xi.cache_token,
               "terms": [round(t1, 6), round(t2, 6), round(t3, 6), round(rhs, 6)]}
     return _report("ball_ibp", params, lhs, rhs, est, policy, t0, scale=scale)
@@ -530,7 +519,7 @@ def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig) -
     rho = mollifier(eps, n)
     scale = rho((0.0,) * n)
     policy = TolerancePolicy(abs_tol=0.02 * scale, est_factor=0.0)
-    F_eps = mollified_pole_field(pole_field, eps, cfg)
+    F_eps = mollified_pole_field(pole_field, eps)
     vals, ests = frac_divergence_batch(F_eps, pole_field.alpha, X, cfg)
     mu = pole_field.measure
     rhs = np.zeros(len(X))
@@ -562,13 +551,14 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     t0 = time.time()
     c = np.asarray(center, dtype=float)
     n = c.shape[0]
+    floor = FracParams(alpha, n, p).decay_exponent_floor()
     radii = np.asarray(radii, dtype=float)
     if isinstance(source, RadonMeasure):
         meas = source.abs()
     elif hasattr(source, "measure"):
         meas = source.measure.abs()
     else:
-        dens = spectral_divergence_of(source, alpha, L=16.0, N=2048)
+        dens = spectral_divergence_of(source, alpha, N=2048)
         h = dens.grid.spacing
         grid = GridSpec(
             tuple(l - 0.5 * hh for l, hh in zip(dens.grid.lower, h)),
@@ -582,8 +572,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     if np.any(masses <= 0):
         raise ConfigError("ball masses must be positive on the radius list")
     slope = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
-    q = p / (p - 1.0) if (p > 1.0 and not math.isinf(p)) else (1.0 if math.isinf(p) else math.inf)
-    floor = (n / q if not math.isinf(q) else 0.0) - alpha
     t = time.time() - t0
     if expect == "flat":
         passed = abs(slope) <= 0.05
@@ -598,7 +586,7 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
         rhs, abs_err = floor, max(0.0, floor - slope)
     return VerifyReport(
         name="decay_scan",
-        params={"alpha": alpha, "n": n, "p": p, "center": tuple(c),
+        params={"alpha": alpha, "n": n, "p": p, "center": tuple(c.tolist()),
                 "radii": [float(r) for r in radii], "expect": expect,
                 "floor": floor, "masses": [float(m) for m in masses]},
         lhs=slope,
@@ -746,7 +734,7 @@ def check_cross_engine(cfg: QuadratureConfig, seed: int = 0) -> VerifyReport:
     worst = 0.0
     est_max = 0.0
     for alpha in (0.3, 0.5, 0.7):
-        gpf = spectral_gradient_of(G, alpha, 16.0, 1024)
+        gpf = spectral_gradient_of(G, alpha)
         sv = gpf.sample_linear(X)
         dv, de = frac_gradient_batch(G, alpha, X, cfg)
         rel = np.sqrt(_dist2(sv, dv)) / np.maximum(

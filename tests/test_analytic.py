@@ -15,6 +15,14 @@ from fracfield.analytic import (
     ramp_cutoff_field,
 )
 from fracfield.errors import DomainError
+from fracfield.fields import (
+    ball_indicator,
+    compact_bump,
+    cutoff,
+    gaussian,
+    gaussian_vector,
+    mollifier,
+)
 from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import (
     QuadratureConfig,
@@ -282,18 +290,18 @@ def test_nl_gradient_ball_vs_mollified_indicator(cfg, gauss2d):
 # ---------------------------------------------------------------------------
 # mollified pole fields
 
-def test_mollified_profile_far_field_matches_kernel(cfg):
+def test_mollified_profile_far_field_matches_kernel():
     dp = make_delta_pair(Y, Z, 0.5)
-    F_eps = mollified_pole_field(dp, 0.3, cfg)
+    F_eps = mollified_pole_field(dp, 0.3)
     # far from both poles the mollification is invisible
     pts = np.array([[4.0, 1.0], [-3.0, 2.0]])
     # rtol covers the genuine O(eps^2/t^2) mollification correction
     assert np.allclose(F_eps(pts), dp.field(pts), rtol=5e-3, atol=1e-10)
 
 
-def test_mollified_field_smooth_at_pole(cfg):
+def test_mollified_field_smooth_at_pole():
     dp = make_delta_pair(Y, Z, 0.5)
-    F_eps = mollified_pole_field(dp, 0.3, cfg)
+    F_eps = mollified_pole_field(dp, 0.3)
     vals = F_eps(np.array([[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4]]))
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 10.0  # bounded near the mollified pole
@@ -307,3 +315,16 @@ def test_duality_pairing_zero_test_function(cfg, gauss2d):
     zero = gauss2d.scaled(0.0)
     val, est = duality_pairing(dp, zero, cfg)
     assert val == pytest.approx(0.0, abs=1e-10)
+
+
+def test_cache_tokens_hold_plain_numbers():
+    """Tokens label report params; numpy scalars must not leak their repr."""
+    c = np.array([0.4, 0.2])
+    dp = make_delta_pair(Y, Z, np.float64(0.5))
+    nu = RadonMeasure(n=2, atom_points=np.array([[0.1, 0.2]]), atom_weights=np.array([1.0]))
+    fields = [gaussian(c), gaussian_vector(c, amplitudes=np.array([1.0, 0.5])),
+              compact_bump(c, 1.0), ball_indicator(c, 1.0), mollifier(0.3, 2),
+              cutoff(1.0, 2), dp.field, make_convolved(nu, np.float64(0.6)).field,
+              ramp_cutoff_field(0.2, 1.0, c), mollified_pole_field(dp, np.float64(0.3))]
+    for f in fields:
+        assert "np." not in f.cache_token, f.cache_token

@@ -156,6 +156,15 @@ def test_cli_decay_cantor(tmp_path):
     assert abs(slope - math.log(2) / math.log(3)) < 0.05
 
 
+def test_cli_decay_rejects_p_below_one(tmp_path):
+    cfgp = tmp_path / "decay_p_half.toml"
+    text = (CONFIG_DIR / "decay_cantor.toml").read_text()
+    assert "p = 1.0" in text
+    cfgp.write_text(text.replace("p = 1.0", "p = 0.5"))
+    res = run_cli(["decay", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert res.returncode == 3, res.stdout + res.stderr
+
+
 def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path):
     """A smooth source's table holds the spectral ball masses the slope was
     fitted to: every mass finite and positive, every running slope finite."""

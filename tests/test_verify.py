@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from fracfield.analytic import make_delta_pair
+from fracfield.analytic import make_delta_pair, spectral_gradient_of
 from fracfield.errors import ConfigError
 from fracfield.fields import cutoff, gaussian, gaussian_vector
+from fracfield.spectral import _cached_frac_derivative
 from fracfield.verify import (
     TolerancePolicy,
     VerifyReport,
@@ -21,6 +24,7 @@ from fracfield.verify import (
     decay_scan,
     default_suite_registry,
     run_suite,
+    spectral_divergence_of,
 )
 
 
@@ -118,6 +122,7 @@ def test_decay_scan_radius_rescaling_invariance(cfg):
     r2 = decay_scan(dp, 0.5, 1.2, (0.0, 0.0), 2.0 * np.geomspace(0.01, 0.2, 6),
                     expect="flat")
     assert r1.lhs == pytest.approx(r2.lhs, abs=1e-12)
+    assert "np." not in repr(r1.params)
 
 
 def test_decay_scan_exponent_needs_target(cfg):
@@ -186,3 +191,51 @@ def test_spectral_roundoff_checks_raise_no_warning(check):
         warnings.simplefilter("error")
         rep = check()
     assert rep.passed and rep.abs_err <= 1e-10
+
+
+def test_spectral_caches_tell_apart_fields_with_one_token():
+    """A field with twice the values and the same token gets its own cached
+    gradient and divergence, not the first field's."""
+    g = gaussian((0.0, 0.0))
+    g2 = dataclasses.replace(g, fn=lambda p: 2.0 * g.fn(p))
+    assert g2.cache_token == g.cache_token
+    grad = spectral_gradient_of(g, 0.5).data
+    np.testing.assert_array_equal(spectral_gradient_of(g2, 0.5).data, 2.0 * grad)
+    F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
+    F2 = dataclasses.replace(F, fn=lambda p: 2.0 * F.fn(p))
+    assert F2.cache_token == F.cache_token
+    div = spectral_divergence_of(F, 0.5, N=256).data
+    np.testing.assert_array_equal(spectral_divergence_of(F2, 0.5, N=256).data, 2.0 * div)
+
+
+def test_spectral_cache_entry_is_the_recomputed_result_for_every_call_form():
+    F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
+    div = spectral_divergence_of(F, 0.5, 256)
+    assert spectral_divergence_of(F, 0.5, N=256) is div
+    assert spectral_divergence_of(F, alpha=np.float64(0.5), N=256) is div
+    np.testing.assert_array_equal(
+        div.data, _cached_frac_derivative.__wrapped__(F, 0.5, 256).data)
+    g = gaussian((0.0, 0.0))
+    grad = spectral_gradient_of(g, 0.5)
+    assert spectral_gradient_of(g, alpha=0.5) is grad
+    assert spectral_divergence_of(F, 0.5) is spectral_divergence_of(F, 0.5, 1024)
+    np.testing.assert_array_equal(
+        grad.data, _cached_frac_derivative.__wrapped__(g, 0.5, 1024).data)
+
+
+def test_spectral_cache_under_threads_keeps_each_field_its_own_result():
+    """Three same-token fields cycle through the bounded cache from more
+    threads than cores; every call still returns its own field's bits."""
+    base = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
+    fields = [dataclasses.replace(base, fn=lambda p, k=k: k * base.fn(p)) for k in (1.0, 2.0, 4.0)]
+    want = [_cached_frac_derivative.__wrapped__(F, 0.5, 64).data for F in fields]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futs = [pool.submit(spectral_divergence_of, fields[i % 3], 0.5, 64) for i in range(60)]
+            got = [f.result(timeout=60) for f in futs]
+    finally:
+        sys.setswitchinterval(old)
+    for i, pf in enumerate(got):
+        np.testing.assert_array_equal(pf.data, want[i % 3])
