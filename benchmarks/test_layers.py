@@ -16,12 +16,22 @@ The direct-engine benchmarks call the public batch operators on 2048 points
 in R^2 and store the median cost per point as `extra_info["us_per_pt"]`.
 Points inside the support run only the near/mid polar passes (fine and
 coarse); points beyond support + 1 run only the far-source rule.
+
+The verifier benchmarks time one layer on the exact inputs of a default
+suite check, captured by running the check's own code once:
+`nl_gradient_ball` on the fine term-3 batch of `ball_ibp_r1.0`,
+`measure_ball_mass` over the six radii of `decay_smooth_pinf` (a 2048^2
+density), and `duality_pairing` on `duality_convolved` with its spectral
+gradient already cached.
 """
 
 import numpy as np
 import pytest
 
+from fracfield import verify
+from fracfield.analytic import duality_pairing, make_convolved, nl_gradient_ball
 from fracfield.fields import gaussian, gaussian_vector
+from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import QuadratureConfig, frac_divergence_batch, frac_gradient_batch
 from fracfield.spectral import embed
 
@@ -85,3 +95,49 @@ def test_far_source_rule(benchmark):
 def test_embed_1024(benchmark):
     out = benchmark(embed, FIELDS["gaussian"], 16.0, 1024)
     assert out.data.shape == (1024, 1024)
+
+
+def _first_calls(name, run):
+    """Run `run()` with verify's `name` wrapped; return the recorded args of
+    every call."""
+    calls = []
+    inner = getattr(verify, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    setattr(verify, name, spy)
+    try:
+        run()
+    finally:
+        setattr(verify, name, inner)
+    return calls
+
+
+SUITE_F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
+SUITE_XI = gaussian((0.4, 0.2))
+
+
+def test_nl_gradient_ball_term3(benchmark):
+    cfg = QuadratureConfig()
+    calls = _first_calls("nl_gradient_ball", lambda: verify._term3_nl_integral(
+        SUITE_F, SUITE_XI, np.zeros(2), 1.0, 0.5, cfg))
+    args = calls[0]  # the fine level
+    benchmark(nl_gradient_ball, *args)
+    benchmark.extra_info["points"] = len(args[4])
+
+
+def test_measure_ball_mass_decay_radii(benchmark):
+    calls = _first_calls("measure_ball_mass", lambda: verify.decay_scan(
+        SUITE_F, 0.5, np.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6)))
+    assert len(calls) == 6
+    benchmark(lambda: [measure_ball_mass(*args) for args in calls])
+
+
+def test_duality_pairing_convolved(benchmark):
+    nu = RadonMeasure(n=2, atom_points=np.array([[-1.2, -0.3], [0.4, 0.8], [-0.1, -1.0]]),
+                      atom_weights=np.array([0.7, -0.4, 1.1]))
+    pf, xi = make_convolved(nu, 0.6), gaussian((0.2, 0.0), width=1.2)
+    duality_pairing(pf, xi, QuadratureConfig())  # fills the spectral gradient cache
+    benchmark(duality_pairing, pf, xi, QuadratureConfig())

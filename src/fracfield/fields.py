@@ -198,31 +198,6 @@ class VectorField:
         )
 
 
-def vector_from_components(components: Sequence[ScalarField]) -> VectorField:
-    n = components[0].n
-    if len(components) != n or any(c.n != n for c in components):
-        raise ConfigError("need exactly n scalar components sharing the dimension")
-    sups = [c.support_radius for c in components]
-    support = None if any(s is None for s in sups) else max(sups)
-    decays = [c.decay for c in components]
-    if any(d is None for d in decays):
-        decay = None
-    else:
-        s_min = min(d[1] for d in decays)
-        decay = (sum(d[0] for d in decays), s_min)
-    sups_b = [c.sup_bound for c in components]
-    toks = [c.cache_token for c in components]
-    return VectorField(
-        n=n,
-        fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components], axis=-1),
-        support_radius=support,
-        decay=decay,
-        sup_bound=None if any(v is None for v in sups_b) else max(sups_b),
-        smooth=all(c.smooth for c in components),
-        cache_token=None if any(t is None for t in toks) else "vec(" + ",".join(toks) + ")",
-    )
-
-
 def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
     """a*f + b*g with conservatively merged hints."""
     if f.n != g.n:

@@ -94,21 +94,37 @@ def measure_ball_mass(mu: RadonMeasure, center, r: float) -> float:
         total += float(np.sum(mu.atom_weights[d2 < r * r]))
     if mu.density_grid is not None:
         grid = mu.density_grid
-        centers = grid.center_points()
-        dist = np.sqrt(_dist2(centers, c))
         half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
+        # only cells whose centres lie within r + half_diag can count; the
+        # masked cells of this box come out in the C order of the full grid
+        box = _index_box([grid.axis_centers(i) for i in range(mu.n)], c, r + half_diag)
+        centers = grid._mesh([grid.axis_centers(i)[s] for i, s in enumerate(box)])
+        values = mu.density_values[box]
+        dist = np.sqrt(_dist2(centers, c))
         vol = grid.cell_volume
         inside = dist <= r - half_diag
-        total += float(np.sum(mu.density_values[inside])) * vol
+        total += float(np.sum(values[inside])) * vol
         boundary = (~inside) & (dist < r + half_diag)
         if np.any(boundary):
             bc = centers[boundary]
-            bv = mu.density_values[boundary]
+            bv = values[boundary]
             offs = _subcell_offsets(grid)
             sub = bc[:, None, :] + offs[None, :, :]
             frac = np.mean(_dist2(sub, c) < r * r, axis=1)
             total += float(np.sum(bv * frac)) * vol
     return total
+
+
+def _index_box(axes: list[Array], center: Array, radius: float) -> tuple[slice, ...]:
+    """Index slices of a rectilinear lattice (one sorted coordinate array per
+    axis) covering every node within `radius` of `center`, with one node to
+    spare on each side against rounding."""
+    box = []
+    for ax, ck in zip(axes, center):
+        lo = int(np.searchsorted(ax, ck - radius)) - 1
+        hi = int(np.searchsorted(ax, ck + radius, side="right")) + 1
+        box.append(slice(max(lo, 0), min(hi, ax.shape[0])))
+    return tuple(box)
 
 
 def _subcell_offsets(grid: GridSpec) -> Array:

@@ -1,9 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfield.analytic import (
+    _bulk_sums,
+    _pole_radius,
+    _window,
     cantor_measure,
     duality_pairing,
     grad_chi_ball,
@@ -13,6 +19,7 @@ from fracfield.analytic import (
     mollified_pole_field,
     nl_gradient_ball,
     ramp_cutoff_field,
+    spectral_gradient_of,
 )
 from fracfield.errors import DomainError
 from fracfield.fields import (
@@ -206,9 +213,26 @@ def test_grad_chi_ball_near_sphere_stability():
 
 def test_grad_chi_ball_sphere_warning():
     with pytest.warns(RuntimeWarning, match="sphere"):
-        grad_chi_ball(1.0, (0.0, 0.0), 0.5, (1.0 + 1e-5, 0.0))
+        grad_chi_ball(1.0, (0.0, 0.0), 0.5, (1.0 + 1e-10, 0.0))
+    with pytest.warns(RuntimeWarning, match="sphere"):
+        grad_chi_ball(1.3, (0.0, 0.0, 0.0), 0.5, (1.3 * (1.0 - 1e-10), 0.0, 0.0))
     with pytest.raises(DomainError):
         grad_chi_ball(1.0, (0.0, 0.0), 0.5, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("n, rel", [(2, 1e-12), (3, 1e-8)])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_grad_chi_ball_accurate_and_quiet_above_floor(n, rel, side):
+    """At 1e-8 r from the sphere, above the 1e-9 r floor, the 256-node rule
+    raises no warning and agrees with a 2048-node reference."""
+    r = 1.3
+    y = np.zeros(n)
+    y[0] = r * (1.0 + side * 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = grad_chi_ball(r, np.zeros(n), 0.5, y, 256)
+    ref = grad_chi_ball(r, np.zeros(n), 0.5, y, 2048)
+    assert np.linalg.norm(g - ref) <= rel * np.linalg.norm(ref)
 
 
 def test_grad_chi_ball_vs_mollified_indicator(cfg):
@@ -287,6 +311,103 @@ def test_nl_gradient_ball_vs_mollified_indicator(cfg, gauss2d):
         assert np.linalg.norm(rich[i] - sharp[i]) <= 0.03 * scale + 2e-4
 
 
+def _nl_gradient_ball_reference(x0, r, xi, alpha, W, cfg):
+    """The per-point loop that nl_gradient_ball batches: the bit reference."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    Wp = np.asarray(W, dtype=float).reshape(-1, n)
+    mu = mu_const(n, alpha)
+    dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
+    wmax = float(np.max(np.sqrt(np.sum(Wp * Wp, axis=-1))))
+    R_far = max(xi.support_radius + wmax, float(np.linalg.norm(x0)) + r + wmax) + 1.0
+    tg, wg = np.polynomial.legendre.leggauss(cfg.mid_panel_nodes)
+    out = np.zeros((Wp.shape[0], n))
+    xw = xi(Wp)
+    inside = np.sum((Wp - x0) ** 2, axis=-1) < r * r
+    for j, w in enumerate(Wp):
+        oc = w - x0
+        bq = dirs @ oc
+        disc = bq * bq - (float(oc @ oc) - r * r)
+        hit = disc > 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        lo = np.maximum(np.where(hit, -bq - sq, 0.0), 0.0)
+        hi = np.maximum(np.where(hit, -bq + sq, 0.0), 0.0)
+        if inside[j]:
+            a, b, sign = np.maximum(hi, 1e-12), np.full_like(hi, R_far), -1.0
+        else:
+            a, b, sign = np.maximum(lo, 1e-12), hi, 1.0
+        live = b > a
+        if not np.any(live):
+            continue
+        ratio = np.where(live, b / np.where(live, a, 1.0), 1.0)
+        J = max(3, min(24, int(math.ceil(math.log(float(np.max(ratio))) / math.log(4.0)))))
+        expo = np.arange(J + 1) / J
+        edges = a[:, None] * ratio[:, None] ** expo[None, :]
+        e0 = edges[:, :-1][:, :, None]
+        e1 = edges[:, 1:][:, :, None]
+        t = 0.5 * (e1 - e0) * (tg[None, None, :] + 1.0) + e0
+        wt = 0.5 * (e1 - e0) * wg[None, None, :] * t ** (-1.0 - alpha)
+        wt = np.where(live[:, None, None], wt, 0.0)
+        pts = w[None, None, None, :] + t[..., None] * dirs[:, None, None, :]
+        inc = xi(pts) - xw[j]
+        radial = np.sum(inc * wt, axis=(1, 2))
+        out[j] = mu * sign * np.einsum("a,a,ak->k", radial, w_ang, dirs)
+    return out
+
+
+def _ball_batch(n, r, kind, m=60, seed=0):
+    """m points inside B_r(0), outside it, or both, in R^n."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(m, n))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    lo, hi = {"inside": (0.0, 0.98), "outside": (1.02, 3.0), "mixed": (0.0, 3.0)}[kind]
+    return u * (r * rng.uniform(lo, hi, m))[:, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["inside", "outside", "mixed"])
+def test_nl_gradient_ball_bit_identical_to_point_loop(cfg, n, kind):
+    xi = gaussian(np.linspace(0.4, 0.1, n))
+    x0 = np.linspace(0.1, -0.05, n)
+    W = x0 + _ball_batch(n, 1.0, kind, seed=n)
+    got = nl_gradient_ball(x0, 1.0, xi, 0.5, W, cfg)
+    assert np.array_equal(got, _nl_gradient_ball_reference(x0, 1.0, xi, 0.5, W, cfg))
+
+
+def test_nl_gradient_ball_all_rays_miss(cfg, gauss2d):
+    """Seen from (0, 20), the unit ball lies between two of the 32 rule
+    directions: no ray hits it, so the value is exactly zero."""
+    W = np.array([[0.0, 20.0], [0.3, 0.2]])
+    got = nl_gradient_ball((0.0, 0.0), 1.0, gauss2d, 0.5, W, cfg)
+    assert np.array_equal(got[0], np.zeros(2))
+    assert np.array_equal(got, _nl_gradient_ball_reference((0.0, 0.0), 1.0, gauss2d, 0.5, W, cfg))
+    assert np.any(got[1] != 0.0)
+
+
+def test_nl_gradient_ball_single_point(cfg, gauss2d):
+    w = np.array([1.4, -0.3])
+    got = nl_gradient_ball((0.0, 0.0), 1.0, gauss2d, 0.5, w, cfg)
+    assert got.shape == (2,)
+    ref = _nl_gradient_ball_reference((0.0, 0.0), 1.0, gauss2d, 0.5, w, cfg)
+    assert np.array_equal(got, ref[0])
+
+
+_PERM_BATCH = _ball_batch(2, 1.0, "mixed", m=24, seed=7)
+_PERM_OUT = nl_gradient_ball((0.0, 0.0), 1.0, gaussian((0.4, 0.2)), 0.5, _PERM_BATCH,
+                             QuadratureConfig())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(len(_PERM_BATCH))))
+def test_nl_gradient_ball_permutation_property(perm):
+    """Permuting the batch permutes the output bit for bit: a point's value
+    does not depend on its panel group or block neighbours."""
+    perm = np.array(perm)
+    got = nl_gradient_ball((0.0, 0.0), 1.0, gaussian((0.4, 0.2)), 0.5, _PERM_BATCH[perm],
+                           QuadratureConfig())
+    assert np.array_equal(got, _PERM_OUT[perm])
+
+
 # ---------------------------------------------------------------------------
 # mollified pole fields
 
@@ -315,6 +436,36 @@ def test_duality_pairing_zero_test_function(cfg, gauss2d):
     zero = gauss2d.scaled(0.0)
     val, est = duality_pairing(dp, zero, cfg)
     assert val == pytest.approx(0.0, abs=1e-10)
+
+
+def _bulk_sum_reference(F, G, poles, pole_radius, stride):
+    """The per-stride bulk lattice sum that _bulk_sums fuses: the windows and
+    the field evaluated over the whole strided lattice."""
+    n = F.n
+    L = 16.0
+    pts = G.grid.node_points()[(slice(None, None, stride),) * n]
+    gv = np.moveaxis(G.data, 0, -1)[(slice(None, None, stride),) * n]
+    w = np.ones(pts.shape[:-1])
+    for p in poles:
+        dist = np.sqrt(np.sum((pts - p) ** 2, axis=-1))
+        w *= 1.0 - _window(dist, 0.5 * pole_radius, pole_radius)
+    w *= _window(np.sqrt(np.sum(pts * pts, axis=-1)), L / 2.0 - 3.0, L / 2.0 - 1.0)
+    return float(np.sum(w * np.sum(F(pts) * gv, axis=-1))) * G.grid.cell_volume * stride**n
+
+
+@pytest.mark.parametrize("kind", ["delta_pair", "convolved"])
+def test_bulk_sums_bit_identical_to_per_stride_sums(kind):
+    if kind == "delta_pair":
+        pf, xi = make_delta_pair(Y, Z, 0.5), gaussian((0.4, 0.2))
+    else:
+        nu = RadonMeasure(n=2, atom_points=np.array([[-1.2, -0.3], [0.4, 0.8], [-0.1, -1.0]]),
+                          atom_weights=np.array([0.7, -0.4, 1.1]))
+        pf, xi = make_convolved(nu, 0.6), gaussian((0.2, 0.0), width=1.2)
+    G = spectral_gradient_of(xi, pf.alpha)
+    radius = _pole_radius(pf.poles)
+    fine, coarse = _bulk_sums(pf.field, G, pf.poles, radius)
+    assert fine == _bulk_sum_reference(pf.field, G, pf.poles, radius, 1)
+    assert coarse == _bulk_sum_reference(pf.field, G, pf.poles, radius, 2)
 
 
 def test_cache_tokens_hold_plain_numbers():

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import (
     GridSpec,
+    VectorField,
     _dist2,
     _inner,
     ball_indicator,
@@ -20,7 +21,6 @@ from fracfield.fields import (
     lin_comb,
     mollifier,
     scalar_times_vector,
-    vector_from_components,
 )
 
 
@@ -142,12 +142,6 @@ def test_combinators_hints():
     assert gF.support_radius == min(g.support_radius, F.support_radius)
 
 
-def test_vector_from_components_validation():
-    f = gaussian((0.0, 0.0))
-    with pytest.raises(ConfigError):
-        vector_from_components([f])  # 1 component for n=2
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5))
 def test_scaled_field_property(x, y):
@@ -195,18 +189,37 @@ def test_inner_and_dist2_bit_identical_to_numpy_sum(pair):
         assert np.array_equal(_dist2(layout(a), layout(b)), dist)
 
 
+def _vector_from_components_reference(components):
+    """The vector field whose k-th component is components[k], with the
+    hints merged conservatively: the reference for gaussian_vector."""
+    sups = [c.support_radius for c in components]
+    decays = [c.decay for c in components]
+    sups_b = [c.sup_bound for c in components]
+    toks = [c.cache_token for c in components]
+    return VectorField(
+        n=components[0].n,
+        fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components], axis=-1),
+        support_radius=None if any(s is None for s in sups) else max(sups),
+        decay=None if any(d is None for d in decays)
+        else (sum(d[0] for d in decays), min(d[1] for d in decays)),
+        sup_bound=None if any(v is None for v in sups_b) else max(sups_b),
+        smooth=all(c.smooth for c in components),
+        cache_token=None if any(t is None for t in toks) else "vec(" + ",".join(toks) + ")",
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gaussian_vector_bit_identical_to_component_stack(n):
     center = np.linspace(0.3, -0.2, n)
     amps = np.linspace(-1.5, 2.0, n)
     F = gaussian_vector(center, 0.7, amps)
-    ref = vector_from_components([gaussian(center, 0.7, float(a)) for a in amps])
+    ref = _vector_from_components_reference([gaussian(center, 0.7, float(a)) for a in amps])
     pts = np.random.default_rng(n).uniform(-3.5, 3.5, (40, 7, n))
     assert np.array_equal(F(pts), ref(pts))
     assert np.array_equal(F.fn(pts), ref.fn(pts))
     for hint in ("n", "support_radius", "decay", "sup_bound", "smooth", "cache_token"):
         assert getattr(F, hint) == getattr(ref, hint), hint
     default = gaussian_vector(center)
-    assert default.cache_token == vector_from_components([gaussian(center)] * n).cache_token
+    assert default.cache_token == _vector_from_components_reference([gaussian(center)] * n).cache_token
     with pytest.raises(ConfigError):
         gaussian_vector(center, 0.7, np.ones(n + 1))

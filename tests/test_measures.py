@@ -72,3 +72,43 @@ def test_ball_mass_monotone_for_nonnegative(k, seed):
     center = rng.uniform(-1, 1, size=2)
     masses = [measure_ball_mass(mu, center, r) for r in (0.2, 0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
+
+
+def _measure_ball_mass_reference(mu, center, r):
+    """Ball mass over the full grid of cell centres: the bit reference for
+    measure_ball_mass, which visits only the cells the ball can reach."""
+    c = np.asarray(center, dtype=float).reshape(mu.n)
+    total = 0.0
+    if mu.atom_points.shape[0]:
+        d2 = np.sum((mu.atom_points - c) ** 2, axis=-1)
+        total += float(np.sum(mu.atom_weights[d2 < r * r]))
+    grid = mu.density_grid
+    centers = grid.center_points()
+    dist = np.sqrt(np.sum((centers - c) ** 2, axis=-1))
+    half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
+    inside = dist <= r - half_diag
+    total += float(np.sum(mu.density_values[inside])) * grid.cell_volume
+    boundary = (~inside) & (dist < r + half_diag)
+    if np.any(boundary):
+        axes = [(np.arange(4) + 0.5) / 4.0 * h - 0.5 * h for h in grid.spacing]
+        offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mu.n)
+        sub = centers[boundary][:, None, :] + offs[None, :, :]
+        frac = np.mean(np.sum((sub - c) ** 2, axis=-1) < r * r, axis=1)
+        total += float(np.sum(mu.density_values[boundary] * frac)) * grid.cell_volume
+    return total
+
+
+@pytest.mark.parametrize("n, counts", [(1, 500), (2, 96), (3, 24)])
+def test_ball_mass_bit_identical_to_full_grid(n, counts):
+    grid = GridSpec((-1.5,) * n, (2.0,) * n, (counts,) * n)
+    rng = np.random.default_rng(n)
+    mu = RadonMeasure(n=n, atom_points=rng.uniform(-1, 1, (3, n)),
+                      atom_weights=rng.uniform(-1, 1, 3), density_grid=grid,
+                      density_values=rng.uniform(-1.0, 2.0, grid.counts))
+    cases = [(np.full(n, 0.3), r) for r in (0.05, 0.4, 1.1)]
+    cases += [(np.full(n, -1.5), 0.6),   # a corner of the grid
+              (np.full(n, 2.0), 0.35),    # the opposite corner
+              (np.full(n, 0.1), 9.0),     # a ball larger than the box
+              (np.full(n, 5.0), 0.5)]     # a ball off the grid
+    for center, r in cases:
+        assert measure_ball_mass(mu, center, r) == _measure_ball_mass_reference(mu, center, r)

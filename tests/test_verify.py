@@ -115,6 +115,16 @@ def test_ball_ibp_large_radius_degenerates(cfg, gauss_vec2d):
     assert rep.passed
 
 
+@pytest.mark.parametrize("r", [0.8, 1.0, 1.3])
+def test_ball_ibp_raises_no_warning(cfg, gauss_vec2d, r):
+    """The sphere-gradient term samples the profile at its singular-rule
+    nodes, which stay above grad_chi_ball's 1e-9 r accuracy floor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_ball_ibp(gauss_vec2d, gaussian((0.4, 0.2)), np.zeros(2), r, 0.5, cfg)
+    assert rep.passed
+
+
 def test_decay_scan_radius_rescaling_invariance(cfg):
     dp = make_delta_pair((0.0, 0.0), (1.0, 0.0), 0.5)
     r1 = decay_scan(dp, 0.5, 1.2, (0.0, 0.0), np.geomspace(0.02, 0.4, 6),
@@ -162,8 +172,11 @@ def test_default_suite_all_green_and_budgeted(cfg):
     import time
 
     t0 = time.time()
-    reports = run_suite(cfg, seed=0, jobs=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = run_suite(cfg, seed=0, jobs=1)
     wall = time.time() - t0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(reports) >= 12
     assert [r.name for r in reports] == sorted(default_suite_registry(cfg))
     failures = [r.name for r in reports if not r.passed]
