@@ -7,8 +7,9 @@ Run from the repository root:
 
 `benchmarks/` sits outside the `testpaths` of pyproject.toml, so the tier-1
 suite never runs these. Each field benchmark evaluates 1M points shaped like
-a block of the direct engine's node template, (points, radii, angles, n), and
-stores its median cost per point as `extra_info["ns_per_eval"]`. The raw
+a block of the direct engine's node template, (points, radii, angles, n),
+stored component-major the way `_polar_sum` stores its blocks, and stores its
+median cost per point as `extra_info["ns_per_eval"]`. The raw
 evaluator (`fn`) and the masked `__call__` are timed apart, so their
 difference is the cost of the support mask.
 
@@ -41,7 +42,8 @@ EVALS = BLOCK[0] * BLOCK[1] * BLOCK[2]
 
 @pytest.fixture(scope="module")
 def points():
-    return np.random.default_rng(0).uniform(-4.0, 4.0, BLOCK)
+    # (n, points, radii, angles) storage seen as (points, radii, angles, n)
+    return np.random.default_rng(0).uniform(-4.0, 4.0, BLOCK[-1:] + BLOCK[:-1]).transpose(1, 2, 3, 0)
 
 
 FIELDS = {
@@ -92,9 +94,10 @@ def test_far_source_rule(benchmark):
     _per_point(benchmark, DIRECT_OPS["frac_gradient"], X)
 
 
-def test_embed_1024(benchmark):
-    out = benchmark(embed, FIELDS["gaussian"], 16.0, 1024)
-    assert out.data.shape == (1024, 1024)
+@pytest.mark.parametrize("name", FIELDS)
+def test_embed_1024(benchmark, name):
+    out = benchmark(embed, FIELDS[name], 16.0, 1024)
+    assert out.data.shape == (2,) * out.vector + (1024, 1024)
 
 
 def _first_calls(name, run):

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _dist2, _inner
+from .fields import ScalarField, VectorField, _dist2, _inner, _leading, _trailing
 from .measures import RadonMeasure, _index_box
 from .quadrature import (
     QuadratureConfig,
@@ -46,13 +46,18 @@ _E1 = {1: np.array([1.0]), 2: np.array([1.0, 0.0]), 3: np.array([1.0, 0.0, 0.0])
 _PROFILE_T_MAX = 48.0  # range of the mollified kernel profile
 
 
+def _diff(pts: Array, pole: Array) -> Array:
+    """x - p for points (..., n), stored component-major: (n, ...)."""
+    return np.subtract(_leading(pts), pole.reshape((-1,) + (1,) * (pts.ndim - 1)), order="C")
+
+
 def _pair_kernel(pts: Array, pole: Array, expo: float) -> Array:
-    """(x-p)/|x-p|^expo, zero at the pole itself."""
-    d = pts - pole
-    r2 = _inner(d)
+    """(x-p)/|x-p|^expo as (n, ...), zero at the pole itself."""
+    d = _diff(pts, pole)
+    r2 = _inner(_trailing(d))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(r2 > 0.0, r2 ** (-expo / 2.0), 0.0)
-    return d * w[..., None]
+    return d * w
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,11 @@ def _pole_radius(poles: Array) -> float:
 
 
 def _measured_decay(fn, n: int, s: float, ring: float) -> tuple[float, float]:
-    """Empirical decay constant: C = max |F| on a far ring, times margin."""
+    """Empirical decay constant: C = max |F| on a far ring, times margin;
+    fn is a vector evaluator, values (n, ...)."""
     dirs, _ = sphere_rule(n, 32)
     vals = fn(ring * dirs)
-    mag = float(np.max(np.sqrt(_inner(vals))))
+    mag = float(np.max(np.sqrt(_inner(_trailing(vals)))))
     return (1.3 * mag * ring**s, s)
 
 
@@ -170,7 +176,7 @@ def make_convolved(nu: RadonMeasure, alpha: float) -> ConvolvedField:
     w = nu.atom_weights
 
     def fn(pts: Array) -> Array:
-        acc = np.zeros(pts.shape)
+        acc = np.zeros((n,) + pts.shape[:-1])
         for yi, wi in zip(pts_y, w):
             acc += wi * (_pair_kernel(pts, yi, expo) - _pair_kernel(pts, yi + e1, expo))
         return mu_minus * acc
@@ -522,12 +528,12 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         raise DomainError("evaluation point must sit outside the pole windows")
 
     def wfn(pts: Array) -> Array:
-        vals = np.asarray(F(pts))
-        w = np.ones(vals.shape[:-1])
+        vals = _leading(np.asarray(F(pts)))
+        w = np.ones(vals.shape[1:])
         for p in poles:
             dist = np.sqrt(_dist2(pts, p))
             w = w * (1.0 - _window(dist, 0.5 * d, d))
-        return w[..., None] * vals
+        return w * vals
 
     G = VectorField(n=n, fn=wfn, decay=F.decay, smooth=False)
     base = frac_divergence(G, alpha, x, cfg)
@@ -538,7 +544,9 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
     corr = 0.0
     for p in poles:
         pts = p[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        fv = F(pts.reshape(-1, n)).reshape(rr.shape[0], dirs.shape[0], n)
+        # einsum sums a contiguous k axis in another order than a strided
+        # one, so the contraction reads a (R, A, n) copy of the field values
+        fv = np.ascontiguousarray(F(pts.reshape(-1, n)).reshape(rr.shape[0], dirs.shape[0], n))
         diff = pts - x[None, None, :]
         dn = np.sqrt(_inner(diff))
         kv = diff * (dn ** (-(n + alpha + 1.0)))[..., None]
@@ -614,13 +622,13 @@ def mollified_pole_field(pole_field, eps: float) -> VectorField:
     ts, kappa = _mollified_kernel_profile(n, alpha, float(eps))
 
     def fn(pts: Array) -> Array:
-        acc = np.zeros(pts.shape)
+        acc = np.zeros((n,) + pts.shape[:-1])
         for p, s in zip(poles, strengths):
-            d = pts - p
-            dist = np.sqrt(_inner(d))
+            d = _diff(pts, p)
+            dist = np.sqrt(_inner(_trailing(d)))
             k = np.interp(dist, ts, kappa, right=0.0)
             safe = np.where(dist > 0.0, dist, 1.0)
-            acc += s * (k / safe)[..., None] * d
+            acc += s * (k / safe) * d
         return acc
 
     s_dec = n + 1.0 - alpha
@@ -677,7 +685,7 @@ def _bulk_sums(F: VectorField, G: PeriodicField, poles: Array,
     rad = np.sqrt(_inner(pts))
     edge = rad > L / 2.0 - 3.0
     w[edge] *= _window(rad[edge], L / 2.0 - 3.0, L / 2.0 - 1.0)
-    prod = w * _inner(F(pts), np.moveaxis(G.data, 0, -1))
+    prod = w * _inner(F(pts), _trailing(G.data))
     # numpy sums a strided view in another order than a lattice of its own,
     # so the coarse sum runs over a contiguous copy
     coarse = np.ascontiguousarray(prod[(slice(None, None, 2),) * n])

@@ -1,9 +1,14 @@
 """Grids, scalar/vector fields, and the canonical bump profiles.
 
-Fields are immutable value objects wrapping a vectorized evaluator
-(points shaped (..., n) -> values shaped (...)), plus the metadata the
-quadrature engine needs for tails and error bounds: a hard support radius
-about the origin, or a decay envelope |f(x)| <= C |x|^(-s), and a sup bound.
+Fields are immutable value objects wrapping a vectorized evaluator, plus the
+metadata the quadrature engine needs for tails and error bounds: a hard
+support radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s),
+and a sup bound. Scalar evaluators map points (..., n) to values (...).
+Vector evaluators return their values component-major, (n, ...), so every
+elementwise step runs over contiguous component planes; calling a
+VectorField still returns (..., n), as a transposed view of that storage.
+Grid points are stored the same way: one (n, *counts) array seen as
+(*counts, n).
 """
 
 from __future__ import annotations
@@ -72,8 +77,14 @@ class GridSpec:
         return self.lower[i] + h * (np.arange(self.counts[i]) + 0.5)
 
     def _mesh(self, axes: list[Array]) -> Array:
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        """The points of the lattice axes[0] x ... x axes[n-1], stored
+        component-major in one (n, *counts) array and returned as its
+        (*counts, n) view."""
+        n = len(axes)
+        out = np.empty((n,) + tuple(len(a) for a in axes))
+        for k, a in enumerate(axes):
+            out[k] = a.reshape((-1,) + (1,) * (n - 1 - k))
+        return _trailing(out)
 
     def node_points(self) -> Array:
         return self._mesh([self.axis_nodes(i) for i in range(self.n)])
@@ -107,6 +118,16 @@ def _dist2(p: Array, c: Array) -> Array:
         d *= d
         out += d
     return out
+
+
+def _trailing(v: Array) -> Array:
+    """(n, ...) -> (..., n): the component axis moved last, as a view."""
+    return v.transpose(*range(1, v.ndim), 0)
+
+
+def _leading(v: Array) -> Array:
+    """(..., n) -> (n, ...): the component axis moved first, as a view."""
+    return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
 
 def _as_points(x, n: int) -> Array:
@@ -167,10 +188,14 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """n-component field sharing one set of metadata hints."""
+    """n-component field sharing one set of metadata hints.
+
+    `fn` maps points (..., n) to values stored component-major, (n, ...);
+    calling the field masks those values and returns them as (..., n).
+    """
 
     n: int
-    fn: Callable[[Array], Array]  # (..., n) -> (..., n)
+    fn: Callable[[Array], Array]  # (..., n) -> (n, ...)
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None
     sup_bound: Optional[float] = None
@@ -180,16 +205,16 @@ class VectorField:
     def __call__(self, x) -> Array:
         pts = _as_points(x, self.n)
         single = np.asarray(x, dtype=float).shape == (self.n,)
-        vals = np.asarray(self.fn(pts), dtype=float)
+        vals = np.asarray(self.fn(pts), dtype=float)             # (n, ...)
         if self.support_radius is not None:
             r2 = _inner(pts)
-            vals = np.where(r2[..., None] <= self.support_radius**2, vals, 0.0)
-        return vals[0] if single else vals
+            vals = np.where(r2 <= self.support_radius**2, vals, 0.0)
+        return vals[:, 0] if single else _trailing(vals)
 
     def component(self, i: int) -> ScalarField:
         return ScalarField(
             n=self.n,
-            fn=lambda p, i=i: np.asarray(self.fn(p))[..., i],
+            fn=lambda p, i=i: np.asarray(self.fn(p))[i],
             support_radius=self.support_radius,
             decay=self.decay,
             sup_bound=self.sup_bound,
@@ -223,7 +248,7 @@ def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
     support = None if all(s is None for s in sups) else min(s for s in sups if s is not None)
     return VectorField(
         n=g.n,
-        fn=lambda p: np.asarray(g(p))[..., None] * np.asarray(F(p)),
+        fn=lambda p: np.asarray(g(p)) * _leading(np.asarray(F(p))),
         support_radius=support,
         sup_bound=None
         if g.sup_bound is None or F.sup_bound is None
@@ -270,8 +295,9 @@ def gaussian_vector(center: Sequence[float], width: float = 1.0,
                     amplitudes: Optional[Sequence[float]] = None) -> VectorField:
     """Vector field (a_1, ..., a_n) * exp(-pi |x-c|^2 / w^2).
 
-    One exp per point, scaled by the amplitude vector: the same bits and
-    hints as the stack of the n component Gaussians.
+    One exp per point, scaled by the amplitude vector into (n, ...)
+    storage: the same bits and hints as the stack of the n component
+    Gaussians.
     """
     c = np.asarray(center, dtype=float)
     n = c.shape[0]
@@ -282,7 +308,7 @@ def gaussian_vector(center: Sequence[float], width: float = 1.0,
     w = float(width)
     return VectorField(
         n=n,
-        fn=lambda p: unit.fn(p)[..., None] * amps,
+        fn=lambda p: np.multiply.outer(amps, unit.fn(p)),
         support_radius=unit.support_radius,
         sup_bound=float(np.max(np.abs(amps))),
         smooth=True,

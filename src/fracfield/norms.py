@@ -47,9 +47,7 @@ def lp_norm(f: Union[ScalarField, VectorField], p: float, domain: GridSpec,
     axes = [domain.axis_centers(i) for i in range(n)]
     total = 0.0
     for lo in range(0, domain.counts[0], chunk_rows):
-        rows = axes[0][lo : lo + chunk_rows]
-        mesh = np.meshgrid(rows, *axes[1:], indexing="ij")
-        pts = np.stack(mesh, axis=-1)
+        pts = domain._mesh([axes[0][lo : lo + chunk_rows]] + axes[1:])
         total += float(np.sum(_abs_values(f, pts) ** p)) * vol
     if f.decay is not None:
         C, s = f.decay
@@ -64,9 +62,9 @@ def _sup_norm(f, domain: GridSpec) -> float:
     n = domain.n
     pts = domain.center_points()
     vals = _abs_values(f, pts)
-    flat = int(np.argmax(vals))
-    best = float(vals.reshape(-1)[flat])
-    x = pts.reshape(-1, n)[flat].copy()
+    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = float(vals[at])
+    x = pts[at].copy()
     step = np.array(domain.spacing)
     for _ in range(40):
         offs = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T

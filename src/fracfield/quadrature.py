@@ -345,7 +345,8 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
         r_rest, w_rest = panel_radial_rule(r0, S, 1.5, m_panel)
         r = np.concatenate([r_first, r_rest])
         wr = np.concatenate([w_first, w_rest])
-        y = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+        # source nodes stored component-major, (n, Y), and seen as (Y, n)
+        y = (dirs.T[:, None, :] * r[None, :, None]).reshape(n, -1).T
         w = ((wr * r ** (n - 1))[:, None] * w_ang[None, :]).reshape(-1)
         sv = src_fn(y)
         out = np.empty((X.shape[0], n) if out_vector else (X.shape[0],))
@@ -404,7 +405,7 @@ def _integrand(scalars, vec, X: Array, increment: bool):
         f, = scalars
         return lambda pts, dirs, rows: f(pts)
     bases = [f(X) for f in scalars]
-    vbase = None if vec is None else np.ascontiguousarray(vec(X).T)   # (n, m)
+    vbase = None if vec is None else vec(X).T  # (n, m)
 
     def numer(pts, dirs, rows):
         vals = None

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmbeddingError
-from .fields import GridSpec, VectorField
+from .fields import GridSpec, VectorField, _leading
 
 Array = np.ndarray
 _BOX = 16.0  # side of the box the cached spectral results are embedded in
@@ -79,7 +79,12 @@ class PeriodicField:
         return float(np.mean(self.data))
 
     def sample_linear(self, x) -> Array:
-        """Periodic multilinear interpolation at arbitrary points."""
+        """Periodic multilinear interpolation at arbitrary points.
+
+        Each corner's weight and wrapped index are built once and applied to
+        every component; vector values are stored component-major and
+        returned as (..., n).
+        """
         pts = np.asarray(x, dtype=float)
         single = pts.shape == (self.n,)
         P = pts.reshape(-1, self.n)
@@ -91,24 +96,19 @@ class PeriodicField:
             j = np.floor(t).astype(int)
             frac.append(t - j)
             idx.append(np.mod(j, counts[i]))
-        comps = self.data[None, ...] if not self.vector else self.data
-        outs = []
-        for c in comps:
-            acc = np.zeros(P.shape[0])
-            for corner in range(2**self.n):
-                w = np.ones(P.shape[0])
-                sel = []
-                for i in range(self.n):
-                    bit = (corner >> i) & 1
-                    w = w * (frac[i] if bit else (1.0 - frac[i]))
-                    sel.append(np.mod(idx[i] + bit, counts[i]))
-                acc += w * c[tuple(sel)]
-            outs.append(acc)
-        out = outs[0] if not self.vector else np.stack(outs, axis=-1)
-        if single:
-            return out[0]
-        shape = pts.shape[:-1]
-        return out.reshape(shape) if not self.vector else out.reshape(shape + (self.n,))
+        comps = self.data if self.vector else self.data[None, ...]
+        out = np.zeros((comps.shape[0], P.shape[0]))
+        for corner in range(2**self.n):
+            w = np.ones(P.shape[0])
+            sel = [slice(None)]
+            for i in range(self.n):
+                bit = (corner >> i) & 1
+                w = w * (frac[i] if bit else (1.0 - frac[i]))
+                sel.append(np.mod(idx[i] + bit, counts[i]))
+            out += w * comps[tuple(sel)]
+        if not self.vector:
+            return out[0, 0] if single else out[0].reshape(pts.shape[:-1])
+        return out[:, 0] if single else out.T.reshape(pts.shape[:-1] + (self.n,))
 
     @cached_property
     def _spectrum(self) -> Array:
@@ -265,8 +265,8 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
         )
     grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n, periodic=True)
     data = field(grid.node_points())
-    if isinstance(field, VectorField):  # (..., n) -> component axis first
-        return PeriodicField(grid, np.moveaxis(data, -1, 0), vector=True)
+    if isinstance(field, VectorField):  # the (n, ...) storage behind the call's view
+        return PeriodicField(grid, _leading(data), vector=True)
     return PeriodicField(grid, data)
 
 

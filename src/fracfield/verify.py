@@ -470,7 +470,9 @@ def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
     def angular_avg(rhos, m_ang):
         dirs, w_ang = sphere_rule(n, m_ang)
         pts = x0[None, None, :] + rhos[:, None, None] * dirs[None, :, :]
-        fv = F(pts.reshape(-1, n)).reshape(len(rhos), len(dirs), n)
+        # einsum sums a contiguous k axis in another order than a strided
+        # one, so the contraction reads a (R, A, n) copy of the field values
+        fv = np.ascontiguousarray(F(pts.reshape(-1, n)).reshape(len(rhos), len(dirs), n))
         xv = xi(pts.reshape(-1, n)).reshape(len(rhos), len(dirs))
         proj = np.einsum("rak,ak->ra", fv, dirs)
         return np.einsum("ra,ra,a->r", xv, proj, w_ang)

@@ -198,7 +198,7 @@ def _vector_from_components_reference(components):
     toks = [c.cache_token for c in components]
     return VectorField(
         n=components[0].n,
-        fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components], axis=-1),
+        fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components]),
         support_radius=None if any(s is None for s in sups) else max(sups),
         decay=None if any(d is None for d in decays)
         else (sum(d[0] for d in decays), min(d[1] for d in decays)),

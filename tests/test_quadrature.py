@@ -394,8 +394,8 @@ def test_batch_matches_single(cfg, gauss2d):
 def test_constant_vector_field_divergence_zero(cfg):
     from fracfield.fields import VectorField
 
-    const_vec = VectorField(n=2, fn=lambda p: np.broadcast_to(
-        np.array([1.5, -0.5]), p.shape).copy(), decay=(0.0, 1.0))
+    const_vec = VectorField(n=2, fn=lambda p: np.multiply.outer(
+        np.array([1.5, -0.5]), np.ones(p.shape[:-1])), decay=(0.0, 1.0))
     r = frac_divergence(const_vec, 0.5, (0.3, -0.1), cfg)
     assert r.value == pytest.approx(0.0, abs=1e-14)
 
