@@ -18,6 +18,9 @@ in R^2 and store the median cost per point as `extra_info["us_per_pt"]`.
 Points inside the support run only the near/mid polar passes (fine and
 coarse); points beyond support + 1 run only the far-source rule.
 
+`embed` is timed on the Gaussians above at 1024^2 and on their R^3
+counterparts at 128^3; it evaluates only the index box of the support.
+
 The verifier benchmarks time one layer on the exact inputs of a default
 suite check, captured by running the check's own code once:
 `nl_gradient_ball` on the fine term-3 batch of `ball_ibp_r1.0`,
@@ -98,6 +101,18 @@ def test_far_source_rule(benchmark):
 def test_embed_1024(benchmark, name):
     out = benchmark(embed, FIELDS[name], 16.0, 1024)
     assert out.data.shape == (2,) * out.vector + (1024, 1024)
+
+
+FIELDS_3D = {
+    "gaussian": gaussian((0.2, -0.1, 0.1), 0.9, 1.3),
+    "gaussian_vector": gaussian_vector((0.2, -0.1, 0.1), 0.9, (1.0, 0.5, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS_3D)
+def test_embed_128_3d(benchmark, name):
+    out = benchmark(embed, FIELDS_3D[name], 16.0, 128)
+    assert out.data.shape == (3,) * out.vector + (128, 128, 128)
 
 
 def _first_calls(name, run):

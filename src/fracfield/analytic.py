@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _dist2, _inner, _leading, _trailing
-from .measures import RadonMeasure, _index_box
+from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing
+from .measures import RadonMeasure
 from .quadrature import (
     QuadratureConfig,
     _blocks,

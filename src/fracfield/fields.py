@@ -93,6 +93,18 @@ class GridSpec:
         return self._mesh([self.axis_centers(i) for i in range(self.n)])
 
 
+def _index_box(axes: list[Array], center: Sequence[float], radius: float) -> tuple[slice, ...]:
+    """Index slices of a rectilinear lattice (one sorted coordinate array per
+    axis) covering every node within `radius` of `center`, with one node to
+    spare on each side against rounding."""
+    box = []
+    for ax, ck in zip(axes, center):
+        lo = int(np.searchsorted(ax, ck - radius)) - 1
+        hi = int(np.searchsorted(ax, ck + radius, side="right")) + 1
+        box.append(slice(max(lo, 0), min(hi, ax.shape[0])))
+    return tuple(box)
+
+
 def _inner(a: Array, b: Optional[Array] = None) -> Array:
     """sum_k a[..., k] * b[..., k] over the trailing (space) axis; |a|^2
     when b is omitted.

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .fields import GridSpec, _dist2
+from .fields import GridSpec, _dist2, _index_box
 
 Array = np.ndarray
 
@@ -113,18 +113,6 @@ def measure_ball_mass(mu: RadonMeasure, center, r: float) -> float:
             frac = np.mean(_dist2(sub, c) < r * r, axis=1)
             total += float(np.sum(bv * frac)) * vol
     return total
-
-
-def _index_box(axes: list[Array], center: Array, radius: float) -> tuple[slice, ...]:
-    """Index slices of a rectilinear lattice (one sorted coordinate array per
-    axis) covering every node within `radius` of `center`, with one node to
-    spare on each side against rounding."""
-    box = []
-    for ax, ck in zip(axes, center):
-        lo = int(np.searchsorted(ax, ck - radius)) - 1
-        hi = int(np.searchsorted(ax, ck + radius, side="right")) + 1
-        box.append(slice(max(lo, 0), min(hi, ax.shape[0])))
-    return tuple(box)
 
 
 def _subcell_offsets(grid: GridSpec) -> Array:

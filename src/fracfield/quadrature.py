@@ -97,29 +97,34 @@ class OperatorResult:
             raise ConfigError("error estimate must be finite and nonnegative")
 
 
+def _read_only(*arrays: Array) -> tuple[Array, ...]:
+    """The arrays, frozen: a cached rule is shared by every later call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=128)
 def _leggauss(m: int) -> tuple[Array, Array]:
     """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    t, w = np.polynomial.legendre.leggauss(int(m))
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _read_only(*np.polynomial.legendre.leggauss(int(m)))
 
 
 @lru_cache(maxsize=128)
 def sphere_rule(n: int, m: int) -> tuple[Array, Array]:
-    """Directions and weights integrating over S^(n-1) (weights sum to its area).
+    """Directions and weights integrating over S^(n-1) (weights sum to its
+    area), shared read-only.
 
     n=1: the two signs. n=2: m equi-spaced angles (rounded up to even).
     n=3: Gauss-Legendre latitudes x uniform longitudes.
     """
     if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     m = int(m) + (int(m) % 2)
     if n == 2:
         th = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return dirs, np.full(m, 2.0 * math.pi / m)
+        return _read_only(dirs, np.full(m, 2.0 * math.pi / m))
     if n == 3:
         lat = max(4, m // 2)
         c, wc = _leggauss(lat)
@@ -134,7 +139,7 @@ def sphere_rule(n: int, m: int) -> tuple[Array, Array]:
             axis=-1,
         )
         w = np.outer(wc, np.full(m, 2.0 * math.pi / m)).ravel()
-        return dirs, w
+        return _read_only(dirs, w)
     raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
 
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmbeddingError
-from .fields import GridSpec, VectorField, _leading
+from .fields import GridSpec, VectorField, _index_box, _leading
 
 Array = np.ndarray
 _BOX = 16.0  # side of the box the cached spectral results are embedded in
@@ -149,6 +149,8 @@ def _freq_grids(grid: GridSpec) -> tuple[tuple[Array, ...], Array]:
             axes.append(np.fft.fftfreq(c, d=h))
     ks = np.meshgrid(*axes, indexing="ij", sparse=True)
     mag = np.sqrt(sum(k**2 for k in ks)) * (2.0 * math.pi)
+    for a in (*ks, mag):  # shared by every later call: read-only
+        a.setflags(write=False)
     return tuple(ks), mag
 
 
@@ -163,7 +165,8 @@ def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicFie
     grid = f.grid
     ks, mag = _freq_grids(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0.0, mag ** power, 0.0)
+        amp = mag ** power
+    amp[(0,) * grid.n] = 0.0  # mag vanishes only at the zero mode
     axes = tuple(range(grid.n))
     spec = None if f.vector else np.fft.rfftn(f.data)
     comps, acc = [], None
@@ -248,7 +251,8 @@ def spectral_riesz_transform(f: PeriodicField) -> PeriodicField:
 def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
     """Sample a compactly supported field on a centered periodic box.
 
-    Requires support_radius < L/2 - margin so the periodic images of the
+    The field is called only on the index box of its support. Requires
+    support_radius < L/2 - margin so the periodic images of the
     |x|^(-n-alpha) operator tails stay controlled.
     """
     L = float(L)
@@ -264,9 +268,17 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
             f"support radius {sup} exceeds L/2 - margin = {L / 2.0 - margin}"
         )
     grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n, periodic=True)
-    data = field(grid.node_points())
-    if isinstance(field, VectorField):  # the (n, ...) storage behind the call's view
-        return PeriodicField(grid, _leading(data), vector=True)
+    # every node outside the support's index box has some |x_i| > sup, where
+    # the support mask gives +0.0: only the box is evaluated
+    axes = [grid.axis_nodes(i) for i in range(n)]
+    box = _index_box(axes, (0.0,) * n, sup)
+    vals = field(grid._mesh([a[s] for a, s in zip(axes, box)]))
+    if isinstance(field, VectorField):  # (n, ...) storage
+        data = np.zeros((n,) + grid.counts)
+        data[(slice(None),) + box] = _leading(vals)
+        return PeriodicField(grid, data, vector=True)
+    data = np.zeros(grid.counts)
+    data[box] = vals
     return PeriodicField(grid, data)
 
 

@@ -94,6 +94,16 @@ def test_cached_gauss_legendre_rule_is_read_only():
         w *= 2.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_sphere_rule_is_read_only(n):
+    dirs, w = sphere_rule(n, 16)
+    assert sphere_rule(n, 16)[0] is dirs
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         QuadratureConfig(near_radius=-1.0)

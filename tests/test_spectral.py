@@ -8,6 +8,7 @@ from fracfield.fields import GridSpec, ball_indicator, gaussian
 from fracfield.quadrature import QuadratureConfig, frac_gradient_batch, riesz_potential_batch
 from fracfield.spectral import (
     PeriodicField,
+    _freq_grids,
     embed,
     random_band_limited,
     spectral_frac_divergence,
@@ -46,6 +47,16 @@ def test_embed_margins():
     object.__setattr__(bare, "support_radius", None)
     with pytest.raises(EmbeddingError):
         embed(bare, 16.0, 64)
+
+
+def test_cached_frequency_grids_are_read_only(small_grid):
+    ks, mag = _freq_grids(small_grid)
+    assert _freq_grids(small_grid)[1] is mag
+    with pytest.raises(ValueError):
+        mag[0, 0] = 1.0
+    for k in ks:
+        with pytest.raises(ValueError):
+            k *= 2.0
 
 
 def test_roundtrip_and_sampling(gauss_pf):
