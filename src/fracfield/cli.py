@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliconfig import KINDS, OPERATORS, ExperimentConfig, load_config
-from .errors import ConfigError, DomainError, EmbeddingError, FracfieldError, PreconditionError
+from .cliconfig import ENGINES, KINDS, OPERATORS, ExperimentConfig, load_config
+from .errors import ConfigError, DomainError, FracfieldError, PreconditionError
 from .fields import _dist2, _inner
 from .fileio import config_digest, write_grid, write_table
 from .quadrature import frac_gradient_batch
@@ -44,39 +44,24 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--config", required=True, help="TOML or JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--engine", default=None, choices=("direct", "spectral", "both"))
+    parser.add_argument("--engine", default=None, choices=ENGINES)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args(argv)
+    overrides = {key: v for key, v in (("engine", args.engine), ("seed", args.seed),
+                                       ("jobs", args.jobs), ("out", args.out)) if v is not None}
+    if args.jobs is None and "FRACFIELD_JOBS" in os.environ:
+        overrides["jobs"] = os.environ["FRACFIELD_JOBS"]
 
     try:
-        raw = load_config(args.config)
-        cfg = ExperimentConfig.from_dict(raw, kind=args.kind)
-        if args.engine is not None:
-            cfg.engine = args.engine
-            cfg.validate()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        elif "FRACFIELD_JOBS" in os.environ:
-            cfg.jobs = int(os.environ["FRACFIELD_JOBS"])
-        if args.out is not None:
-            cfg.out_dir = args.out
+        cfg = ExperimentConfig.from_dict({**load_config(args.config), **overrides}, kind=args.kind)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        runner = {
-            "op": run_op,
-            "verify": run_verify,
-            "convergence": run_convergence,
-            "decay": run_decay,
-            "bench": run_bench,
-        }[cfg.kind]
-        return runner(cfg, out_dir)
+        return globals()[f"run_{cfg.kind}"](cfg, out_dir, **cfg.params)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DomainError, PreconditionError, EmbeddingError) as e:
+    except (DomainError, PreconditionError) as e:  # EmbeddingError too
         print(f"numerical precondition violated: {e}", file=sys.stderr)
         return 3
     except FracfieldError as e:
@@ -88,27 +73,17 @@ def _digest(cfg: ExperimentConfig) -> str:
     return config_digest(cfg.normalized())
 
 
-def run_op(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_op(cfg: ExperimentConfig, out_dir: Path, operator, field, alpha, grid) -> int:
     """Apply one operator to one field over an output lattice."""
-    section = cfg.raw["op"]
-    operator = section["operator"]
-    alpha = float(section.get("alpha", section.get("order", 0.5)))
-    field = cfg.build_field(section["field"])
-    grid = cfg.grid()
-    qcfg = cfg.quadrature()
     pts = grid.center_points().reshape(-1, grid.n)
-    if cfg.engine == "both":
-        raise ConfigError("op runs take a single engine; use bench to compare")
-
     direct, spectral = OPERATORS[operator]
     if cfg.engine == "spectral":
-        L, N = cfg.spectral_params()
-        pf = embed(field, L, N)
+        pf = embed(field, *cfg.spectral)
         out = spectral(pf, alpha)
         vals = out.sample_linear(pts)
         errs = np.zeros(pts.shape[0])
     else:
-        vals, errs = direct(field, alpha, pts, qcfg)
+        vals, errs = direct(field, alpha, pts, cfg.quadrature)
 
     planes = {}
     vals = np.asarray(vals)
@@ -125,18 +100,13 @@ def run_op(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_verify(cfg: ExperimentConfig, out_dir: Path, names, tolerance_abs) -> int:
     """Run the named verification checks; exit 1 iff any fails."""
-    section = cfg.raw.get("verify", {})
-    checks = section.get("checks", "default")
-    names = None if checks == "default" else list(checks)
-    qcfg = cfg.quadrature()
-    reports = run_suite(qcfg, seed=cfg.seed, jobs=cfg.jobs, names=names)
-    tol_abs = section.get("tolerance_abs")
-    if tol_abs is not None:
+    reports = run_suite(cfg.quadrature, seed=cfg.seed, jobs=cfg.jobs, names=names)
+    if tolerance_abs is not None:
         # override: re-decide every pass flag against a single absolute bound
         for r in reports:
-            r.passed = r.abs_err <= float(tol_abs)
+            r.passed = r.abs_err <= tolerance_abs
             r.branch = "abs-override"
     path = out_dir / "verify_report.jsonl"
     with open(path, "w") as fh:
@@ -150,15 +120,12 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 1 if n_fail else 0
 
 
-def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_convergence(cfg: ExperimentConfig, out_dir: Path, engine, alpha, levels,
+                    base_resolution) -> int:
     """Resolution sweep; emits level/h/value/error/order columns."""
-    section = cfg.raw.get("convergence", {})
-    engine = section.get("engine", "spectral")
-    alpha = float(section.get("alpha", 0.5))
-    levels = int(section.get("levels", 4))
     if engine == "spectral":
-        base = int(section.get("base_resolution", 32))
-        rows = convergence_sweep_spectral(tuple(base * 2**i for i in range(levels)), alpha)
+        rows = convergence_sweep_spectral(
+            tuple(base_resolution * 2**i for i in range(levels)), alpha)
     else:
         rows = convergence_sweep_direct(levels, alpha)
     order = fitted_order(rows)
@@ -173,21 +140,10 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_decay(cfg: ExperimentConfig, out_dir: Path, source, alpha, p, center, radii,
+              expect, target) -> int:
     """Ball-mass scaling table with fitted slope and theoretical floor."""
-    section = cfg.raw["decay"]
-    source = cfg.build_field(section["source"])
-    alpha = float(section.get("alpha", 0.5))
-    p_raw = section.get("p", "inf")
-    p = math.inf if p_raw in ("inf", "Inf") else float(p_raw)
-    if "radii" in section:
-        radii = np.array([float(r) for r in section["radii"]])
-    else:
-        radii = 3.0 ** -np.arange(0, int(section["pow3_levels"]))
-    center = np.array(section.get("center", [0.0] * source.n), dtype=float)
-    expect = section.get("expect", "floor")
-    rep = decay_scan(source, alpha, p, center, radii, expect=expect,
-                     target=section.get("target"))
+    rep = decay_scan(source, alpha, p, center, radii, expect=expect, target=target)
     rows = []
     prev = None
     for r, m in zip(radii, rep.params["masses"]):
@@ -201,7 +157,7 @@ def run_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
         ["r", "mass", "log_r", "log_mass", "running_slope"], rows,
         footer={"fitted_slope": rep.lhs, "theoretical_floor": rep.params["floor"],
                 "expect": expect, "pass": rep.passed},
-        extra={"alpha": alpha, "p": p_raw},
+        extra={"alpha": alpha, "p": p},
     )
     print(f"wrote {path} (slope {rep.lhs:.4f}, floor {rep.params['floor']:.4f}, "
           f"{'pass' if rep.passed else 'informational'})")
@@ -223,22 +179,15 @@ def _bench_points(rng, n: int, m: int):
     return rad[:, None] * dirs
 
 
-def run_bench(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_bench(cfg: ExperimentConfig, out_dir: Path, field, alpha, points) -> int:
     """Wall-time and agreement comparison of the two engines."""
-    section = cfg.raw["bench"]
-    field = cfg.build_field(section["field"])
-    alpha = float(section.get("alpha", 0.5))
-    n_pts = int(section["points"])
-    pts = _bench_points(np.random.default_rng(cfg.seed), field.n, n_pts)
-    qcfg = cfg.quadrature()
-
+    pts = _bench_points(np.random.default_rng(cfg.seed), field.n, points)
     t0 = time.time()
-    dv, _ = frac_gradient_batch(field, alpha, pts, qcfg)
+    dv, _ = frac_gradient_batch(field, alpha, pts, cfg.quadrature)
     t_direct = time.time() - t0
 
-    L, N = cfg.spectral_params()
     t0 = time.time()
-    pf = embed(field, L, N)
+    pf = embed(field, *cfg.spectral)
     sp = spectral_frac_gradient(pf, alpha)
     sv = sp.sample_linear(pts)
     t_spectral = time.time() - t0
@@ -246,8 +195,8 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path) -> int:
     rel = np.sqrt(_dist2(dv, sv)) / np.maximum(np.sqrt(_inner(dv)), 1e-9)
     worst = float(np.max(rel))
     rows = [
-        ["direct", n_pts, t_direct, worst],
-        ["spectral", n_pts, t_spectral, worst],
+        ["direct", points, t_direct, worst],
+        ["spectral", points, t_spectral, worst],
     ]
     path = out_dir / "bench.csv"
     write_table(path, _digest(cfg),

@@ -1,16 +1,18 @@
 """Experiment configuration: TOML or JSON in, validated normalized dict out.
 
 The normalized form is a plain JSON-serializable dict with canonical key
-order; parse -> normalize -> serialize -> parse is a fixed point. Field
-definitions are named templates resolved against the analytic/field
-constructors; every reference and parameter range is validated before any
-computation starts.
+order; parse -> normalize -> serialize -> parse is a fixed point. This module
+is the only reader of config values: each one is converted, given its default
+and range-checked once, and a bad one raises a ConfigError naming its
+`<section>.<key>`. Field definitions are named templates; each is built once,
+here, by its analytic/field constructor, which checks its own parameters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -24,6 +26,7 @@ from . import quadrature, spectral
 from .quadrature import QuadratureConfig
 
 KINDS = ("op", "verify", "convergence", "decay", "bench")
+ENGINES = ("direct", "spectral", "both")
 # operator name -> (direct, spectral), called as direct(field, order, points,
 # quadrature_config) and spectral(periodic_field, order)
 OPERATORS = {
@@ -33,8 +36,134 @@ OPERATORS = {
     "riesz-transform": (lambda f, _order, x, cfg: quadrature.riesz_transform_batch(f, x, cfg),
                         lambda pf, _order: spectral.spectral_riesz_transform(pf)),
 }
-TEMPLATES = ("gaussian", "gaussian-vector", "bump", "delta-pair", "convolved",
-             "indicator-ball", "cantor")
+
+_REQUIRED = object()
+
+
+def _floats(v) -> list:
+    if isinstance(v, str):
+        raise TypeError(v)
+    return [float(c) for c in v]
+
+
+def _ints(v) -> list:
+    return [int(c) for c in _floats(v)]
+
+
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(v)
+    return v
+
+
+def _atoms(v) -> list:
+    if not v:
+        raise ValueError(v)
+    return [[_floats(pt), float(w)] for pt, w in v]
+
+
+def _checks(v):
+    if v != "default" and not (isinstance(v, list) and all(isinstance(c, str) for c in v)):
+        raise TypeError(v)
+    return None if v == "default" else v
+
+
+_WHAT = {float: "a number", int: "an integer", _floats: "a list of numbers",
+         _ints: "a list of integers", _bool: "true or false",
+         _atoms: "a non-empty list of [point, weight] atoms",
+         _checks: "'default' or a list of check-name filters"}
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_POSITIVE = (lambda v: v > 0, "be positive")
+
+
+def _at_least(k: int):
+    return (lambda v: v >= k, f"be at least {k}")
+
+
+def _read(section: dict, where: str, key: str, conv, default=_REQUIRED, check=None):
+    """section[key] converted by conv (a function, or a tuple of allowed
+    values), else the default; None stays None when it is the default.
+    check = (predicate, what the value must do)."""
+    name = f"{where}.{key}" if where else key
+    v = section.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(f"{name} is required")
+    if v is None and default is None:
+        return None
+    if isinstance(conv, tuple):
+        if v not in conv:
+            raise ConfigError(f"{name} must be one of {conv}, got {v!r}")
+    else:
+        try:
+            v = conv(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name}: {v!r} is not {_WHAT[conv]}") from None
+    if check is not None and not check[0](v):
+        raise ConfigError(f"{name} must {check[1]}, got {v!r}")
+    return v
+
+
+def _table(data: dict, key: str, where: str = "") -> dict:
+    v = data.get(key, {})
+    if not isinstance(v, dict):
+        raise ConfigError(f"[{where}{key}] must be a table")
+    return v
+
+
+def _convolved(atoms, alpha):
+    pts = np.array([a[0] for a in atoms])
+    ws = np.array([a[1] for a in atoms])
+    return make_convolved(RadonMeasure(n=pts.shape[1], atom_points=pts, atom_weights=ws), alpha)
+
+
+_CENTER = ("center", _floats, [0.0, 0.0])
+_WIDTH = ("width", float, 1.0)
+_AMPLITUDE = ("amplitude", float, 1.0)
+_RADIUS = ("radius", float, 1.0)
+# template -> (parameters as (key, converter, default), where a callable
+# default takes the values read before it; the constructor, called with the
+# values in that order; the uses it can feed: "smooth" fields feed the spectral
+# engine and bench, "decay" ones are decay sources)
+TEMPLATES = {
+    "gaussian": ((_CENTER, _WIDTH, _AMPLITUDE), gaussian, ("smooth",)),
+    # amplitude is unused but kept: it is part of the normalized form
+    "gaussian-vector": (
+        (_CENTER, _WIDTH, _AMPLITUDE,
+         ("amplitudes", _floats, lambda p: [1.0] * len(p["center"]))),
+        lambda center, width, _amplitude, amplitudes: gaussian_vector(center, width, amplitudes),
+        ("smooth", "decay")),
+    "bump": ((_CENTER, _RADIUS, _AMPLITUDE), compact_bump, ("smooth",)),
+    "delta-pair": ((("y", _floats, _REQUIRED), ("z", _floats, _REQUIRED), ("alpha", float, 0.5)),
+                   make_delta_pair, ("decay",)),
+    "convolved": ((("atoms", _atoms, _REQUIRED), ("alpha", float, 0.5)), _convolved, ("decay",)),
+    "indicator-ball": ((_CENTER, _RADIUS), ball_indicator, ()),
+    "cantor": ((("level", int, 8), ("dim", int, 1)), cantor_measure, ("decay",)),
+}
+
+
+def _parse_field(name: str, spec: dict) -> tuple[dict, Any]:
+    """(normalized parameters, built field) of one [fields.<name>] table."""
+    where = f"fields.{name}"
+    tpl = _read(spec, where, "template", tuple(TEMPLATES))
+    params, build, _ = TEMPLATES[tpl]
+    out = {"template": tpl}
+    for key, conv, default in params:
+        out[key] = _read(spec, where, key, conv, default(out) if callable(default) else default)
+    try:
+        return out, build(*(out[key] for key, _, _ in params))
+    except ValueError as e:  # DomainError, ConfigError, or unequal atom dimensions
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _parse_quadrature(q: dict) -> QuadratureConfig:
+    defaults = {f.name: f.default for f in dataclasses.fields(QuadratureConfig)}
+    for key in q:
+        if key not in defaults:
+            raise ConfigError(f"unknown quadrature option: quadrature.{key}")
+    # each option converts like its default; far_cutoff (default None) is a number
+    return QuadratureConfig(**{
+        key: _read(q, "quadrature", key, {bool: _bool, type(None): float}.get(type(d), type(d)), d)
+        for key, d in defaults.items() if key in q})
 
 
 def load_config(path) -> dict:
@@ -45,9 +174,12 @@ def load_config(path) -> dict:
     text = path.read_text()
     if path.suffix.lower() == ".json":
         try:
-            return json.loads(text)
+            data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON config: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError("a JSON config must be an object")
+        return data
     try:
         import tomllib  # py >= 3.11
     except ModuleNotFoundError:
@@ -63,162 +195,118 @@ def load_config(path) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description: every value a run uses, read once.
+
+    `params` holds the parsed values of the kind's own section, keyed as the
+    runner's keyword arguments; `fields` holds the normalized template
+    parameters and `built` the field each one built.
+    """
 
     kind: str
     raw: dict
-    seed: int = 0
-    engine: str = "direct"
-    jobs: int = 1
-    out_dir: str = "."
-    fields: dict = field(default_factory=dict)
+    seed: int
+    engine: str
+    jobs: int
+    out_dir: str
+    fields: dict
+    built: dict
+    quadrature: QuadratureConfig
+    spectral: tuple[float, int]  # periodic box width, nodes per axis
+    params: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: dict, kind: Optional[str] = None) -> "ExperimentConfig":
         data = dict(data)
-        cfg_kind = data.get("kind", kind)
-        if cfg_kind is None:
-            raise ConfigError("config must declare 'kind' (or pass a subcommand)")
+        cfg_kind = _read(data, "", "kind", KINDS, _REQUIRED if kind is None else kind)
         if kind is not None and cfg_kind != kind:
             raise ConfigError(
                 f"config kind {cfg_kind!r} does not match the subcommand {kind!r}")
-        if cfg_kind not in KINDS:
-            raise ConfigError(f"unknown kind {cfg_kind!r}; expected one of {KINDS}")
+        fields = _table(data, "fields")
+        parsed = {name: _parse_field(name, _table(fields, name, "fields.")) for name in fields}
+        sp = _table(data, "spectral")
         obj = cls(
             kind=cfg_kind,
             raw=data,
-            seed=int(data.get("seed", 0)),
-            engine=str(data.get("engine", "both" if cfg_kind == "bench" else "direct")),
-            jobs=int(data.get("jobs", 1)),
-            out_dir=str(data.get("out", ".")),
+            seed=_read(data, "", "seed", int, 0, _at_least(0)),
+            engine=_read(data, "", "engine", ENGINES, "both" if cfg_kind == "bench" else "direct"),
+            jobs=_read(data, "", "jobs", int, 1),
+            out_dir=_read(data, "", "out", str, "."),
+            fields={name: spec for name, (spec, _) in parsed.items()},
+            built={name: field for name, (_, field) in parsed.items()},
+            quadrature=_parse_quadrature(_table(data, "quadrature")),
+            spectral=(_read(sp, "spectral", "box", float, 16.0),
+                      _read(sp, "spectral", "resolution", int, 1024)),
         )
-        obj.validate()
+        obj.params = getattr(obj, f"_parse_{cfg_kind}")(_table(data, cfg_kind))
         return obj
 
-    # -- validation ---------------------------------------------------------
+    # -- the kinds' sections ------------------------------------------------
 
-    def validate(self) -> None:
-        if self.engine not in ("direct", "spectral", "both"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
-        self.fields = {}
-        for name, spec in dict(self.raw.get("fields", {})).items():
-            self.fields[name] = _validate_field(name, spec)
-        section = self.raw.get(self.kind, {})
-        getattr(self, f"_validate_{self.kind}")(section)
-        if "quadrature" in self.raw:
-            self.quadrature()  # raises on bad values
-
-    def _field_ref(self, section: dict, key: str, kinds=None) -> str:
+    def _field_ref(self, section: dict, key: str, feed: Optional[str] = None):
         name = section.get(key)
         if not isinstance(name, str) or name not in self.fields:
             raise ConfigError(
                 f"{self.kind}.{key}: field {name!r} is not defined under [fields]")
         tpl = self.fields[name]["template"]
-        if kinds is not None and tpl not in kinds:
+        if feed is not None and feed not in TEMPLATES[tpl][2]:
             raise ConfigError(
-                f"{self.kind}.{key}: field {name!r} has template {tpl!r}, "
-                f"expected one of {kinds}")
-        return name
+                f"{self.kind}.{key}: field {name!r} has template {tpl!r}, not a {feed} "
+                f"one {tuple(t for t, e in TEMPLATES.items() if feed in e[2])}")
+        return self.built[name]
 
-    def _validate_op(self, s: dict) -> None:
-        operator = s.get("operator")
-        if operator not in OPERATORS:
-            raise ConfigError(
-                f"op.operator must be one of {tuple(OPERATORS)}, got {operator!r}")
-        self._field_ref(s, "field")
-        tpl = self.fields[s["field"]]["template"]
-        smooth = tpl in ("gaussian", "gaussian-vector", "bump")
-        if self.engine in ("spectral", "both") and not smooth:
-            raise ConfigError("spectral engine requires smooth field")
-        alpha = s.get("alpha", s.get("order"))
-        if operator in ("frac-gradient", "frac-divergence"):
-            if alpha is None or not (0.0 < float(alpha) < 1.0):
-                raise ConfigError(f"op.alpha must lie in (0, 1), got {alpha!r}")
-        elif operator == "riesz-potential":
-            if alpha is None or not float(alpha) > 0.0:
-                raise ConfigError(f"op.alpha (potential order) must be positive, got {alpha!r}")
-        if "grid" not in self.raw:
-            raise ConfigError("op runs need a [grid] section for the output lattice")
-        self.grid()
+    def _parse_op(self, s: dict) -> dict:
+        operator = _read(s, "op", "operator", tuple(OPERATORS))
+        if self.engine == "both":
+            raise ConfigError("op runs take a single engine; use bench to compare")
+        field = self._field_ref(s, "field", "smooth" if self.engine == "spectral" else None)
+        key = "order" if "order" in s and "alpha" not in s else "alpha"
+        if operator == "riesz-transform":  # the order is unused, only recorded
+            alpha = _read(s, "op", key, float, 0.5)
+        else:
+            alpha = _read(s, "op", key, float, check=(
+                _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
+        g = _table(self.raw, "grid")  # the output lattice
+        grid = GridSpec(_read(g, "grid", "lower", _floats), _read(g, "grid", "upper", _floats),
+                        _read(g, "grid", "counts", _ints),
+                        _read(g, "grid", "periodic", _bool, False))
+        return {"operator": operator, "field": field, "alpha": alpha, "grid": grid}
 
-    def _validate_verify(self, s: dict) -> None:
-        checks = s.get("checks", "default")
-        if checks != "default" and (
-            not isinstance(checks, list) or not all(isinstance(c, str) for c in checks)
-        ):
-            raise ConfigError("verify.checks must be 'default' or a list of name filters")
-        tol = s.get("tolerance_abs")
-        if tol is not None and float(tol) <= 0:
-            raise ConfigError("verify.tolerance_abs must be positive")
+    def _parse_verify(self, s: dict) -> dict:
+        return {"names": _read(s, "verify", "checks", _checks, "default"),
+                "tolerance_abs": _read(s, "verify", "tolerance_abs", float, None, _POSITIVE)}
 
-    def _validate_convergence(self, s: dict) -> None:
-        engine = s.get("engine", "spectral")
-        if engine not in ("spectral", "direct"):
-            raise ConfigError("convergence.engine must be spectral or direct")
-        levels = int(s.get("levels", 4))
-        if levels < 2:
-            raise ConfigError("convergence needs at least 2 levels")
-        alpha = float(s.get("alpha", 0.5))
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("convergence.alpha must lie in (0, 1)")
+    def _parse_convergence(self, s: dict) -> dict:
+        return {"engine": _read(s, "convergence", "engine", ("spectral", "direct"), "spectral"),
+                "alpha": _read(s, "convergence", "alpha", float, 0.5, _OPEN_UNIT),
+                "levels": _read(s, "convergence", "levels", int, 4, _at_least(2)),
+                "base_resolution": _read(s, "convergence", "base_resolution", int, 32)}
 
-    def _validate_decay(self, s: dict) -> None:
-        self._field_ref(s, "source",
-                        kinds=("cantor", "delta-pair", "convolved", "gaussian-vector"))
+    def _parse_decay(self, s: dict) -> dict:
+        source = self._field_ref(s, "source", "decay")
         if "radii" in s:
-            radii = [float(r) for r in s["radii"]]
-            if len(radii) < 3 or any(r <= 0 for r in radii):
-                raise ConfigError("decay.radii needs >= 3 positive radii")
+            radii = np.array(_read(s, "decay", "radii", _floats, check=(
+                lambda r: len(r) >= 3 and min(r) > 0, "hold at least 3 positive radii")))
         elif "pow3_levels" in s:
-            if int(s["pow3_levels"]) < 3:
-                raise ConfigError("decay.pow3_levels must be >= 3")
+            radii = 3.0 ** -np.arange(0, _read(s, "decay", "pow3_levels", int, check=_at_least(3)))
         else:
             raise ConfigError("decay needs 'radii' or 'pow3_levels'")
-        expect = s.get("expect", "floor")
-        if expect not in ("floor", "flat", "exponent"):
-            raise ConfigError("decay.expect must be floor, flat or exponent")
-        if expect == "exponent" and "target" not in s:
-            raise ConfigError("decay.expect='exponent' needs a target")
+        expect = _read(s, "decay", "expect", ("floor", "flat", "exponent"), "floor")
+        return {
+            "source": source,
+            "alpha": _read(s, "decay", "alpha", float, 0.5),
+            "p": _read(s, "decay", "p", float, "inf"),
+            "center": np.array(_read(s, "decay", "center", _floats, [0.0] * source.n, check=(
+                lambda c: len(c) == source.n, f"have the source's {source.n} coordinates"))),
+            "radii": radii,
+            "expect": expect,
+            "target": _read(s, "decay", "target", float,
+                            _REQUIRED if expect == "exponent" else None),
+        }
 
-    def _validate_bench(self, s: dict) -> None:
-        self._field_ref(s, "field", kinds=("gaussian", "gaussian-vector", "bump"))
-        pts = int(s.get("points", 0))
-        if pts < 1:
-            raise ConfigError("bench needs a positive point count")
-        alpha = float(s.get("alpha", 0.5))
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("bench.alpha must lie in (0, 1)")
-
-    # -- materialization ----------------------------------------------------
-
-    def quadrature(self) -> QuadratureConfig:
-        q = dict(self.raw.get("quadrature", {}))
-        try:
-            return QuadratureConfig(**q)
-        except TypeError as e:
-            raise ConfigError(f"unknown quadrature option: {e}") from e
-
-    def grid(self) -> GridSpec:
-        g = self.raw.get("grid")
-        if g is None:
-            raise ConfigError("missing [grid] section")
-        try:
-            return GridSpec(
-                tuple(float(v) for v in g["lower"]),
-                tuple(float(v) for v in g["upper"]),
-                tuple(int(v) for v in g["counts"]),
-                bool(g.get("periodic", False)),
-            )
-        except KeyError as e:
-            raise ConfigError(f"[grid] missing key {e}") from e
-
-    def spectral_params(self) -> tuple[float, int]:
-        s = self.raw.get("spectral", {})
-        return float(s.get("box", 16.0)), int(s.get("resolution", 1024))
-
-    def build_field(self, name: str):
-        spec = self.fields[name]
-        return _build_field(spec)
+    def _parse_bench(self, s: dict) -> dict:
+        return {"field": self._field_ref(s, "field", "smooth"),
+                "alpha": _read(s, "bench", "alpha", float, 0.5, _OPEN_UNIT),
+                "points": _read(s, "bench", "points", int, check=_at_least(1))}
 
     # -- normalization ------------------------------------------------------
 
@@ -248,81 +336,3 @@ def _canon(v: Any) -> Any:
     if isinstance(v, bool) or isinstance(v, (int, str)) or v is None:
         return v
     return float(v)
-
-
-def _validate_field(name: str, spec: dict) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"field {name!r} must be a table")
-    tpl = spec.get("template")
-    if tpl not in TEMPLATES:
-        raise ConfigError(f"field {name!r}: unknown template {tpl!r}; "
-                          f"expected one of {TEMPLATES}")
-    out = {"template": tpl}
-    if tpl in ("gaussian", "gaussian-vector", "bump"):
-        center = [float(v) for v in spec.get("center", (0.0, 0.0))]
-        out["center"] = center
-        if tpl == "bump":
-            out["radius"] = float(spec.get("radius", 1.0))
-            if out["radius"] <= 0:
-                raise ConfigError(f"field {name!r}: bump radius must be positive")
-        else:
-            out["width"] = float(spec.get("width", 1.0))
-            if out["width"] <= 0:
-                raise ConfigError(f"field {name!r}: width must be positive")
-        out["amplitude"] = float(spec.get("amplitude", 1.0))
-        if tpl == "gaussian-vector":
-            out["amplitudes"] = [float(v) for v in
-                                 spec.get("amplitudes", [1.0] * len(center))]
-    elif tpl == "delta-pair":
-        y = [float(v) for v in spec["y"]]
-        z = [float(v) for v in spec["z"]]
-        if y == z:
-            raise ConfigError(f"field {name!r}: degenerate pole pair")
-        a = float(spec.get("alpha", 0.5))
-        if not 0.0 < a <= 1.0:
-            raise ConfigError(f"field {name!r}: alpha must lie in (0, 1]")
-        out.update(y=y, z=z, alpha=a)
-    elif tpl == "convolved":
-        atoms = spec.get("atoms")
-        if not atoms:
-            raise ConfigError(f"field {name!r}: convolved template needs atoms")
-        out["atoms"] = [[[float(c) for c in pt], float(w)] for pt, w in atoms]
-        a = float(spec.get("alpha", 0.5))
-        if not 0.0 < a < 1.0:
-            raise ConfigError(f"field {name!r}: alpha must lie in (0, 1)")
-        out["alpha"] = a
-    elif tpl == "indicator-ball":
-        out["center"] = [float(v) for v in spec.get("center", (0.0, 0.0))]
-        out["radius"] = float(spec.get("radius", 1.0))
-        if out["radius"] <= 0:
-            raise ConfigError(f"field {name!r}: radius must be positive")
-    elif tpl == "cantor":
-        out["level"] = int(spec.get("level", 8))
-        out["dim"] = int(spec.get("dim", 1))
-        if not 0 <= out["level"] <= 12:
-            raise ConfigError(f"field {name!r}: cantor level must lie in [0, 12]")
-        if out["dim"] not in (1, 2):
-            raise ConfigError(f"field {name!r}: cantor dim must be 1 or 2")
-    return out
-
-
-def _build_field(spec: dict):
-    tpl = spec["template"]
-    if tpl == "gaussian":
-        return gaussian(spec["center"], spec["width"], spec["amplitude"])
-    if tpl == "gaussian-vector":
-        return gaussian_vector(spec["center"], spec["width"], spec["amplitudes"])
-    if tpl == "bump":
-        return compact_bump(spec["center"], spec["radius"], spec["amplitude"])
-    if tpl == "delta-pair":
-        return make_delta_pair(spec["y"], spec["z"], spec["alpha"])
-    if tpl == "convolved":
-        pts = np.array([a[0] for a in spec["atoms"]])
-        ws = np.array([a[1] for a in spec["atoms"]])
-        nu = RadonMeasure(n=pts.shape[1], atom_points=pts, atom_weights=ws)
-        return make_convolved(nu, spec["alpha"])
-    if tpl == "indicator-ball":
-        return ball_indicator(spec["center"], spec["radius"])
-    if tpl == "cantor":
-        return cantor_measure(spec["level"], spec["dim"])
-    raise ConfigError(f"unhandled template {tpl!r}")

@@ -182,6 +182,16 @@ def _pairing(F: VectorField, xi: ScalarField, alpha: float, cfg: QuadratureConfi
     return fn
 
 
+def _density_pairing(F: VectorField, xi: ScalarField, alpha: float):
+    """Integrand xi times the spectral divergence density of F, with a fixed
+    1e-6 estimate."""
+    dens = spectral_divergence_of(F, alpha)
+
+    def fn(pts):
+        return xi(pts) * dens.sample_linear(pts), np.full(pts.shape[0], 1e-6)
+    return fn
+
+
 def _refined(cfg: QuadratureConfig) -> QuadratureConfig:
     """Inner rule for area-integrated values, which amplify per-point bias."""
     return replace(cfg, near_radial_nodes=max(16, cfg.near_radial_nodes),
@@ -227,13 +237,7 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> Ve
                        scale=max(abs(rhs), 1e-6))
     n = F.n
     lhs, est_l = polar_integral(_pairing(F, xi, alpha, cfg), n, _support(F), cfg)
-    dens = spectral_divergence_of(F, alpha)
-
-    def rhs_fn(pts):
-        dv = dens.sample_linear(pts)
-        return xi(pts) * dv, np.full(pts.shape[0], 1e-6)
-
-    rhs_int, est_r = polar_integral(rhs_fn, n, _support(xi), cfg)
+    rhs_int, est_r = polar_integral(_density_pairing(F, xi, alpha), n, _support(xi), cfg)
     rhs = -rhs_int
     params = {"alpha": alpha, "n": n, "field": F.cache_token, "xi": xi.cache_token}
     return _report("duality", params, lhs, rhs, est_l + est_r, policy, t0,
@@ -394,12 +398,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     t3, e3 = _term3_nl_integral(F, xi, x0, r, alpha, cfg)
 
     # right side: spectral divergence density over the ball
-    dens = spectral_divergence_of(F, alpha)
-
-    def t4_fn(pts):
-        return xi(pts) * dens.sample_linear(pts), np.full(pts.shape[0], 1e-6)
-
-    t4_int, e4 = _ball_polar_integral(t4_fn, x0, r, cfg)
+    t4_int, e4 = _ball_polar_integral(_density_pairing(F, xi, alpha), x0, r, cfg)
     rhs = -t4_int
     lhs = t1 + t2 + t3
     est = e1 + e2 + e3 + e4

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracfield.cli import main
 from fracfield.cliconfig import OPERATORS, ExperimentConfig, load_config
 from fracfield.errors import ConfigError
 from fracfield.fileio import config_digest, read_grid, write_grid, write_table
@@ -14,11 +16,18 @@ from fracfield.fileio import config_digest, read_grid, write_grid, write_table
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, env=None):
+    """The `python -m fracfield.cli` entry in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "fracfield.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, env=env,
     )
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stderr)."""
+    rc = main([str(a) for a in args])
+    return rc, capsys.readouterr().err
 
 
 def test_load_toml_and_json(tmp_path):
@@ -98,24 +107,25 @@ def test_table_header_block(tmp_path):
     assert lines[-1] == "# s 1.0"
 
 
-def test_cli_op_deterministic(tmp_path):
-    for sub in ("r1", "r2"):
-        res = run_cli(["op", "--config", str(CONFIG_DIR / "op_gaussian_grad.toml"),
-                       "--out", str(tmp_path / sub)])
-        assert res.returncode == 0, res.stderr
+def test_cli_op_deterministic(tmp_path, capsys):
+    """The module entry and cli.main write the same bytes."""
+    cfgp = CONFIG_DIR / "op_gaussian_grad.toml"
+    res = run_cli(["op", "--config", str(cfgp), "--out", str(tmp_path / "r1")])
+    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "op", "--config", cfgp, "--out", tmp_path / "r2")
+    assert rc == 0, err
     b1 = (tmp_path / "r1" / "op_output.bin").read_bytes()
     b2 = (tmp_path / "r2" / "op_output.bin").read_bytes()
     assert b1 == b2
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # config error
     bad = tmp_path / "bad.toml"
     bad.write_text('kind = "op"\n')
-    assert run_cli(["op", "--config", str(bad)]).returncode == 2
+    assert run_main(capsys, "op", "--config", bad)[0] == 2
     # kind mismatch
-    res = run_cli(["verify", "--config", str(CONFIG_DIR / "op_gaussian_grad.toml")])
-    assert res.returncode == 2
+    assert run_main(capsys, "verify", "--config", CONFIG_DIR / "op_gaussian_grad.toml")[0] == 2
     # precondition violation (support exceeds the periodic box)
     pre = tmp_path / "pre.toml"
     pre.write_text(
@@ -125,14 +135,14 @@ def test_cli_exit_codes(tmp_path):
         '[spectral]\nbox = 8.0\nresolution = 64\n'
         '[op]\noperator = "frac-gradient"\nfield = "w"\nalpha = 0.5\n'
     )
-    assert run_cli(["op", "--config", str(pre), "--out", str(tmp_path)]).returncode == 3
+    assert run_main(capsys, "op", "--config", pre, "--out", tmp_path)[0] == 3
 
 
-def test_cli_verify_filter_and_failure(tmp_path):
+def test_cli_verify_filter_and_failure(tmp_path, capsys):
     cfgp = tmp_path / "v.toml"
     cfgp.write_text('kind = "verify"\n[verify]\nchecks = ["riesz_square"]\n')
-    res = run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "verify", "--config", cfgp, "--out", tmp_path)
+    assert rc == 0, err
     lines = (tmp_path / "verify_report.jsonl").read_text().splitlines()
     recs = [json.loads(l) for l in lines]
     assert len(recs) == 1 and recs[0]["name"] == "riesz_square"
@@ -141,14 +151,13 @@ def test_cli_verify_filter_and_failure(tmp_path):
         'kind = "verify"\n[verify]\nchecks = ["duality_delta_pair_a0.5"]\n'
         'tolerance_abs = 1e-15\n'
     )
-    res = run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 1
+    assert run_main(capsys, "verify", "--config", cfgp, "--out", tmp_path)[0] == 1
 
 
-def test_cli_decay_cantor(tmp_path):
-    res = run_cli(["decay", "--config", str(CONFIG_DIR / "decay_cantor.toml"),
-                   "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+def test_cli_decay_cantor(tmp_path, capsys):
+    rc, err = run_main(capsys, "decay", "--config", CONFIG_DIR / "decay_cantor.toml",
+                       "--out", tmp_path)
+    assert rc == 0, err
     text = (tmp_path / "decay_table.csv").read_text()
     assert "running_slope" in text
     slope = float(next(l for l in text.splitlines()
@@ -156,21 +165,21 @@ def test_cli_decay_cantor(tmp_path):
     assert abs(slope - math.log(2) / math.log(3)) < 0.05
 
 
-def test_cli_decay_rejects_p_below_one(tmp_path):
+def test_cli_decay_rejects_p_below_one(tmp_path, capsys):
     cfgp = tmp_path / "decay_p_half.toml"
     text = (CONFIG_DIR / "decay_cantor.toml").read_text()
     assert "p = 1.0" in text
     cfgp.write_text(text.replace("p = 1.0", "p = 0.5"))
-    res = run_cli(["decay", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 3, res.stdout + res.stderr
+    rc, err = run_main(capsys, "decay", "--config", cfgp, "--out", tmp_path)
+    assert rc == 3, err
 
 
-def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path):
+def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path, capsys):
     """A smooth source's table holds the spectral ball masses the slope was
     fitted to: every mass finite and positive, every running slope finite."""
-    res = run_cli(["decay", "--config", str(CONFIG_DIR / "decay_smooth.toml"),
-                   "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "decay", "--config", CONFIG_DIR / "decay_smooth.toml",
+                       "--out", tmp_path)
+    assert rc == 0, err
     lines = (tmp_path / "decay_table.csv").read_text().splitlines()
     start = lines.index("r,mass,log_r,log_mass,running_slope") + 1
     rows = [[float(v) for v in l.split(",")] for l in lines[start:]
@@ -181,23 +190,23 @@ def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path):
     assert all(math.isfinite(row[4]) for row in rows[1:])
 
 
-def test_cli_convergence_rejects_single_level(tmp_path):
+def test_cli_convergence_rejects_single_level(tmp_path, capsys):
     cfgp = tmp_path / "c.toml"
     cfgp.write_text('kind = "convergence"\n[convergence]\nlevels = 1\n')
-    assert run_cli(["convergence", "--config", str(cfgp)]).returncode == 2
+    assert run_main(capsys, "convergence", "--config", cfgp)[0] == 2
 
 
-def test_cli_bench_empty_points(tmp_path):
+def test_cli_bench_empty_points(tmp_path, capsys):
     cfgp = tmp_path / "b.toml"
     cfgp.write_text(
         'kind = "bench"\n'
         '[fields.f]\ntemplate = "gaussian"\ncenter = [0.0, 0.0]\n'
         '[bench]\nfield = "f"\npoints = 0\n'
     )
-    assert run_cli(["bench", "--config", str(cfgp)]).returncode == 2
+    assert run_main(capsys, "bench", "--config", cfgp)[0] == 2
 
 
-def test_cli_op_spectral_engine(tmp_path):
+def test_cli_op_spectral_engine(tmp_path, capsys):
     cfgp = tmp_path / "sp.toml"
     cfgp.write_text(
         'kind = "op"\nengine = "spectral"\n'
@@ -206,30 +215,24 @@ def test_cli_op_spectral_engine(tmp_path):
         '[spectral]\nbox = 16.0\nresolution = 256\n'
         '[op]\noperator = "frac-gradient"\nfield = "f"\nalpha = 0.5\n'
     )
-    res = run_cli(["op", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "op", "--config", cfgp, "--out", tmp_path)
+    assert rc == 0, err
     meta, planes = read_grid(tmp_path / "op_output.bin")
     assert set(planes) == {"value_0", "value_1", "error_est"}
     assert np.all(np.isfinite(planes["value_0"]))
 
 
-def test_cli_jobs_env(tmp_path, monkeypatch):
-    import subprocess, os
-
+def test_cli_jobs_env(tmp_path):
     cfgp = tmp_path / "v.toml"
     cfgp.write_text('kind = "verify"\n[verify]\nchecks = ["riesz_square", "symbol"]\n')
-    env = dict(os.environ, FRACFIELD_JOBS="2")
-    res = subprocess.run(
-        [sys.executable, "-m", "fracfield.cli", "verify", "--config", str(cfgp),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env,
-    )
+    res = run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path)],
+                  env=dict(os.environ, FRACFIELD_JOBS="2"))
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "verify_report.jsonl").read_text().splitlines()
     assert len(lines) == 2
 
 
-def test_cli_direct_op_refuses_wrong_field_kind(tmp_path):
+def test_cli_direct_op_refuses_wrong_field_kind(tmp_path, capsys):
     cfgp = tmp_path / "wrong.toml"
     cfgp.write_text(
         'kind = "op"\nengine = "direct"\n'
@@ -237,14 +240,14 @@ def test_cli_direct_op_refuses_wrong_field_kind(tmp_path):
         '[grid]\nlower = [-1.0, -1.0]\nupper = [1.0, 1.0]\ncounts = [4, 4]\n'
         '[op]\noperator = "frac-divergence"\nfield = "f"\nalpha = 0.5\n'
     )
-    res = run_cli(["op", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 2, res.stderr
-    assert "config error" in res.stderr and "VectorField" in res.stderr
+    rc, err = run_main(capsys, "op", "--config", cfgp, "--out", tmp_path)
+    assert rc == 2, err
+    assert "config error" in err and "VectorField" in err
 
 
 @pytest.mark.parametrize("center,resolution", [("[0.1]", 512), ("[0.1, 0.0, -0.1]", 32)],
                          ids=["n1", "n3"])
-def test_cli_bench_other_dimensions(tmp_path, center, resolution):
+def test_cli_bench_other_dimensions(tmp_path, capsys, center, resolution):
     cfgp = tmp_path / "b.toml"
     cfgp.write_text(
         'kind = "bench"\n'
@@ -252,8 +255,8 @@ def test_cli_bench_other_dimensions(tmp_path, center, resolution):
         f'[spectral]\nbox = 16.0\nresolution = {resolution}\n'
         '[bench]\nfield = "f"\npoints = 4\n'
     )
-    res = run_cli(["bench", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "bench", "--config", cfgp, "--out", tmp_path)
+    assert rc == 0, err
     rows = [l.split(",") for l in (tmp_path / "bench.csv").read_text().splitlines()
             if l.startswith(("direct,", "spectral,"))]
     assert [r[0] for r in rows] == ["direct", "spectral"]
@@ -274,7 +277,7 @@ def test_cli_spectral_potential_reports_mean_bias_warning(tmp_path):
     assert "RuntimeWarning" in res.stderr and "non-negligible mean" in res.stderr
 
 
-def test_cli_decay_takes_dimension_from_source(tmp_path):
+def test_cli_decay_takes_dimension_from_source(tmp_path, capsys):
     """A 1-D convolved source without a centre is scanned about the 1-D origin
     (p = inf: the floor n - alpha shows the dimension)."""
     cfgp = tmp_path / "d.toml"
@@ -285,8 +288,8 @@ def test_cli_decay_takes_dimension_from_source(tmp_path):
         '[decay]\nsource = "nu"\nalpha = 0.5\np = "inf"\n'
         'radii = [0.05, 0.1, 0.2, 0.4]\n'
     )
-    res = run_cli(["decay", "--config", str(cfgp), "--out", str(tmp_path)])
-    assert res.returncode == 0, res.stderr
+    rc, err = run_main(capsys, "decay", "--config", cfgp, "--out", tmp_path)
+    assert rc == 0, err
     text = (tmp_path / "decay_table.csv").read_text()
     floor = float(next(l for l in text.splitlines()
                        if l.startswith("# theoretical_floor")).split()[-1])
@@ -299,8 +302,6 @@ def test_cli_decay_takes_dimension_from_source(tmp_path):
 def test_cli_op_every_operator_dimension_and_engine(tmp_path, capsys, operator, n, engine):
     """Every `fracfield op` operator runs with both engines in R^1..R^3 and
     writes finite planes of the output grid's shape."""
-    from fracfield.cli import main
-
     vector_in = operator == "frac-divergence"
     vector_out = operator in ("frac-gradient", "riesz-transform")
     center = [0.1 * (k + 1) for k in range(n)]
@@ -322,3 +323,70 @@ def test_cli_op_every_operator_dimension_and_engine(tmp_path, capsys, operator, 
     for plane in planes.values():
         assert plane.shape == (4,) * n
         assert np.all(np.isfinite(plane))
+
+
+def _edited(name, old, new):
+    text = (CONFIG_DIR / name).read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
+
+
+@pytest.mark.parametrize("kind,text,env,named", [
+    ("decay", _edited("decay_cantor.toml", "p = 1.0", 'p = "abc"'), None, "decay.p: 'abc'"),
+    ("decay", _edited("decay_cantor.toml", "center = [0.0]", "center = [0.0, 0.0]"), None,
+     "decay.center must have"),
+    ("decay", _edited("decay_cantor.toml", "target = 0.6309297535714574", 'target = "x"'), None,
+     "decay.target: 'x'"),
+    ("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", 'alpha = "x"'), None, "op.alpha: 'x'"),
+    ("bench", _edited("bench_gaussian.toml", "points = 100", 'points = "x"'), None,
+     "bench.points: 'x'"),
+    ("verify", _edited("verify_default.toml", '"default"', '"default"\ntolerance_abs = "x"'),
+     None, "verify.tolerance_abs: 'x'"),
+    ("decay", _edited("decay_pole.toml", "z = [1.0, 0.0]", ""), None,
+     "fields.pair.z is required"),
+    ("verify", 'jobs = "x"\n' + VERIFY_TEXT, None, "jobs: 'x'"),
+    ("verify", VERIFY_TEXT, "x", "jobs: 'x'"),
+    ("verify", _edited("verify_default.toml", "seed = 0", "seed = -1"), None,
+     "seed must be at least 0"),
+    ("verify", VERIFY_TEXT + '[quadrature]\nnear_radial_nodes = "x"\n', None,
+     "quadrature.near_radial_nodes: 'x'"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nfoo = 1\n", None,
+     "unknown quadrature option: quadrature.foo"),
+], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
+        "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
+        "quadrature-value", "quadrature-unknown-key"])
+def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
+                                               env, named):
+    """A malformed value exits 2 with a config error naming <section>.<key>,
+    before any computation and without a traceback."""
+    if env is None:
+        monkeypatch.delenv("FRACFIELD_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("FRACFIELD_JOBS", env)
+    cfgp = tmp_path / "bad.toml"
+    cfgp.write_text(text)
+    rc, err = run_main(capsys, kind, "--config", cfgp, "--out", tmp_path)
+    assert rc == 2
+    assert err.startswith("config error: ") and named in err, err
+
+
+PINNED_DIGESTS = {
+    "bench_gaussian.toml": "e37f772ed4caef68",
+    "convergence_spectral.toml": "647269d582e11eb5",
+    "decay_cantor.toml": "fa3eeff7c588f1eb",
+    "decay_pole.toml": "49b44075d08b5acf",
+    "decay_smooth.toml": "2bf084841c5a7d37",
+    "op_gaussian_grad.toml": "669296776c6e0996",
+    "verify_default.toml": "977b68767a8c994a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.toml")))
+def test_shipped_config_digests_are_pinned(name):
+    """The normalized form of each shipped config, defaults filled in, keeps
+    its digest: output headers stay comparable across versions."""
+    cfg = ExperimentConfig.from_dict(load_config(CONFIG_DIR / name))
+    assert config_digest(cfg.normalized()) == PINNED_DIGESTS[name]
