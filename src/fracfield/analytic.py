@@ -8,13 +8,15 @@ The library provides:
 * atomic convolutions of the basic pair against a finite measure, whose
   divergence is the measure minus its unit shift;
 * finite-level Cantor measures realizing the |nu|(B_r) <= C r^eps scaling;
-* the fractional gradient of a ball indicator as a sphere integral, and of
-  the ramp cutoff h_{eps,r,x} as an annulus integral;
+* the fractional gradient of a ball indicator as a sphere integral;
 * a partition-of-unity pairing integrator for int F . grad^a xi dx against
   pole fields (polar quadrature in smooth windows around each pole, lattice
   sum in the bulk, closed-form far tail);
 * the nonlocal gradient of (ball indicator, smooth field) couples via exact
   ray/sphere splitting, used by the ball integration-by-parts verifier.
+
+The pole-window and mollified-kernel integrals use the shared polar rule of
+`quadrature`; the ray-split rules share only its Gauss-Legendre map.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing
+from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing, _window
 from .measures import RadonMeasure
 from .quadrature import (
     QuadratureConfig,
     _blocks,
-    _leggauss,
-    panel_radial_rule,
+    _gauss,
+    _polar_rule,
     singular_radial_rule,
     sphere_rule,
 )
@@ -242,9 +244,7 @@ def cantor_measure(level: int, embed_dim: int = 1) -> RadonMeasure:
 
 def _graded_gl(m: int, kappa: float) -> tuple[Array, Array]:
     """Gauss-Legendre on [0,1] pushed through t -> t^kappa (grades toward 0)."""
-    t, w = _leggauss(m)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
+    t, w = _gauss(0.0, 1.0, m)
     return t**kappa, kappa * t ** (kappa - 1.0) * w
 
 
@@ -320,26 +320,6 @@ def grad_chi_ball_profile(r: float, alpha: float, n: int, radii: Array,
     return out
 
 
-def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
-    """The Lipschitz ramp: 1 on B_r(x0), linear to 0 across [r, r+eps]."""
-    x0 = np.asarray(x0, dtype=float)
-    eps = float(eps)
-    r = float(r)
-
-    def fn(pts: Array) -> Array:
-        dist = np.sqrt(_dist2(pts, x0))
-        return np.clip((r + eps - dist) / eps, 0.0, 1.0)
-
-    return ScalarField(
-        n=x0.shape[0],
-        fn=fn,
-        support_radius=float(np.linalg.norm(x0)) + r + eps,
-        sup_bound=1.0,
-        smooth=False,
-        cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0.tolist())})",
-    )
-
-
 def _ray_sphere(origins: Array, dirs: Array, center: Array, radius: float):
     """Entry/exit parameters of the rays origins[i] + t dirs[a] against a sphere.
 
@@ -358,92 +338,6 @@ def _ray_sphere(origins: Array, dirs: Array, center: Array, radius: float):
     t_lo = np.maximum(t_lo, 0.0)
     t_hi = np.maximum(t_hi, 0.0)
     return t_lo, t_hi
-
-
-def grad_cutoff_annulus(eps: float, r: float, x0, alpha: float, y,
-                        cfg: QuadratureConfig, surface_nodes: int = 192) -> Array:
-    """Fractional gradient of the ramp cutoff as an annulus volume integral:
-
-        mu(n,a) / (eps (n+a-1)) *
-            int_{B_{r+eps}(x0) \\ B_r(x0)} (x0-z)/|x0-z| |z-y|^(1-n-a) dz
-
-    Points off the shell use polar quadrature around the center with the
-    angular rule graded toward the near point (thin annuli stay resolved);
-    points inside the shell use ray/sphere splitting around y with the
-    singular radial rule at the kernel point.
-    """
-    eps = float(eps)
-    r = float(r)
-    alpha = float(alpha)
-    if eps <= 0 or r <= 0:
-        raise DomainError("ramp parameters must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    x0 = np.asarray(x0, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x0.shape[0]
-    const = mu_const(n, alpha) / (eps * (n + alpha - 1.0))
-    rho_y = float(np.linalg.norm(y - x0))
-    in_shell = r - 1e-12 <= rho_y <= r + eps + 1e-12
-
-    if not in_shell:
-        if rho_y == 0.0:
-            return np.zeros(n)
-        e = (y - x0) / rho_y
-        d = max(min(abs(rho_y - r), abs(rho_y - (r + eps))), 1e-12)
-        kappa = float(np.clip(1.0 + math.log10(max(r, rho_y) / d), 1.0, 9.0))
-        tg, wg = _leggauss(max(6, cfg.mid_panel_nodes))
-        rr = 0.5 * eps * (tg + 1.0) + r
-        wr = 0.5 * eps * wg
-        if n == 1:
-            right = -np.sum(wr * np.abs(x0[0] + rr - y[0]) ** (-alpha))
-            left = np.sum(wr * np.abs(x0[0] - rr - y[0]) ** (-alpha))
-            return const * np.array([right + left])
-        t, wt = _graded_gl(surface_nodes, kappa)
-        if n == 2:
-            th = math.pi * t
-            wt = math.pi * wt
-            cth = np.cos(th)
-            dist2 = ((rr[:, None] - rho_y) ** 2
-                     + 4.0 * rr[:, None] * rho_y * np.sin(0.5 * th[None, :]) ** 2)
-            ker = dist2 ** ((1.0 - n - alpha) / 2.0)
-            integral = 2.0 * float(np.einsum("i,j,ij->", wr * rr, wt, cth[None, :] * ker))
-        else:
-            c = 1.0 - 2.0 * t
-            wc = 2.0 * wt * (2.0 * math.pi)
-            dist2 = ((rr[:, None] - rho_y) ** 2
-                     + 2.0 * rr[:, None] * rho_y * (1.0 - c[None, :]))
-            ker = dist2 ** ((1.0 - n - alpha) / 2.0)
-            integral = float(np.einsum("i,j,ij->", wr * rr**2, wc, c[None, :] * ker))
-        return -const * integral * e
-
-    # y inside the shell: ray splitting with the kernel singularity at t = 0
-    dirs, w_ang = sphere_rule(n, max(cfg.mid_angular_nodes, 64))
-    (lo_in, hi_in), (lo_out, hi_out) = (_ray_sphere(y[None], dirs, x0, rad)
-                                        for rad in (r, r + eps))
-    acc = np.zeros(n)
-    for d, wa, lo_i, hi_i, lo_o, hi_o in zip(dirs, w_ang, lo_in[0], hi_in[0],
-                                             lo_out[0], hi_out[0]):
-        segments = []
-        if hi_o > lo_o:
-            b1 = min(hi_o, lo_i) if hi_i > lo_i else hi_o
-            if b1 > lo_o:
-                segments.append((lo_o, b1))
-            if hi_i > lo_i and hi_o > hi_i:
-                segments.append((hi_i, hi_o))
-        for a, b in segments:
-            if a < 1e-14:
-                t, wt = singular_radial_rule(b, -alpha, cfg.near_radial_nodes)
-            else:
-                tg, wg = _leggauss(cfg.mid_panel_nodes * 2)
-                t = 0.5 * (b - a) * (tg + 1.0) + a
-                wt = 0.5 * (b - a) * wg * t ** (-alpha)
-            z = y + t[:, None] * d[None, :]
-            u = x0[None, :] - z
-            un = np.sqrt(_inner(u))
-            un = np.where(un > 0, un, 1.0)
-            acc += wa * np.sum(u / un[:, None] * wt[:, None], axis=0)
-    return const * acc
 
 
 def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
@@ -468,7 +362,6 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
     dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
     wmax = float(np.max(np.sqrt(_inner(Wp))))
     R_far = max(xi.support_radius + wmax, float(np.linalg.norm(x0)) + r + wmax) + 1.0
-    tg, wg = _leggauss(cfg.mid_panel_nodes)
     out = np.zeros((Wp.shape[0], n))
     xw = xi(Wp)
     inside = _dist2(Wp, x0) < r * r
@@ -486,75 +379,17 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
         idx = np.flatnonzero(panels == J)
         # per-direction log-spaced edges: a * (b/a)^(j/J), degenerate rays collapse
         expo = np.arange(J + 1) / J
-        for rows in _blocks(idx.size, dirs.shape[0] * J * tg.size):
+        for rows in _blocks(idx.size, dirs.shape[0] * J * cfg.mid_panel_nodes):
             sel = idx[rows]
             edges = a[sel, :, None] * ratio[sel, :, None] ** expo     # (b, A, J+1)
-            e0 = edges[..., :-1, None]
-            e1 = edges[..., 1:, None]
-            t = 0.5 * (e1 - e0) * (tg + 1.0) + e0                      # (b, A, J, g)
-            wt = 0.5 * (e1 - e0) * wg * t ** (-1.0 - alpha)
-            wt = np.where(live[sel, :, None, None], wt, 0.0)
+            t, wt = _gauss(edges[..., :-1, None], edges[..., 1:, None],
+                           cfg.mid_panel_nodes)                        # (b, A, J, g)
+            wt = np.where(live[sel, :, None, None], wt * t ** (-1.0 - alpha), 0.0)
             pts = Wp[sel, None, None, None, :] + t[..., None] * dirs[:, None, None, :]
             inc = xi(pts) - xw[sel, None, None, None]
             radial = np.sum(inc * wt, axis=(2, 3))                    # (b, A)
             out[sel] = (mu * sign[sel])[:, None] * np.einsum("ma,a,ak->mk", radial, w_ang, dirs)
     return out if np.asarray(W).ndim == 2 else out[0]
-
-
-def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
-    """Pointwise fractional divergence of an analytic pole field off its atoms.
-
-    The atoms are integrable kernel singularities sitting inside the
-    integration domain; a smooth partition of unity splits the increment
-    integral into a windowed smooth remainder (standard engine) plus one
-    singular polar correction per pole:
-
-        div^a F(x) = div^a G(x) + mu sum_p int w_p(v) F(v) . K(v - x) dv,
-
-    with G = (1 - sum w_p) F and K the divergence kernel. Away from the atoms
-    the true value is zero (the divergence measure is purely atomic).
-    """
-    from .fields import VectorField
-    from .quadrature import frac_divergence
-
-    F = pole_field.field
-    alpha = pole_field.alpha
-    n = F.n
-    x = np.asarray(x, dtype=float)
-    poles = np.asarray(pole_field.poles, dtype=float)
-    d = _pole_radius(poles)
-    dist_x = float(np.min(np.sqrt(_dist2(poles, x))))
-    if dist_x <= d:
-        raise DomainError("evaluation point must sit outside the pole windows")
-
-    def wfn(pts: Array) -> Array:
-        vals = _leading(np.asarray(F(pts)))
-        w = np.ones(vals.shape[1:])
-        for p in poles:
-            dist = np.sqrt(_dist2(pts, p))
-            w = w * (1.0 - _window(dist, 0.5 * d, d))
-        return w * vals
-
-    G = VectorField(n=n, fn=wfn, decay=F.decay, smooth=False)
-    base = frac_divergence(G, alpha, x, cfg)
-
-    mu = mu_const(n, alpha)
-    dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
-    rr, wr = singular_radial_rule(d, alpha - 1.0, 2 * cfg.near_radial_nodes)
-    corr = 0.0
-    for p in poles:
-        pts = p[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        # einsum sums a contiguous k axis in another order than a strided
-        # one, so the contraction reads a (R, A, n) copy of the field values
-        fv = np.ascontiguousarray(F(pts.reshape(-1, n)).reshape(rr.shape[0], dirs.shape[0], n))
-        diff = pts - x[None, None, :]
-        dn = np.sqrt(_inner(diff))
-        kv = diff * (dn ** (-(n + alpha + 1.0)))[..., None]
-        win = _window(rr, 0.5 * d, d)[:, None]
-        S = np.einsum("rak,rak->ra", fv, kv) * win * (rr ** (n - alpha))[:, None]
-        corr += float(np.einsum("ra,r,a->", S, wr, w_ang))
-    value = base.value + mu * corr
-    return value, base.error + 1e-3 * abs(mu * corr) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +411,23 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float) -> tuple[Array, 
     mu_minus = _mu_raw(n, -alpha)
     ts = np.linspace(0.0, _PROFILE_T_MAX, int(_PROFILE_T_MAX / 2.5e-3) + 2)
     kappa = np.zeros(ts.shape[0])
-    dirs, w_ang = sphere_rule(n, 32)
     e1 = _E1[n]
 
     near = ts <= 1.5 * eps
     # scaled singular rule: int_0^T S r^(a-1) dr = T^a int_0^1 S(T rhat) ...
-    r_hat, w_hat = singular_radial_rule(1.0, alpha - 1.0, 24)
+    dirs, disp, w = _polar_rule(n, *singular_radial_rule(1.0, alpha - 1.0, 24), 32)
     T = ts[near] + eps
-    r = T[:, None] * r_hat[None, :]
-    w = (T ** alpha)[:, None] * w_hat[None, :]
-    pts = ts[near][:, None, None, None] * e1 - r[:, :, None, None] * dirs[None, None, :, :]
-    vals = rho(pts.reshape(-1, n)).reshape(pts.shape[:-1])
-    kappa[near] = np.einsum("tra,tr,a->t", vals * dirs[None, None, :, 0], w, w_ang)
+    pts = e1[:, None, None, None] * ts[near][:, None, None] - T[:, None, None] * disp[:, None]
+    vals = rho(_trailing(pts))                                # (t, R, A)
+    kappa[near] = T**alpha * np.einsum("tra,ra->t", vals * dirs[:, 0], w)
 
     # beyond the mollifier scale the kernel is smooth over the bump support:
     # integrate around the bump instead (a rule centered at the kernel point
     # would see the bump in a shrinking cone)
     far_idx = np.where(~near)[0]
-    tg, wg = _leggauss(16)
-    z_r = 0.5 * eps * (tg + 1.0)
-    z_w = 0.5 * eps * wg
-    z_pts = z_r[:, None, None] * dirs[None, :, :]            # (R, A, n)
-    rho_w = rho(z_pts.reshape(-1, n)).reshape(len(z_r), len(dirs)) \
-        * (z_w * z_r ** (n - 1))[:, None] * w_ang[None, :]
+    _, z_disp, z_w = _polar_rule(n, *_gauss(0.0, eps, 16), 32, n - 1)
+    z_pts = _trailing(z_disp)                                 # (R, A, n)
+    rho_w = rho(z_pts) * z_w
     expo = alpha - n - 1.0
     for lo_i in range(0, far_idx.shape[0], 2000):
         sel = far_idx[lo_i : lo_i + 2000]
@@ -653,15 +482,6 @@ def spectral_gradient_of(xi: ScalarField, alpha: float) -> PeriodicField:
     return _cached_frac_derivative(xi, float(alpha), 1024)
 
 
-def _window(dist: Array, inner: float, outer: float) -> Array:
-    """Smooth radial window: 1 below inner, 0 above outer."""
-    t = (outer - dist) / (outer - inner)
-    t = np.clip(t, 0.0, 1.0)
-    a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-    b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
-
-
 def _bulk_sums(F: VectorField, G: PeriodicField, poles: Array,
                pole_radius: float) -> tuple[float, float]:
     """Bulk lattice sums of w F . G over every node (fine) and every other
@@ -714,18 +534,14 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig) -> tuple
     pole_radius = _pole_radius(poles)
 
     def pole_part(m_rad: int, m_ang: int) -> float:
-        dirs, w_ang = sphere_rule(n, m_ang)
+        rr, wr = singular_radial_rule(pole_radius, alpha - 1.0, m_rad)
+        _, disp, w = _polar_rule(n, rr, wr, m_ang, n - alpha)
+        # the bulk carries weight 1 - win, so the pole part integrates win
+        w = (w * _window(rr, 0.5 * pole_radius, pole_radius)[:, None]).ravel()
         total = 0.0
         for p in poles:
-            rr, wr = singular_radial_rule(pole_radius, alpha - 1.0, m_rad)
-            pts = p[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-            fv = F(pts.reshape(-1, n)).reshape(rr.shape[0], dirs.shape[0], n)
-            gv = G.sample_linear(pts.reshape(-1, n)).reshape(fv.shape)
-            dist = rr[:, None]
-            # the bulk carries weight 1 - win, so the pole part integrates win
-            win = _window(dist, 0.5 * pole_radius, pole_radius)
-            S = _inner(fv, gv) * win * dist ** (n - alpha)
-            total += float(np.einsum("ra,r,a->", S, wr, w_ang))
+            pts = (p[:, None, None] + disp).reshape(n, -1).T
+            total += float(np.sum(_inner(F(pts), G.sample_linear(pts)) * w))
         return total
 
     bulk_f, bulk_c = _bulk_sums(F, G, poles, pole_radius)

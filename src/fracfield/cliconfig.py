@@ -4,8 +4,9 @@ The normalized form is a plain JSON-serializable dict with canonical key
 order; parse -> normalize -> serialize -> parse is a fixed point. This module
 is the only reader of config values: each one is converted, given its default
 and range-checked once, and a bad one raises a ConfigError naming its
-`<section>.<key>`. Field definitions are named templates; each is built once,
-here, by its analytic/field constructor, which checks its own parameters.
+`<section>.<key>`, as does a key that no parser reads. Field definitions are
+named templates; each is built once, here, by its analytic/field constructor,
+which checks its own parameters.
 """
 
 from __future__ import annotations
@@ -103,11 +104,28 @@ def _read(section: dict, where: str, key: str, conv, default=_REQUIRED, check=No
     return v
 
 
-def _table(data: dict, key: str, where: str = "") -> dict:
+class _Table(dict):
+    """A config table that remembers which keys its parser read."""
+
+    def __init__(self, data: dict):
+        super().__init__(data)
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def check_read(self, where: str) -> None:
+        for key in self:
+            if key not in self.read:
+                raise ConfigError(f"unknown key: {where}.{key}")
+
+
+def _table(data: dict, key: str, where: str = "") -> _Table:
     v = data.get(key, {})
     if not isinstance(v, dict):
         raise ConfigError(f"[{where}{key}] must be a table")
-    return v
+    return _Table(v)
 
 
 def _convolved(atoms, alpha):
@@ -149,6 +167,7 @@ def _parse_field(name: str, spec: dict) -> tuple[dict, Any]:
     out = {"template": tpl}
     for key, conv, default in params:
         out[key] = _read(spec, where, key, conv, default(out) if callable(default) else default)
+    spec.check_read(where)
     try:
         return out, build(*(out[key] for key, _, _ in params))
     except ValueError as e:  # DomainError, ConfigError, or unequal atom dimensions
@@ -235,9 +254,13 @@ class ExperimentConfig:
             built={name: field for name, (_, field) in parsed.items()},
             quadrature=_parse_quadrature(_table(data, "quadrature")),
             spectral=(_read(sp, "spectral", "box", float, 16.0),
-                      _read(sp, "spectral", "resolution", int, 1024)),
+                      _read(sp, "spectral", "resolution", int, 1024,
+                            (spectral._is_pow2, "be a power of two"))),
         )
-        obj.params = getattr(obj, f"_parse_{cfg_kind}")(_table(data, cfg_kind))
+        sp.check_read("spectral")
+        section = _table(data, cfg_kind)
+        obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
+        section.check_read(cfg_kind)
         return obj
 
     # -- the kinds' sections ------------------------------------------------
@@ -269,6 +292,7 @@ class ExperimentConfig:
         grid = GridSpec(_read(g, "grid", "lower", _floats), _read(g, "grid", "upper", _floats),
                         _read(g, "grid", "counts", _ints),
                         _read(g, "grid", "periodic", _bool, False))
+        g.check_read("grid")
         return {"operator": operator, "field": field, "alpha": alpha, "grid": grid}
 
     def _parse_verify(self, s: dict) -> dict:

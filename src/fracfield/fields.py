@@ -235,23 +235,6 @@ class VectorField:
         )
 
 
-def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
-    """a*f + b*g with conservatively merged hints."""
-    if f.n != g.n:
-        raise ConfigError("fields must share the dimension")
-    sups = (f.support_radius, g.support_radius)
-    support = None if any(s is None for s in sups) else max(sups)
-    return ScalarField(
-        n=f.n,
-        fn=lambda p: a * f.fn(p) + b * g.fn(p),
-        support_radius=support,
-        sup_bound=None
-        if f.sup_bound is None or g.sup_bound is None
-        else abs(a) * f.sup_bound + abs(b) * g.sup_bound,
-        smooth=f.smooth and g.smooth,
-    )
-
-
 def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
     """Product field gF; hints combined for the Leibniz checks."""
     if g.n != F.n:
@@ -376,56 +359,15 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
     )
 
 
-def grid_field(grid: GridSpec, values: Array, **hints) -> ScalarField:
-    """Multilinear interpolation of node samples; zero outside the box."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.counts:
-        raise ConfigError(f"values shape {values.shape} != grid counts {grid.counts}")
-
-    def fn(p: Array) -> Array:
-        return _multilinear(grid, values, p)
-
-    return ScalarField(n=grid.n, fn=fn, smooth=False, **hints)
-
-
-def _multilinear(grid: GridSpec, values: Array, pts: Array) -> Array:
-    """Separable linear interpolation on node samples (zero beyond the box)."""
-    n = grid.n
-    h = grid.spacing
-    idx = []
-    frac = []
-    valid = np.ones(pts.shape[:-1], dtype=bool)
-    for i in range(n):
-        t = (pts[..., i] - grid.lower[i]) / h[i]
-        j = np.floor(t).astype(int)
-        f = t - j
-        valid &= (t >= 0.0) & (t <= grid.counts[i] - 1)
-        j = np.clip(j, 0, grid.counts[i] - 2)
-        idx.append(j)
-        frac.append(f)
-    out = np.zeros(pts.shape[:-1])
-    for corner in range(2**n):
-        w = np.ones(pts.shape[:-1])
-        sel = []
-        for i in range(n):
-            bit = (corner >> i) & 1
-            w = w * (frac[i] if bit else (1.0 - frac[i]))
-            sel.append(np.clip(idx[i] + bit, 0, grid.counts[i] - 1))
-        out += w * values[tuple(sel)]
-    return np.where(valid, out, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # mollifier and cutoff profiles
 
 @lru_cache(maxsize=1)
 def _bump_normalizer(n: int) -> float:
     """1 / integral_{B_1} exp(-1/(1-|x|^2)) dx, via radial Gauss-Legendre."""
-    from .quadrature import _leggauss  # local import: quadrature depends on this module
+    from .quadrature import _gauss  # local import: quadrature depends on this module
 
-    t, w = _leggauss(200)
-    r = 0.5 * (t + 1.0)
-    wr = 0.5 * w
+    r, wr = _gauss(0.0, 1.0, 200)
     prof = np.exp(-1.0 / (1.0 - r**2))
     integral = sphere_area(n) * float(np.sum(prof * r ** (n - 1) * wr))
     return 1.0 / integral
@@ -461,14 +403,15 @@ def mollifier(eps: float, n: int) -> ScalarField:
 
 def _smoothstep(t: Array) -> Array:
     """C^inf ramp: 0 for t <= 0, 1 for t >= 1, built from exp(-1/t)."""
-    t = np.asarray(t, dtype=float)
-    a = np.zeros(t.shape)
-    pos = t > 0
-    a[pos] = np.exp(-1.0 / t[pos])
-    b = np.zeros(t.shape)
-    neg = t < 1
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    t = np.clip(t, 0.0, 1.0)
+    a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+    b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
     return a / (a + b)
+
+
+def _window(dist: Array, inner: float, outer: float) -> Array:
+    """Smooth radial window: 1 below inner, 0 above outer."""
+    return _smoothstep((outer - dist) / (outer - inner))
 
 
 def cutoff(R: float, n: int) -> ScalarField:

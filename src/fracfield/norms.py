@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import GridSpec, ScalarField, VectorField, _inner
-from .quadrature import QuadratureConfig, panel_radial_rule, singular_radial_rule, sphere_rule
+from .quadrature import QuadratureConfig, _polar_rule, panel_radial_rule, singular_radial_rule
 from .special import sphere_area
 
 Array = np.ndarray
@@ -122,25 +122,20 @@ def besov_seminorm(g: ScalarField, alpha: float, q: float,
         res = min(res, 48)
 
     h_floor = 5.0 * (2.0 * S) / res  # translate grid cannot resolve smaller shifts
-    dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes if n > 1 else 2)
-
-    def phi(r: float, d: Array) -> float:
-        return translate_distance(g, r * d, q, res)
-
-    # near field: int_0^r0 (phi(r w)/r) r^(-alpha) dr, u-substitution
+    m_ang = cfg.mid_angular_nodes if n > 1 else 2
+    # near field: int_0^r0 (phi(r w)/r) r^(-alpha) dr, u-substitution, with
+    # shifts below h_floor taken at h_floor
     r0 = min(0.5, 0.5 * S)
     rn, wn = singular_radial_rule(r0, -alpha, cfg.near_radial_nodes)
-    total = 0.0
-    for d, wa in zip(dirs, w_ang):
-        for r, wr in zip(rn, wn):
-            re = max(float(r), h_floor)
-            total += wa * wr * phi(re, d) / re
+    near = _polar_rule(n, np.maximum(rn, h_floor), wn, m_ang, -1.0)
     # mid field up to guaranteed support separation
     R0 = 2.0 * S + 0.5
     rm, wm = panel_radial_rule(r0, R0, cfg.mid_panel_growth, cfg.mid_panel_nodes)
-    for d, wa in zip(dirs, w_ang):
-        for r, wr in zip(rm, wm):
-            total += wa * wr * phi(float(r), d) * float(r) ** (-1.0 - alpha)
+    mid = _polar_rule(n, rm, wm, m_ang, -1.0 - alpha)
+    total = 0.0
+    for _, disp, w in (near, mid):
+        for h, wh in zip(disp.reshape(n, -1).T, w.ravel()):
+            total += wh * translate_distance(g, h, q, res)
     # far field, exact for disjoint supports: phi == 2^(1/q) ||g||_q
     dom = GridSpec((-S - 0.1,) * n, (S + 0.1,) * n, (res,) * n)
     gq = lp_norm(g, q, dom)

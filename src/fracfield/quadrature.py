@@ -20,6 +20,13 @@ All evaluators are batched over evaluation points: each pass builds its node
 template once and evaluates it around blocks of points sized so a block's
 temporaries stay in cache (`_BLOCK_NODES`). Every public operator is one call
 of the driver `_run_op` with its kernel order, constant and integrand kind.
+
+Every polar rule of the package comes from one builder here: `_gauss` maps
+Gauss-Legendre onto [a, b], and `_polar_rule` tensors radii with the
+`sphere_rule` directions into offsets r*omega and weights (w_r x w_omega) r^k.
+The engine's passes, the verifier's ball integrals, the analytic library's
+pole and profile integrals and the Besov seminorm all take their nodes from
+it and differ only in how they sum.
 """
 
 from __future__ import annotations
@@ -143,6 +150,14 @@ def sphere_rule(n: int, m: int) -> tuple[Array, Array]:
     raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
 
 
+def _gauss(a, b, m: int) -> tuple[Array, Array]:
+    """m Gauss-Legendre nodes and weights on [a, b]. The ends broadcast
+    against the nodes: ends of shape (..., 1) give one rule per entry."""
+    t, wt = _leggauss(m)
+    half = 0.5 * (b - a)
+    return half * (t + 1.0) + a, half * wt
+
+
 def singular_radial_rule(r_max: float, rho: float, m: int) -> tuple[Array, Array]:
     """Nodes/weights for int_0^rmax S(r) r^rho dr with the u = r^(1+rho) map.
 
@@ -152,12 +167,8 @@ def singular_radial_rule(r_max: float, rho: float, m: int) -> tuple[Array, Array
     p = 1.0 + rho
     if p <= 0:
         raise DomainError(f"radial power {rho} is not integrable at 0")
-    t, wt = _leggauss(m)
-    U = r_max**p
-    u = 0.5 * U * (t + 1.0)
-    r = u ** (1.0 / p)
-    w = 0.5 * U * wt / p
-    return r, w
+    u, wu = _gauss(0.0, r_max**p, m)
+    return u ** (1.0 / p), wu / p
 
 
 def panel_radial_rule(r0: float, r1: float, growth: float, m: int) -> tuple[Array, Array]:
@@ -165,11 +176,29 @@ def panel_radial_rule(r0: float, r1: float, growth: float, m: int) -> tuple[Arra
     edges = [r0]
     while edges[-1] * growth < r1:
         edges.append(edges[-1] * growth)
-    edges.append(r1)
-    t, wt = _leggauss(m)
-    a = np.array(edges[:-1])[:, None]
-    half = 0.5 * (np.array(edges[1:])[:, None] - a)
-    return (half * (t + 1.0) + a).ravel(), (half * wt).ravel()
+    edges = np.array(edges + [r1])[:, None]
+    r, w = _gauss(edges[:-1], edges[1:], m)
+    return r.ravel(), w.ravel()
+
+
+def _ball_radial_rule(r0: float, R: float, growth: float, m: int) -> tuple[Array, Array]:
+    """Radii on [0, R] for a smooth integrand: one Gauss-Legendre panel on
+    [0, r0], then geometrically growing panels from r0 to R."""
+    (r, w), (r_rest, w_rest) = _gauss(0.0, r0, m), panel_radial_rule(r0, R, growth, m)
+    return np.concatenate([r, r_rest]), np.concatenate([w, w_rest])
+
+
+def _polar_rule(n: int, r: Array, w_r: Array, m_ang: int,
+                k: float = 0.0) -> tuple[Array, Array, Array]:
+    """The polar tensor rule of radii r (weights w_r) times the m_ang sphere
+    rule: its directions (A, n), the offsets r*omega stored component-major,
+    (n, R, A), and the weights (w_r x w_omega) r^k, (R, A)."""
+    dirs, w_ang = sphere_rule(n, m_ang)
+    disp = dirs.T[:, None, :] * r[None, :, None]
+    w = w_r[:, None] * w_ang[None, :]
+    if k != 0.0:
+        w = w * r[:, None] ** k
+    return dirs, disp, w
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +295,18 @@ def _batched_polar(
     out_shape = (m_pts, n) if vector else (m_pts,)
     acc = np.zeros(out_shape)
 
-    dirs, w_ang = sphere_rule(n, cfg.near_angular_nodes)
     rho = kern_pow + 1.0 if near_divide else kern_pow
     r, w_rad = singular_radial_rule(delta, rho, cfg.near_radial_nodes)
     # difference quotients below r_floor are frozen: pure roundoff guard
     r_floor = 1e-7 * min(1.0, delta)
-    r_eff = np.maximum(r, r_floor)
-    acc += _polar_sum(X, numer, dirs, w_ang, r_eff, w_rad,
-                      divide=near_divide, extra_pow=0.0, vector=vector)
+    acc += _polar_sum(X, numer, np.maximum(r, r_floor), w_rad, cfg.near_angular_nodes,
+                      0.0, divide=near_divide, vector=vector)
 
     if far_R > delta * (1.0 + 1e-12):
-        dirs2, w_ang2 = sphere_rule(n, cfg.mid_angular_nodes)
         r2, w_rad2 = panel_radial_rule(delta, far_R, cfg.mid_panel_growth,
                                        cfg.mid_panel_nodes)
-        acc += _polar_sum(X, numer, dirs2, w_ang2, r2, w_rad2,
-                          divide=False, extra_pow=kern_pow, vector=vector)
+        acc += _polar_sum(X, numer, r2, w_rad2, cfg.mid_angular_nodes, kern_pow,
+                          divide=False, vector=vector)
     return acc
 
 
@@ -303,19 +329,16 @@ def _blocks(m_pts: int, nodes_per_pt: int):
     return (slice(i, i + step) for i in range(0, m_pts, step))
 
 
-def _polar_sum(X, numer, dirs, w_ang, r, w_rad, divide, extra_pow, vector):
+def _polar_sum(X, numer, r, w_rad, m_ang, k, divide, vector):
     """Accumulate sum_{r,omega} numer(x + r w, w, rows) * weight over blocks
-    of points.
+    of points, with the polar rule of radii r (weights w_rad r^k) and the
+    m_ang sphere rule.
 
-    The displacement template r*omega and the weights (times the directions
-    for a vector output) are built once per pass; each block of points then
-    holds at most _BLOCK_NODES nodes.
+    The rule (times the directions for a vector output) is built once per
+    pass; each block of points then holds at most _BLOCK_NODES nodes.
     """
     m_pts, n = X.shape
-    disp = dirs.T[:, None, :] * r[None, :, None]              # (n, R, A)
-    w = w_rad[:, None] * w_ang[None, :]
-    if extra_pow != 0.0:
-        w = w * r[:, None] ** extra_pow
+    dirs, disp, w = _polar_rule(n, r, w_rad, m_ang, k)
     if vector:
         w = np.multiply(w, dirs.T[:, None, :], order="C")     # (n, R, A)
     out = np.empty((m_pts, n) if vector else (m_pts,))
@@ -342,17 +365,11 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
     |y-x|^(-expo) (scalar kernel of the Riesz potential).
     """
     def run(m_ang: int, m_panel: int):
-        dirs, w_ang = sphere_rule(n, m_ang)
-        r0 = S / 16.0
-        t, wt = _leggauss(m_panel)
-        r_first = 0.5 * r0 * (t + 1.0)
-        w_first = 0.5 * r0 * wt
-        r_rest, w_rest = panel_radial_rule(r0, S, 1.5, m_panel)
-        r = np.concatenate([r_first, r_rest])
-        wr = np.concatenate([w_first, w_rest])
+        r, wr = _ball_radial_rule(S / 16.0, S, 1.5, m_panel)
+        _, disp, w = _polar_rule(n, r, wr, m_ang, n - 1)
         # source nodes stored component-major, (n, Y), and seen as (Y, n)
-        y = (dirs.T[:, None, :] * r[None, :, None]).reshape(n, -1).T
-        w = ((wr * r ** (n - 1))[:, None] * w_ang[None, :]).reshape(-1)
+        y = disp.reshape(n, -1).T
+        w = w.reshape(-1)
         sv = src_fn(y)
         out = np.empty((X.shape[0], n) if out_vector else (X.shape[0],))
         for rows in _blocks(X.shape[0], y.shape[0]):
@@ -381,13 +398,10 @@ def _extrapolated_tail(n, X, numer, kern_pow, cfg, vector, far_R) -> float:
     octave; the octave [R/4, R/2] checks that against [R/2, R], and a field
     whose tail falls slower is refused.
     """
-    dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
-
     def octave(lo: float) -> float:
         r, w_rad = panel_radial_rule(lo, 2.0 * lo, 2.0, cfg.mid_panel_nodes)
-        return float(np.max(np.abs(_polar_sum(X, numer, dirs, w_ang, r, w_rad,
-                                              divide=False, extra_pow=kern_pow,
-                                              vector=vector))))
+        return float(np.max(np.abs(_polar_sum(X, numer, r, w_rad, cfg.mid_angular_nodes,
+                                              kern_pow, divide=False, vector=vector))))
 
     inner, last = octave(far_R / 4.0), octave(far_R / 2.0)
     if last > 0.5 * inner:

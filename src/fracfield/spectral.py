@@ -67,14 +67,6 @@ class PeriodicField:
     def box(self) -> tuple[float, ...]:
         return tuple(u - l for l, u in zip(self.grid.lower, self.grid.upper))
 
-    def roundtrip_residual(self) -> float:
-        """Transform round-trip defect; ~1e-15 for well-formed real input."""
-        d = self.data if not self.vector else self.data[0]
-        axes = tuple(range(self.grid.n))
-        back = np.fft.irfftn(np.fft.rfftn(d), s=self.grid.counts, axes=axes)
-        scale = 1.0 + float(np.max(np.abs(d)))
-        return float(np.max(np.abs(back - d))) / scale
-
     def mean(self) -> float:
         return float(np.mean(self.data))
 

@@ -9,7 +9,9 @@ VerifyReport, and decides pass/fail through one centralized tolerance policy:
 with the binding branch recorded. Ground-truth right sides over atoms are
 exact arithmetic; quadrature appears on left sides only, so the error
 accounting is one-sided. All randomness is seeded; node layouts are fixed;
-pass flags are reproducible bit for bit for a given configuration.
+pass flags are reproducible bit for bit for a given configuration. Ball and
+polar integrals take their nodes and weights from the shared polar rule of
+`quadrature` and only sum the integrand over them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from .measures import RadonMeasure, measure_ball_mass
 from .norms import besov_seminorm, lp_norm
 from .quadrature import (
     QuadratureConfig,
-    _leggauss,
+    _ball_radial_rule,
+    _gauss,
+    _polar_rule,
     frac_divergence_batch,
     frac_gradient_batch,
     nl_divergence_batch,
@@ -134,23 +138,19 @@ def _report(name, params, lhs, rhs, est, policy, t0, scale=None, notes="") -> Ve
 # ---------------------------------------------------------------------------
 # shared quadrature helpers
 
-def _polar_sum(fn, c: Array, r: Array, w_r: Array, m_ang: int) -> tuple[float, float]:
-    """Tensor rule over c + r w, with (w, w_w) the m_ang sphere rule: sums
-    fn's values and estimates with weights w_r r^(n-1) w_w."""
-    n = c.shape[0]
-    dirs, w_ang = sphere_rule(n, m_ang)
-    pts = (c[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    vals, ests = fn(pts)
-    w = (w_r * r ** (n - 1))[:, None] * w_ang[None, :]
-    return float(np.sum(vals.reshape(w.shape) * w)), float(np.sum(ests.reshape(w.shape) * w))
-
-
 def _fine_coarse(c: Array, radial, fine, coarse) -> tuple[float, float]:
-    """_polar_sum at two levels, each (fn, radial node count, angular node
-    count) with radial(m) -> (r, w_r). Returns the fine value and the
+    """fn's values and estimates summed over the polar rule around c (radii
+    and weights radial(m), the Jacobian r^(n-1)) at two levels, each (fn,
+    radial node count, angular node count). Returns the fine value and the
     estimate |fine - coarse| + the fine level's summed estimates."""
-    (v_f, e_f), (v_c, _) = (_polar_sum(fn, c, *radial(m_rad), m_ang)
-                            for fn, m_rad, m_ang in (fine, coarse))
+    n = c.shape[0]
+
+    def level(fn, m_rad, m_ang):
+        _, disp, w = _polar_rule(n, *radial(m_rad), m_ang, n - 1)
+        vals, ests = fn((c[:, None, None] + disp).reshape(n, -1).T)
+        return float(np.sum(vals.reshape(w.shape) * w)), float(np.sum(ests.reshape(w.shape) * w))
+
+    (v_f, e_f), (v_c, _) = level(*fine), level(*coarse)
     return v_f, abs(v_f - v_c) + e_f
 
 
@@ -163,10 +163,7 @@ def polar_integral(fn_batch: Callable[[Array], tuple[Array, Array]], n: int,
     angular/radial Richardson delta.
     """
     def radial(m):
-        r, w_r = panel_radial_rule(R / 64.0, R, cfg.mid_panel_growth, m)
-        t, wt = _leggauss(m)
-        return (np.concatenate([0.5 * R / 64.0 * (t + 1.0), r]),
-                np.concatenate([0.5 * R / 64.0 * wt, w_r]))
+        return _ball_radial_rule(R / 64.0, R, cfg.mid_panel_growth, m)
 
     return _fine_coarse(
         np.zeros(n), radial, (fn_batch, cfg.mid_panel_nodes, cfg.mid_angular_nodes),
@@ -412,8 +409,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
 def _ball_polar_integral(fn_batch, x0, r, cfg) -> tuple[float, float]:
     """Integral over B_r(x0) with Gauss-Legendre radii on [0, r]."""
     def radial(m):
-        t, wt = _leggauss(m)
-        return 0.5 * r * (t + 1.0), 0.5 * r * wt
+        return _gauss(0.0, r, m)
 
     return _fine_coarse(
         x0, radial, (fn_batch, 4 * cfg.mid_panel_nodes, cfg.mid_angular_nodes),
@@ -466,40 +462,25 @@ def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
     n = x0.shape[0]
     R_out = _support(xi) + float(np.linalg.norm(x0)) + 1.0
 
-    def angular_avg(rhos, m_ang):
-        dirs, w_ang = sphere_rule(n, m_ang)
-        pts = x0[None, None, :] + rhos[:, None, None] * dirs[None, :, :]
-        # einsum sums a contiguous k axis in another order than a strided
-        # one, so the contraction reads a (R, A, n) copy of the field values
-        fv = np.ascontiguousarray(F(pts.reshape(-1, n)).reshape(len(rhos), len(dirs), n))
-        xv = xi(pts.reshape(-1, n)).reshape(len(rhos), len(dirs))
-        proj = np.einsum("rak,ak->ra", fv, dirs)
-        return np.einsum("ra,ra,a->r", xv, proj, w_ang)
-
     def run(m_s, m_ang, m_surf):
-        # inside: s = r - rho in (0, r]
-        s_in, w_in = singular_radial_rule(r, -alpha, m_s)
-        rho_in = r - s_in
-        # outside near: s = rho - r in (0, s0]; outside far: panels
+        # inside: s = r - rho in (0, r]; outside near: s = rho - r in (0, s0];
+        # outside far: panels
         s0 = min(r, 1.0)
+        s_in, w_in = singular_radial_rule(r, -alpha, m_s)
         s_on, w_on = singular_radial_rule(s0, -alpha, m_s)
-        rho_on = r + s_on
         rho_of, w_of = panel_radial_rule(r + s0, R_out, cfg.mid_panel_growth,
                                          cfg.mid_panel_nodes)
-        rhos = np.concatenate([rho_in, rho_on, rho_of])
+        rhos = np.concatenate([r - s_in, r + s_on, rho_of])
+        # the singular rules integrate S(s) s^(-alpha); the profile g carries
+        # the singularity, so their weights take s^alpha back
+        w_r = np.concatenate([w_in * s_in**alpha, w_on * s_on**alpha, w_of])
+        dirs, disp, w = _polar_rule(n, rhos, w_r, m_ang, n - 1)
+        pts = (x0[:, None, None] + disp).reshape(n, -1).T
+        proj = _inner(F(pts).reshape(w.shape + (n,)), dirs)
+        xv = xi(pts).reshape(w.shape)
         g = grad_chi_ball_profile(r, alpha, n, rhos, m_surf)
-        avg = angular_avg(rhos, m_ang)
-        dens = g * avg * rhos ** (n - 1)
-        k = len(rho_in)
-        k2 = k + len(rho_on)
-        # the singular rules integrate S(s) s^(-alpha); here S = dens * s^alpha
-        val = float(np.sum(dens[:k] * (s_in**alpha) * w_in))
-        val += float(np.sum(dens[k:k2] * (s_on**alpha) * w_on))
-        val += float(np.sum(dens[k2:] * w_of))
-        return val
+        return float(np.einsum("r,ra,ra,ra->", g, xv, proj, w))
 
-    # the profile g carries the |rho-r|^(-alpha) singularity; the rules above
-    # integrate S(s) s^(-alpha) with S = dens * s^alpha smooth
     v_f = run(24, cfg.mid_angular_nodes, 256)
     v_c = run(12, max(4, cfg.mid_angular_nodes // 2), 128)
     return v_f, abs(v_f - v_c)

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 from fracfield.analytic import (
     _bulk_sums,
     _pole_radius,
-    _window,
     cantor_measure,
     duality_pairing,
     grad_chi_ball,
-    grad_cutoff_annulus,
     make_convolved,
     make_delta_pair,
     mollified_pole_field,
     nl_gradient_ball,
-    ramp_cutoff_field,
     spectral_gradient_of,
 )
 from fracfield.errors import DomainError
 from fracfield.fields import (
+    _window,
     ball_indicator,
     compact_bump,
     cutoff,
@@ -38,6 +36,8 @@ from fracfield.quadrature import (
     sphere_rule,
 )
 from fracfield.special import _mu_raw, mu_const, omega_const
+
+from _oracles import grad_cutoff_annulus, ramp_cutoff_field
 
 Y = np.array([0.0, 0.0])
 Z = np.array([1.0, 0.0])

@@ -355,9 +355,16 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "quadrature.near_radial_nodes: 'x'"),
     ("verify", VERIFY_TEXT + "[quadrature]\nfoo = 1\n", None,
      "unknown quadrature option: quadrature.foo"),
+    ("op", _edited("op_gaussian_grad.toml", "width = 1.0", "widht = 2.0"), None,
+     "unknown key: fields.main.widht"),
+    ("bench", _edited("bench_gaussian.toml", "points = 100", "points = 100\npoint = 5"), None,
+     "unknown key: bench.point"),
+    ("bench", (CONFIG_DIR / "bench_gaussian.toml").read_text() + "[spectral]\nresolution = 1000\n",
+     None, "spectral.resolution must be a power of two, got 1000"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
-        "quadrature-value", "quadrature-unknown-key"])
+        "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
+        "kind-unknown-key", "spectral-resolution"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,

@@ -17,11 +17,11 @@ from fracfield.fields import (
     cutoff,
     gaussian,
     gaussian_vector,
-    grid_field,
-    lin_comb,
     mollifier,
     scalar_times_vector,
 )
+
+from _oracles import lin_comb
 
 
 def test_gridspec_validation():
@@ -105,19 +105,6 @@ def test_cutoff_shape():
     vals = eta(np.stack([rr, np.zeros(101)], axis=-1))
     assert np.all(np.diff(vals) <= 1e-12)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
-def test_grid_field_interpolation():
-    g = gaussian((0.0, 0.0))
-    grid = GridSpec((-2.0, -2.0), (2.0, 2.0), (256, 256))
-    f = grid_field(grid, g(grid.node_points()))
-    pts = np.random.default_rng(0).uniform(-1.5, 1.5, (50, 2))
-    assert np.max(np.abs(f(pts) - g(pts))) < 2e-4  # O(h^2) bilinear error
-    # exact at nodes
-    node = np.array([grid.axis_nodes(0)[40], grid.axis_nodes(1)[77]])
-    assert f(node) == pytest.approx(g(node), rel=1e-14)
-    # zero outside the box
-    assert f(np.array([3.0, 0.0])) == 0.0
 
 
 def test_vector_field_components():

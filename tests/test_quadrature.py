@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fracfield import quadrature
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import (GridSpec, ScalarField, _inner, ball_indicator, gaussian,
-                              gaussian_vector, lin_comb)
+                              gaussian_vector)
 from fracfield.norms import besov_seminorm, lp_norm
 from fracfield.quadrature import (
     OperatorResult,
@@ -31,6 +31,8 @@ from fracfield.quadrature import (
     singular_radial_rule,
     sphere_rule,
 )
+
+from _oracles import lin_comb, pole_field_divergence
 
 # whole-space references for G(x) = exp(-pi |x|^2): Hankel-transform
 # quadratures at 25-digit precision, frozen offline
@@ -102,6 +104,73 @@ def test_cached_sphere_rule_is_read_only(n):
         dirs[0, 0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+def test_gauss_reproduces_the_inline_affine_maps():
+    """_gauss gives the bits of the hand-written maps it replaced: the
+    singular rule's u-map, the panels, and the far-source rule's first panel
+    with its zero left end; array ends broadcast one rule per entry."""
+    m = 7
+    t, wt = _leggauss(m)
+    p = 1.0 + 0.6
+    U = 0.37**p
+    r, w = singular_radial_rule(0.37, 0.6, m)
+    assert np.array_equal(r, (0.5 * U * (t + 1.0)) ** (1.0 / p))
+    assert np.array_equal(w, 0.5 * U * wt / p)
+    edges = np.array([0.2, 0.4, 0.8, 1.3])
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    r, w = panel_radial_rule(0.2, 1.3, 2.0, m)
+    assert np.array_equal(r, (half * (t + 1.0) + a).ravel())
+    assert np.array_equal(w, (half * wt).ravel())
+    S = 2.9
+    r, w = quadrature._ball_radial_rule(S / 16.0, S, 1.5, m)
+    assert np.array_equal(r[:m], 0.5 * (S / 16.0) * (t + 1.0))
+    assert np.array_equal(w[:m], 0.5 * (S / 16.0) * wt)
+    assert np.array_equal(r[m:], panel_radial_rule(S / 16.0, S, 1.5, m)[0])
+    e0 = np.random.default_rng(5).uniform(0.1, 1.0, (3, 4, 1))
+    e1 = 2.5 * e0
+    r, w = quadrature._gauss(e0, e1, m)
+    assert np.array_equal(r, 0.5 * (e1 - e0) * (t + 1.0) + e0)
+    assert np.array_equal(w, 0.5 * (e1 - e0) * wt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polar_rule_integrates_radial_powers(n):
+    """|x - c|^j over B_R(c) and over an annulus from the shared tensor rule
+    equals sphere_area(n) (R^(n+j) - R0^(n+j)) / (n+j) at every radial power
+    k a caller uses (0, the Jacobian n - 1, the kernel powers): the integrand
+    is sampled as r^(j+n-1-k), so a wrong power of r in the weights fails."""
+    from fracfield.special import sphere_area
+
+    alpha = 0.4
+    c = np.array([0.3, -0.2, 0.1])[:n]
+    radial = [(0.0, 1.7, quadrature._gauss(0.0, 1.7, 8)),
+              (0.0, 1.7, quadrature._ball_radial_rule(1.7 / 16.0, 1.7, 1.5, 6)),
+              (0.4, 2.5, panel_radial_rule(0.4, 2.5, 2.0, 6))]
+    for k in (0.0, n - 1.0, -1.0 - alpha, n - alpha):
+        for j in (0, 1, 2):
+            for r0, R, (r, w_r) in radial:
+                dirs, disp, w = quadrature._polar_rule(n, r, w_r, 8, k)
+                assert disp.shape == (n, r.size, len(dirs)) and w.shape == (r.size, len(dirs))
+                dist = np.sqrt(_inner(np.moveaxis(c[:, None, None] + disp, 0, -1) - c))
+                exact = sphere_area(n) * (R ** (n + j) - r0 ** (n + j)) / (n + j)
+                assert np.sum(dist ** (j + n - 1 - k) * w) == pytest.approx(exact, rel=1e-13)
+
+
+def test_shared_rule_pieces_are_read_only_where_cached():
+    """The polar rule hands out the cached sphere rule itself, and the cached
+    mollified-kernel profile built from it is frozen too."""
+    from fracfield.analytic import _mollified_kernel_profile
+
+    r, w_r = panel_radial_rule(0.2, 1.0, 2.0, 4)
+    dirs, disp, w = quadrature._polar_rule(2, r, w_r, 16, 1.0)
+    assert dirs is sphere_rule(2, 16)[0] and not dirs.flags.writeable
+    ts, kappa = _mollified_kernel_profile(2, 0.5, 0.3)
+    assert _mollified_kernel_profile(2, 0.5, 0.3)[1] is kappa
+    for a in (ts, kappa):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_config_validation():
@@ -414,7 +483,7 @@ def test_delta_pair_divergence_vanishes_off_atoms(cfg):
     """The pair field's divergence measure is purely atomic: the pointwise
     density away from both poles is zero within 10x the tolerance (the atoms
     are interior kernel singularities, handled by the pole-aware splitting)."""
-    from fracfield.analytic import make_delta_pair, pole_field_divergence
+    from fracfield.analytic import make_delta_pair
 
     pair = make_delta_pair((0.0, 0.0), (1.0, 0.0), 0.5)
     for pt in [(0.5, 0.8), (-0.7, -0.6), (1.9, 0.3)]:
@@ -449,9 +518,10 @@ def test_nl_divergence_brute_force_oracle(cfg, gauss2d):
 # ---------------------------------------------------------------------------
 # blocked passes
 
-def _unblocked_polar_sum(X, numer, dirs, w_ang, r, w_rad, divide, extra_pow, vector):
+def _unblocked_polar_sum(X, numer, r, w_rad, m_ang, extra_pow, divide, vector):
     """The polar pass over the whole batch at once: the reference the
     point-blocked quadrature._polar_sum is compared against."""
+    dirs, w_ang = sphere_rule(X.shape[1], m_ang)
     pts = X[:, None, None, :] + r[:, None, None] * dirs[None, :, :]
     vals = numer(pts, dirs, slice(None))
     if divide:
