@@ -7,6 +7,8 @@ The library provides:
   variant has the same formula and the classical divergence);
 * atomic convolutions of the basic pair against a finite measure, whose
   divergence is the measure minus its unit shift;
+  both are `PoleField`s: the field, its order and its divergence measure,
+  whose atoms are the poles and whose weights are the pole strengths;
 * finite-level Cantor measures realizing the |nu|(B_r) <= C r^eps scaling;
 * the fractional gradient of a ball indicator as a sphere integral;
 * a partition-of-unity pairing integrator for int F . grad^a xi dx against
@@ -63,30 +65,12 @@ def _pair_kernel(pts: Array, pole: Array, expo: float) -> Array:
 
 
 @dataclass(frozen=True)
-class DeltaPairField:
-    """Pole-pair field with ground truth divergence delta_y - delta_z."""
+class PoleField:
+    """Vector field whose fractional alpha-divergence is the finite atomic
+    measure `measure`: the poles are its atoms, their strengths its weights."""
 
     field: VectorField
     alpha: float
-    poles: Array          # (2, n): [y, z]
-    pole_strengths: Array  # (+1, -1)
-    measure: RadonMeasure
-    lp_upper: float
-    lp_lower_inclusive: bool
-
-    @property
-    def n(self) -> int:
-        return self.field.n
-
-
-@dataclass(frozen=True)
-class ConvolvedField:
-    """Atomic convolution of the basic pair field; divergence nu - shift(nu)."""
-
-    field: VectorField
-    alpha: float
-    poles: Array
-    pole_strengths: Array
     measure: RadonMeasure
 
     @property
@@ -113,81 +97,26 @@ def _measured_decay(fn, n: int, s: float, ring: float) -> tuple[float, float]:
     return (1.3 * mag * ring**s, s)
 
 
-def make_delta_pair(y, z, alpha: float) -> DeltaPairField:
-    """Explicit field with fractional alpha-divergence delta_y - delta_z.
-
-    alpha in (0, 1]; L^p membership: p in [1, n/(n-alpha)) for alpha < 1 and
-    p in (1, n/(n-1)) at alpha = 1.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = y.shape[0]
-    if z.shape != y.shape:
-        raise ConfigError("pole points must share the dimension")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if float(np.linalg.norm(y - z)) == 0.0:
-        raise DomainError("degenerate pole pair (y == z) is rejected")
+def _pole_field(ys: Array, zs: Array, ws: Array, alpha: float, ring: float,
+                token: str) -> PoleField:
+    """F(x) = mu(n,-a) sum_i w_i [K(x-y_i) - K(x-z_i)], K(v) = v/|v|^(n+1-a),
+    whose alpha-divergence is sum_i w_i (delta_{y_i} - delta_{z_i}), with
+    coincident atoms of that measure merged. The decay constant is measured
+    on the sphere of radius `ring`."""
+    n = ys.shape[1]
     mu_minus = _mu_raw(n, -alpha)
     expo = n + 1.0 - alpha
-
-    def fn(pts: Array) -> Array:
-        return mu_minus * (_pair_kernel(pts, y, expo) - _pair_kernel(pts, z, expo))
-
-    s = n + 1.0 - alpha
-    ring = 10.0 * (1.0 + float(np.linalg.norm(y)) + float(np.linalg.norm(z)))
-    field = VectorField(
-        n=n,
-        fn=fn,
-        decay=_measured_decay(fn, n, s, ring),
-        smooth=False,
-        cache_token=f"deltapair(y={tuple(y.tolist())},z={tuple(z.tolist())},a={float(alpha)})",
-    )
-    measure = RadonMeasure(
-        n=n, atom_points=np.stack([y, z]), atom_weights=np.array([1.0, -1.0])
-    )
-    if alpha < 1.0:
-        upper, inclusive = n / (n - alpha), True
-    else:
-        upper, inclusive = (n / (n - 1.0) if n > 1 else math.inf), False
-    return DeltaPairField(
-        field=field,
-        alpha=float(alpha),
-        poles=np.stack([y, z]),
-        pole_strengths=np.array([1.0, -1.0]),
-        measure=measure,
-        lp_upper=upper,
-        lp_lower_inclusive=inclusive,
-    )
-
-
-def make_convolved(nu: RadonMeasure, alpha: float) -> ConvolvedField:
-    """Convolution of the basic pair field F_{0, e1, alpha} with atomic nu.
-
-    Ground truth divergence: sum_i w_i (delta_{y_i} - delta_{y_i + e1}).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if nu.density_grid is not None:
-        raise ConfigError("convolved fields support atomic measures only")
-    n = nu.n
-    e1 = _E1[n]
-    mu_minus = _mu_raw(n, -alpha)
-    expo = n + 1.0 - alpha
-    pts_y = nu.atom_points
-    w = nu.atom_weights
 
     def fn(pts: Array) -> Array:
         acc = np.zeros((n,) + pts.shape[:-1])
-        for yi, wi in zip(pts_y, w):
-            acc += wi * (_pair_kernel(pts, yi, expo) - _pair_kernel(pts, yi + e1, expo))
+        for yi, zi, wi in zip(ys, zs, ws):
+            acc += wi * (_pair_kernel(pts, yi, expo) - _pair_kernel(pts, zi, expo))
         return mu_minus * acc
 
-    # combine coincident atoms of nu - shift(nu)
     locs: list[Array] = []
     weights: list[float] = []
-    for yi, wi in zip(pts_y, w):
-        for pt, sgn in ((yi, wi), (yi + e1, -wi)):
+    for yi, zi, wi in zip(ys, zs, ws):
+        for pt, sgn in ((yi, wi), (zi, -wi)):
             for k, q in enumerate(locs):
                 if np.linalg.norm(q - pt) < 1e-12:
                     weights[k] += sgn
@@ -196,24 +125,45 @@ def make_convolved(nu: RadonMeasure, alpha: float) -> ConvolvedField:
                 locs.append(pt)
                 weights.append(sgn)
     keep = [i for i, wt in enumerate(weights) if abs(wt) > 1e-14]
-    atoms = np.array([locs[i] for i in keep]).reshape(-1, n)
-    atom_w = np.array([weights[i] for i in keep])
-    measure = RadonMeasure(n=n, atom_points=atoms, atom_weights=atom_w)
-    s = n + 1.0 - alpha
-    if len(pts_y):
-        ring = 10.0 * (1.0 + float(np.max(np.abs(pts_y))))
-        decay = _measured_decay(fn, n, s, ring)
-    else:
-        decay = (0.0, s)
-    field = VectorField(n=n, fn=fn, decay=decay, smooth=False,
-                        cache_token=f"convolved(a={float(alpha)},k={len(pts_y)})")
-    return ConvolvedField(
-        field=field,
-        alpha=float(alpha),
-        poles=atoms,
-        pole_strengths=atom_w,
-        measure=measure,
-    )
+    measure = RadonMeasure(n=n, atom_points=np.array([locs[i] for i in keep]).reshape(-1, n),
+                           atom_weights=np.array([weights[i] for i in keep]))
+    decay = _measured_decay(fn, n, expo, ring) if len(ws) else (0.0, expo)
+    field = VectorField(n=n, fn=fn, decay=decay, cache_token=token)
+    return PoleField(field=field, alpha=float(alpha), measure=measure)
+
+
+def make_delta_pair(y, z, alpha: float) -> PoleField:
+    """Explicit field with fractional alpha-divergence delta_y - delta_z.
+
+    alpha in (0, 1]; L^p membership: p in [1, n/(n-alpha)) for alpha < 1 and
+    p in (1, n/(n-1)) at alpha = 1.
+    """
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.shape != y.shape:
+        raise ConfigError("pole points must share the dimension")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if float(np.linalg.norm(y - z)) < 1e-12:  # the atoms would merge into none
+        raise DomainError("degenerate pole pair (|y - z| < 1e-12) is rejected")
+    ring = 10.0 * (1.0 + float(np.linalg.norm(y)) + float(np.linalg.norm(z)))
+    return _pole_field(y[None], z[None], np.array([1.0]), alpha, ring,
+                       f"deltapair(y={tuple(y.tolist())},z={tuple(z.tolist())},a={float(alpha)})")
+
+
+def make_convolved(nu: RadonMeasure, alpha: float) -> PoleField:
+    """Convolution of the basic pair field F_{0, e1, alpha} with atomic nu.
+
+    Ground truth divergence: sum_i w_i (delta_{y_i} - delta_{y_i + e1}).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if nu.density_grid is not None:
+        raise ConfigError("convolved fields support atomic measures only")
+    ys = nu.atom_points
+    ring = 10.0 * (1.0 + float(np.max(np.abs(ys), initial=0.0)))
+    return _pole_field(ys, ys + _E1[nu.n], nu.atom_weights, alpha, ring,
+                       f"convolved(a={float(alpha)},k={len(ys)})")
 
 
 def cantor_measure(level: int, embed_dim: int = 1) -> RadonMeasure:
@@ -442,12 +392,11 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float) -> tuple[Array, 
     return ts, kappa
 
 
-def mollified_pole_field(pole_field, eps: float) -> VectorField:
+def mollified_pole_field(pole_field: PoleField, eps: float) -> VectorField:
     """rho_eps * F for an analytic pole field, as a smooth VectorField."""
     n = pole_field.n
     alpha = pole_field.alpha
-    poles = np.asarray(pole_field.poles, dtype=float)
-    strengths = np.asarray(pole_field.pole_strengths, dtype=float)
+    poles, strengths = pole_field.measure.atom_points, pole_field.measure.atom_weights
     ts, kappa = _mollified_kernel_profile(n, alpha, float(eps))
 
     def fn(pts: Array) -> Array:
@@ -466,8 +415,6 @@ def mollified_pole_field(pole_field, eps: float) -> VectorField:
         n=n,
         fn=fn,
         decay=_measured_decay(fn, n, s_dec, ring),
-        sup_bound=float(np.sum(np.abs(strengths)) * np.max(np.abs(kappa))),
-        smooth=True,
         cache_token=f"mollified({pole_field.field.cache_token},eps={float(eps)})",
     )
     return field
@@ -513,7 +460,8 @@ def _bulk_sums(F: VectorField, G: PeriodicField, poles: Array,
             float(np.sum(coarse)) * grid.cell_volume * 2**n)
 
 
-def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig) -> tuple[float, float]:
+def duality_pairing(pole_field: PoleField, xi: ScalarField,
+                    cfg: QuadratureConfig) -> tuple[float, float]:
     """int F . grad^alpha xi dx for an analytic pole field F.
 
     Splits the plane by a smooth partition of unity: polar quadrature with the
@@ -524,7 +472,7 @@ def duality_pairing(pole_field, xi: ScalarField, cfg: QuadratureConfig) -> tuple
     F = pole_field.field
     alpha = pole_field.alpha
     n = F.n
-    poles = np.asarray(pole_field.poles, dtype=float)
+    poles = pole_field.measure.atom_points
     if poles.shape[0] == 0:
         return 0.0, 0.0
     L = _BOX

@@ -115,10 +115,10 @@ class _Table(dict):
         self.read.add(key)
         return super().get(key, default)
 
-    def check_read(self, where: str) -> None:
+    def check_read(self, where: str = "") -> None:
         for key in self:
             if key not in self.read:
-                raise ConfigError(f"unknown key: {where}.{key}")
+                raise ConfigError(f"unknown key: {where}.{key}" if where else f"unknown key: {key}")
 
 
 def _table(data: dict, key: str, where: str = "") -> _Table:
@@ -144,12 +144,9 @@ _RADIUS = ("radius", float, 1.0)
 # engine and bench, "decay" ones are decay sources)
 TEMPLATES = {
     "gaussian": ((_CENTER, _WIDTH, _AMPLITUDE), gaussian, ("smooth",)),
-    # amplitude is unused but kept: it is part of the normalized form
     "gaussian-vector": (
-        (_CENTER, _WIDTH, _AMPLITUDE,
-         ("amplitudes", _floats, lambda p: [1.0] * len(p["center"]))),
-        lambda center, width, _amplitude, amplitudes: gaussian_vector(center, width, amplitudes),
-        ("smooth", "decay")),
+        (_CENTER, _WIDTH, ("amplitudes", _floats, lambda p: [1.0] * len(p["center"]))),
+        gaussian_vector, ("smooth", "decay")),
     "bump": ((_CENTER, _RADIUS, _AMPLITUDE), compact_bump, ("smooth",)),
     "delta-pair": ((("y", _floats, _REQUIRED), ("z", _floats, _REQUIRED), ("alpha", float, 0.5)),
                    make_delta_pair, ("decay",)),
@@ -181,7 +178,7 @@ def _parse_quadrature(q: dict) -> QuadratureConfig:
             raise ConfigError(f"unknown quadrature option: quadrature.{key}")
     # each option converts like its default; far_cutoff (default None) is a number
     return QuadratureConfig(**{
-        key: _read(q, "quadrature", key, {bool: _bool, type(None): float}.get(type(d), type(d)), d)
+        key: _read(q, "quadrature", key, float if d is None else type(d), d)
         for key, d in defaults.items() if key in q})
 
 
@@ -235,7 +232,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, kind: Optional[str] = None) -> "ExperimentConfig":
-        data = dict(data)
+        data = _Table(data)
         cfg_kind = _read(data, "", "kind", KINDS, _REQUIRED if kind is None else kind)
         if kind is not None and cfg_kind != kind:
             raise ConfigError(
@@ -261,6 +258,7 @@ class ExperimentConfig:
         section = _table(data, cfg_kind)
         obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
         section.check_read(cfg_kind)
+        data.check_read()
         return obj
 
     # -- the kinds' sections ------------------------------------------------

@@ -1,9 +1,10 @@
 """Grids, scalar/vector fields, and the canonical bump profiles.
 
 Fields are immutable value objects wrapping a vectorized evaluator, plus the
-metadata the quadrature engine needs for tails and error bounds: a hard
-support radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s),
-and a sup bound. Scalar evaluators map points (..., n) to values (...).
+two hints the quadrature engine reads for its far field: a hard support
+radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s). A field
+with neither needs an explicit far cutoff. Scalar evaluators map points
+(..., n) to values (...).
 Vector evaluators return their values component-major, (n, ...), so every
 elementwise step runs over contiguous component planes; calling a
 VectorField still returns (..., n), as a transposed view of that storage.
@@ -153,15 +154,13 @@ def _as_points(x, n: int) -> Array:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field on R^n with evaluator and tail/regularity hints."""
+    """Scalar field on R^n with evaluator and tail hints."""
 
     n: int
     fn: Callable[[Array], Array]
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None  # (C, s): |f| <= C |x|^-s far out
-    sup_bound: Optional[float] = None
     grad_fn: Optional[Callable[[Array], Array]] = None
-    smooth: bool = True
     cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
@@ -192,7 +191,6 @@ class ScalarField:
             self,
             fn=lambda p: a * base(p),
             grad_fn=(lambda p: a * gf(p)) if gf is not None else None,
-            sup_bound=None if self.sup_bound is None else abs(a) * self.sup_bound,
             decay=None if self.decay is None else (abs(a) * self.decay[0], self.decay[1]),
             cache_token=None if self.cache_token is None else f"{a}*({self.cache_token})",
         )
@@ -200,7 +198,7 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """n-component field sharing one set of metadata hints.
+    """n-component field sharing one set of tail hints.
 
     `fn` maps points (..., n) to values stored component-major, (n, ...);
     calling the field masks those values and returns them as (..., n).
@@ -210,8 +208,6 @@ class VectorField:
     fn: Callable[[Array], Array]  # (..., n) -> (n, ...)
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None
-    sup_bound: Optional[float] = None
-    smooth: bool = True
     cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
@@ -229,14 +225,12 @@ class VectorField:
             fn=lambda p, i=i: np.asarray(self.fn(p))[i],
             support_radius=self.support_radius,
             decay=self.decay,
-            sup_bound=self.sup_bound,
-            smooth=self.smooth,
             cache_token=None if self.cache_token is None else f"{self.cache_token}[{i}]",
         )
 
 
 def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
-    """Product field gF; hints combined for the Leibniz checks."""
+    """Product field gF; support hints combined for the Leibniz checks."""
     if g.n != F.n:
         raise ConfigError("fields must share the dimension")
     sups = (g.support_radius, F.support_radius)
@@ -245,10 +239,6 @@ def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
         n=g.n,
         fn=lambda p: np.asarray(g(p)) * _leading(np.asarray(F(p))),
         support_radius=support,
-        sup_bound=None
-        if g.sup_bound is None or F.sup_bound is None
-        else g.sup_bound * F.sup_bound,
-        smooth=g.smooth and F.smooth,
         cache_token=None
         if g.cache_token is None or F.cache_token is None
         else f"({g.cache_token})*({F.cache_token})",
@@ -279,9 +269,7 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         n=n,
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + 4.0 * w,
-        sup_bound=abs(a),
         grad_fn=grad,
-        smooth=True,
         cache_token=f"gaussian(c={tuple(c.tolist())},w={w},a={a})",
     )
 
@@ -305,8 +293,6 @@ def gaussian_vector(center: Sequence[float], width: float = 1.0,
         n=n,
         fn=lambda p: np.multiply.outer(amps, unit.fn(p)),
         support_radius=unit.support_radius,
-        sup_bound=float(np.max(np.abs(amps))),
-        smooth=True,
         cache_token="vec(" + ",".join(
             f"gaussian(c={tuple(c.tolist())},w={w},a={a})" for a in amps.tolist()) + ")",
     )
@@ -333,8 +319,6 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
         n=n,
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + R,
-        sup_bound=abs(a),
-        smooth=True,
         cache_token=f"bump(c={tuple(c.tolist())},R={R},a={a})",
     )
 
@@ -353,8 +337,6 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
         n=c.shape[0],
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + R,
-        sup_bound=1.0,
-        smooth=False,
         cache_token=f"indicator(c={tuple(c.tolist())},R={R})",
     )
 
@@ -395,8 +377,6 @@ def mollifier(eps: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=eps,
-        sup_bound=c * math.exp(-1.0) / eps**n,
-        smooth=True,
         cache_token=f"mollifier(eps={eps},n={n})",
     )
 
@@ -428,7 +408,5 @@ def cutoff(R: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=2.0 * R,
-        sup_bound=1.0,
-        smooth=True,
         cache_token=f"cutoff(R={R},n={n})",
     )

@@ -34,9 +34,9 @@ def _abs_values(f, pts: Array) -> Array:
     return np.abs(vals)
 
 
-def lp_norm(f: Union[ScalarField, VectorField], p: float, domain: GridSpec,
-            chunk_rows: int = 64) -> float:
-    """||f||_{L^p(domain)} by midpoint quadrature (+ decay tail if hinted)."""
+def lp_norm(f: Union[ScalarField, VectorField], p: float, domain: GridSpec) -> float:
+    """||f||_{L^p(domain)} by midpoint quadrature (+ decay tail if hinted),
+    64 rows of the first axis at a time."""
     p = float(p)
     if not p >= 1.0:
         raise DomainError(f"p must lie in [1, inf], got {p!r}")
@@ -46,8 +46,8 @@ def lp_norm(f: Union[ScalarField, VectorField], p: float, domain: GridSpec,
     vol = domain.cell_volume
     axes = [domain.axis_centers(i) for i in range(n)]
     total = 0.0
-    for lo in range(0, domain.counts[0], chunk_rows):
-        pts = domain._mesh([axes[0][lo : lo + chunk_rows]] + axes[1:])
+    for lo in range(0, domain.counts[0], 64):
+        pts = domain._mesh([axes[0][lo : lo + 64]] + axes[1:])
         total += float(np.sum(_abs_values(f, pts) ** p)) * vol
     if f.decay is not None:
         C, s = f.decay
@@ -102,8 +102,8 @@ def besov_seminorm(g: ScalarField, alpha: float, q: float,
                    cfg: QuadratureConfig) -> float:
     """Seminorm [g] with inner exponent q and outer exponent 1.
 
-    Requires a bounded field with compact support (decay-hint-only fields are
-    rejected; their far part has no closed form here).
+    Requires a compact support hint (decay-hint-only fields are rejected;
+    their far part has no closed form here).
     """
     alpha = float(alpha)
     q = float(q)
@@ -111,8 +111,6 @@ def besov_seminorm(g: ScalarField, alpha: float, q: float,
         raise DomainError(f"Besov order must lie in (0, 1), got {alpha!r}")
     if not 1.0 <= q < math.inf:
         raise DomainError(f"inner exponent must lie in [1, inf), got {q!r}")
-    if g.sup_bound is None and g.support_radius is None:
-        raise DomainError("besov_seminorm requires a bounded field")
     S = g.support_radius
     if S is None:
         raise DomainError("besov_seminorm requires a compact support hint")

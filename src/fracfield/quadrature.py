@@ -9,11 +9,13 @@ with a three-way split:
 * mid field [delta, R_far]: geometrically growing radial panels with
   Gauss-Legendre nodes per panel, times the angular rule: the annulus
   geometry is matched exactly, there are no partially covered cells;
-* far field (R_far, inf): closed-form tail bounds from the field's support
-  or decay hints, folded into the error estimate. For increment kernels the
-  constant part of the increment integrates to exactly zero over full
-  annuli (odd kernel), so compactly supported fields have zero tail once
-  R_far >= support + |x|.
+* far field (R_far, inf): `_far_plan` picks R_far and the tail from the
+  field hints, one branch per field. For increment kernels the constant part
+  of the increment integrates to exactly zero over full annuli (odd kernel),
+  so a compactly supported field has zero tail once R_far >= support + |x|.
+  A decay-hinted field adds a closed-form bound to the error estimate. A
+  field with no hint needs an explicit far_cutoff, and its tail is
+  extrapolated from the outermost octaves.
 
 The error estimate is |fine - coarse| (half node counts) plus the tail bound.
 All evaluators are batched over evaluation points: each pass builds its node
@@ -39,7 +41,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _inner
+from .fields import GridSpec, ScalarField, VectorField, _inner
 from .special import mu_const, riesz_potential_const, riesz_transform_const, sphere_area
 
 Array = np.ndarray
@@ -53,8 +55,9 @@ class QuadratureConfig:
     `mid_panel_growth`, `mid_panel_nodes` Gauss points per panel) times
     `mid_angular_nodes` directions. `far_cutoff=None` derives R_far from the
     field hints (support + |x|, giving an exactly-zero far tail for compactly
-    supported fields). `lq_grid_nodes` sets the translate-norm resolution used
-    by the Besov seminorm.
+    supported fields); a field without hints needs an explicit `far_cutoff`
+    and gets an extrapolated tail. `lq_grid_nodes` sets the translate-norm
+    resolution used by the Besov seminorm.
     """
 
     near_radius: float = 0.2
@@ -65,7 +68,6 @@ class QuadratureConfig:
     mid_panel_growth: float = 2.0
     far_cutoff: Optional[float] = None
     tol: float = 1e-4
-    tail_model: bool = True
     lq_grid_nodes: int = 96
 
     def __post_init__(self) -> None:
@@ -204,8 +206,7 @@ def _polar_rule(n: int, r: Array, w_r: Array, m_ang: int,
 # ---------------------------------------------------------------------------
 # far-field handling
 
-def _decay_tail_bound(C: float, s: float, xmax: float, R: float, kern: float,
-                      n: int) -> float:
+def _decay_bound(C: float, s: float, xmax: float, R: float, kern: float, n: int) -> float:
     """Bound int_{|y-x|>R} C |y|^-s r^(-1-kern) r^(n-1) dr dOmega using
     |y| >= r - xmax, valid for R > xmax; kern is the operator order (alpha
     for the increment kernels, -beta for the potential).
@@ -217,63 +218,45 @@ def _decay_tail_bound(C: float, s: float, xmax: float, R: float, kern: float,
     return sphere_area(n) * C * shade * R ** (-ex) / ex
 
 
-def _far_cutoff_for(fields, X: Array, cfg: QuadratureConfig,
-                    kern: float = 0.0) -> float:
-    """R_far covering every field's support as seen from every batch point.
+def _far_plan(fields, X: Array, cfg: QuadratureConfig,
+              order: float) -> tuple[float, Optional[float]]:
+    """(R_far, tail): the cutoff covering every field as seen from every batch
+    point, and a bound on the neglected |y-x| > R_far part of the integral,
+    or None when it must be extrapolated.
 
-    Decay-hint fields grow R until the analytic tail bound sits below the
-    target tolerance (capped), so truncation never dominates the budget.
+    - A supported field adds no tail: R_far >= support + |x|, and beyond it
+      the increment's frozen part integrates to zero over full annuli (odd
+      kernel; the potential has no frozen part).
+    - A decay-hinted field grows R_far until its closed-form bound sits below
+      the tolerance (capped), and adds that bound.
+    - A field with neither hint needs an explicit far_cutoff, and the tail
+      is extrapolated.
     """
     n = X.shape[1]
     xmax = float(np.max(np.sqrt(_inner(X))))
     need = cfg.near_radius * 2.0
-    known = False
+    decays = []
+    hintless = 0
     for f in fields:
-        sup, dec = f.support_radius, f.decay
-        if sup is not None:
-            need = max(need, sup + xmax + 1e-9)
-            known = True
-        elif dec is not None:
+        if f.support_radius is not None:
+            need = max(need, f.support_radius + xmax + 1e-9)
+        elif f.decay is not None:
             R = max(2.0 * xmax + 6.0, need)
-            C, s = dec
-            cap = 256.0
-            while R < cap and _decay_tail_bound(C, s, xmax, R, kern, n) > cfg.tol:
+            while R < 256.0 and _decay_bound(*f.decay, xmax, R, order, n) > cfg.tol:
                 R *= 1.5
             need = max(need, R)
-            known = True
-    if cfg.far_cutoff is not None:
-        return max(cfg.far_cutoff, need if known else cfg.far_cutoff)
-    if not known:
-        if cfg.tail_model:
-            raise ConfigError(
-                "tail model requires a support or decay hint on every field "
-                "(or an explicit far_cutoff with tail_model off)"
-            )
-        raise ConfigError("far_cutoff must be given when fields carry no hints")
-    return need
-
-
-def _tail_bound(fields, X: Array, R: float, order: float, n: int,
-                cfg: QuadratureConfig) -> float:
-    """Bound on the neglected |y-x| > R part of an operator integral.
-
-    For increment kernels the frozen-value part integrates to exactly zero
-    over full annuli (odd kernel); the potential has no frozen part. Either
-    way only the field values beyond R contribute.
-    """
-    xmax = float(np.max(np.sqrt(_inner(X))))
-    total = 0.0
-    for f in fields:
-        sup, dec = f.support_radius, f.decay
-        if sup is not None and R >= sup + xmax - 1e-12:
-            continue
-        if dec is None:
-            if not cfg.tail_model:
-                return math.nan  # caller extrapolates instead
-            raise ConfigError("decaying far field needs a decay hint")
-        C, s = dec
-        total += _decay_tail_bound(C, s, xmax, R, order, n)
-    return total
+            decays.append(f.decay)
+        else:
+            hintless += 1
+    if cfg.far_cutoff is None:
+        if hintless:
+            raise ConfigError("a field without a support or decay hint needs a far_cutoff")
+        far_R = need
+    else:
+        far_R = cfg.far_cutoff if hintless == len(fields) else max(cfg.far_cutoff, need)
+    if hintless:
+        return far_R, None
+    return far_R, sum((_decay_bound(C, s, xmax, far_R, order, n) for C, s in decays), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +491,12 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
     if np.any(~far):
         Xn = X[~far]
         numer = _integrand(scalars, vec, Xn, increment)
-        far_R = _far_cutoff_for(fields, Xn, cfg, kern=order)
+        far_R, tail = _far_plan(fields, Xn, cfg, order)
         fine[~far] = _batched_polar(n, Xn, numer, kern_pow, increment, cfg,
                                     vector, far_R)
         coarse[~far] = _batched_polar(n, Xn, numer, kern_pow, increment,
                                       cfg.coarsened(), vector, far_R)
-        tail = _tail_bound(fields, Xn, far_R, order, n, cfg)
-        if math.isnan(tail):
+        if tail is None:
             tail = _extrapolated_tail(n, Xn, numer, kern_pow, cfg, vector, far_R)
         tails[~far] = tail
     diff = np.abs(fine - coarse)
@@ -617,21 +599,17 @@ def riesz_transform(f: ScalarField, x, cfg: QuadratureConfig) -> OperatorResult:
 # ---------------------------------------------------------------------------
 # derived fields for nested evaluation
 
-def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig,
-                          l1_bound: Optional[float] = None) -> ScalarField:
+def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig) -> ScalarField:
     """I_beta f as a ScalarField whose evaluator runs the batched quadrature.
 
     The decay hint (potential of finite mass) is |I f|(x) <= const * ||f||_1
-    * |x|^(beta-n) far out; l1_bound defaults to a quick midpoint estimate.
+    * |x|^(beta-n) far out, with ||f||_1 from a quick midpoint estimate.
     """
-    n = f.n
-    if l1_bound is None:
-        from .norms import lp_norm  # local import: norms depends on this module
-        from .fields import GridSpec
+    from .norms import lp_norm  # local import: norms depends on this module
 
-        S = f.support_radius if f.support_radius is not None else 8.0
-        dom = GridSpec((-S,) * n, (S,) * n, (128,) * n)
-        l1_bound = lp_norm(f, 1.0, dom)
+    n = f.n
+    S = f.support_radius if f.support_radius is not None else 8.0
+    l1_bound = lp_norm(f, 1.0, GridSpec((-S,) * n, (S,) * n, (128,) * n))
     const = riesz_potential_const(n, beta)
 
     def fn(pts: Array) -> Array:
@@ -643,7 +621,5 @@ def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig,
         n=n,
         fn=fn,
         decay=(1.5 * const * l1_bound, n - beta),
-        sup_bound=None,
-        smooth=f.smooth,
         cache_token=None if f.cache_token is None else f"I_{beta}({f.cache_token})",
     )

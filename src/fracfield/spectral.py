@@ -63,10 +63,6 @@ class PeriodicField:
     def n(self) -> int:
         return self.grid.n
 
-    @property
-    def box(self) -> tuple[float, ...]:
-        return tuple(u - l for l, u in zip(self.grid.lower, self.grid.upper))
-
     def mean(self) -> float:
         return float(np.mean(self.data))
 

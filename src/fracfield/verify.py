@@ -583,10 +583,11 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     )
 
 
-def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig,
-                     R: float = 12.0) -> VerifyReport:
-    """div^a F (R^n) == 0 for compact smooth fields in the subcritical range."""
+def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig) -> VerifyReport:
+    """div^a F (R^n) == 0 for compact smooth fields in the subcritical range,
+    integrated over the ball of radius R = 12 plus a rim-fitted tail."""
     t0 = time.time()
+    R = 12.0
     policy = TolerancePolicy(abs_tol=2e-3, est_factor=0.0)
     inner = _refined(cfg)
 
@@ -779,11 +780,11 @@ def _attach_orders(rows: list[dict]) -> None:
             row["observed_order"] = float("nan")
 
 
-def fitted_order(rows: list[dict], noise_floor: float = 1e-12) -> float:
-    """Max observed order over transitions above the noise floor."""
+def fitted_order(rows: list[dict]) -> float:
+    """Max observed order over transitions above the 1e-12 noise floor."""
     orders = [r["observed_order"] for r in rows
               if not math.isnan(r.get("observed_order", math.nan))
-              and r["err_vs_finest"] > noise_floor]
+              and r["err_vs_finest"] > 1e-12]
     return max(orders) if orders else float("nan")
 
 

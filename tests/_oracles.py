@@ -25,7 +25,7 @@ Array = np.ndarray
 
 
 def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
-    """a*f + b*g with conservatively merged hints."""
+    """a*f + b*g with conservatively merged support hints."""
     if f.n != g.n:
         raise ConfigError("fields must share the dimension")
     sups = (f.support_radius, g.support_radius)
@@ -34,10 +34,6 @@ def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
         n=f.n,
         fn=lambda p: a * f.fn(p) + b * g.fn(p),
         support_radius=support,
-        sup_bound=None
-        if f.sup_bound is None or g.sup_bound is None
-        else abs(a) * f.sup_bound + abs(b) * g.sup_bound,
-        smooth=f.smooth and g.smooth,
     )
 
 
@@ -55,8 +51,6 @@ def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
         n=x0.shape[0],
         fn=fn,
         support_radius=float(np.linalg.norm(x0)) + r + eps,
-        sup_bound=1.0,
-        smooth=False,
         cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0.tolist())})",
     )
 
@@ -164,7 +158,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
     alpha = pole_field.alpha
     n = F.n
     x = np.asarray(x, dtype=float)
-    poles = np.asarray(pole_field.poles, dtype=float)
+    poles = pole_field.measure.atom_points
     d = _pole_radius(poles)
     dist_x = float(np.min(np.sqrt(_dist2(poles, x))))
     if dist_x <= d:
@@ -178,7 +172,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
             w = w * (1.0 - _window(dist, 0.5 * d, d))
         return w * vals
 
-    G = VectorField(n=n, fn=wfn, decay=F.decay, smooth=False)
+    G = VectorField(n=n, fn=wfn, decay=F.decay)
     base = frac_divergence(G, alpha, x, cfg)
 
     mu = mu_const(n, alpha)

@@ -66,6 +66,8 @@ def test_delta_pair_near_pole_blowup():
 def test_delta_pair_degenerate_rejected():
     with pytest.raises(DomainError):
         make_delta_pair(Y, Y, 0.5)
+    with pytest.raises(DomainError):  # closer than the atom merge tolerance
+        make_delta_pair(Y, Y + 1e-13, 0.5)
     with pytest.raises(DomainError):
         make_delta_pair(Y, Z, 1.5)
 
@@ -78,8 +80,6 @@ def test_delta_pair_alpha_one_classical():
         (x - Y) / np.linalg.norm(x - Y) ** 2 - (x - Z) / np.linalg.norm(x - Z) ** 2
     )
     assert np.allclose(dp.field(x), expect, rtol=1e-12)
-    assert dp.lp_upper == pytest.approx(2.0)  # n/(n-1)
-    assert not dp.lp_lower_inclusive
 
 
 def test_delta_pair_lp_membership_scan():
@@ -462,10 +462,11 @@ def test_bulk_sums_bit_identical_to_per_stride_sums(kind):
                           atom_weights=np.array([0.7, -0.4, 1.1]))
         pf, xi = make_convolved(nu, 0.6), gaussian((0.2, 0.0), width=1.2)
     G = spectral_gradient_of(xi, pf.alpha)
-    radius = _pole_radius(pf.poles)
-    fine, coarse = _bulk_sums(pf.field, G, pf.poles, radius)
-    assert fine == _bulk_sum_reference(pf.field, G, pf.poles, radius, 1)
-    assert coarse == _bulk_sum_reference(pf.field, G, pf.poles, radius, 2)
+    poles = pf.measure.atom_points
+    radius = _pole_radius(poles)
+    fine, coarse = _bulk_sums(pf.field, G, poles, radius)
+    assert fine == _bulk_sum_reference(pf.field, G, poles, radius, 1)
+    assert coarse == _bulk_sum_reference(pf.field, G, poles, radius, 2)
 
 
 def test_cache_tokens_hold_plain_numbers():

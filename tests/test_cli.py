@@ -361,10 +361,17 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "unknown key: bench.point"),
     ("bench", (CONFIG_DIR / "bench_gaussian.toml").read_text() + "[spectral]\nresolution = 1000\n",
      None, "spectral.resolution must be a power of two, got 1000"),
+    ("verify", "sede = 3\n" + VERIFY_TEXT, None, "unknown key: sede"),
+    ("verify", VERIFY_TEXT + "[quadratur]\ntol = 1e-9\n", None, "unknown key: quadratur"),
+    ("verify", VERIFY_TEXT + "[quadrature]\ntail_model = false\n", None,
+     "unknown quadrature option: quadrature.tail_model"),
+    ("decay", _edited("decay_smooth.toml", "width = 1.0", "width = 1.0\namplitude = 7.0"), None,
+     "unknown key: fields.smooth.amplitude"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
-        "kind-unknown-key", "spectral-resolution"])
+        "kind-unknown-key", "spectral-resolution", "top-level-unknown-key",
+        "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,
@@ -385,7 +392,7 @@ PINNED_DIGESTS = {
     "convergence_spectral.toml": "647269d582e11eb5",
     "decay_cantor.toml": "fa3eeff7c588f1eb",
     "decay_pole.toml": "49b44075d08b5acf",
-    "decay_smooth.toml": "2bf084841c5a7d37",
+    "decay_smooth.toml": "6b82c04a6085e1eb",
     "op_gaussian_grad.toml": "669296776c6e0996",
     "verify_default.toml": "977b68767a8c994a",
 }

@@ -181,7 +181,6 @@ def _vector_from_components_reference(components):
     hints merged conservatively: the reference for gaussian_vector."""
     sups = [c.support_radius for c in components]
     decays = [c.decay for c in components]
-    sups_b = [c.sup_bound for c in components]
     toks = [c.cache_token for c in components]
     return VectorField(
         n=components[0].n,
@@ -189,8 +188,6 @@ def _vector_from_components_reference(components):
         support_radius=None if any(s is None for s in sups) else max(sups),
         decay=None if any(d is None for d in decays)
         else (sum(d[0] for d in decays), min(d[1] for d in decays)),
-        sup_bound=None if any(v is None for v in sups_b) else max(sups_b),
-        smooth=all(c.smooth for c in components),
         cache_token=None if any(t is None for t in toks) else "vec(" + ",".join(toks) + ")",
     )
 
@@ -204,7 +201,7 @@ def test_gaussian_vector_bit_identical_to_component_stack(n):
     pts = np.random.default_rng(n).uniform(-3.5, 3.5, (40, 7, n))
     assert np.array_equal(F(pts), ref(pts))
     assert np.array_equal(F.fn(pts), ref.fn(pts))
-    for hint in ("n", "support_radius", "decay", "sup_bound", "smooth", "cache_token"):
+    for hint in ("n", "support_radius", "decay", "cache_token"):
         assert getattr(F, hint) == getattr(ref, hint), hint
     default = gaussian_vector(center)
     assert default.cache_token == _vector_from_components_reference([gaussian(center)] * n).cache_token

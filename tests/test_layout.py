@@ -205,7 +205,7 @@ def test_pole_fields_match_trailing_axis_layout(n):
     _assert_vector_field(conv.field, _convolved_reference(atoms, weights, 0.6), None, pts)
 
     mol = mollified_pole_field(pair, 0.3)
-    ref = _mollified_reference(pair.poles, pair.pole_strengths, 0.5, 0.3)
+    ref = _mollified_reference(pair.measure.atom_points, pair.measure.atom_weights, 0.5, 0.3)
     _assert_vector_field(mol, ref, None, pts)
 
 

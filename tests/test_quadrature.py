@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,20 +226,74 @@ def test_missing_hints_config_error(cfg):
 
 
 def test_extrapolated_tail_without_hints():
-    """tail_model=False with an explicit far cutoff runs a hintless field and
-    agrees with the hinted run within the returned estimate."""
-    from dataclasses import replace
-
+    """An explicit far cutoff runs a hintless field on the extrapolated tail,
+    and agrees with the hinted run within the returned estimate."""
     hinted = gaussian((0.0, 0.0))
     bare = replace(hinted, support_radius=None)
     pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
-    fallback = QuadratureConfig(tail_model=False, far_cutoff=6.0)
-    v, e = frac_gradient_batch(bare, 0.5, pts, fallback)
+    v, e = frac_gradient_batch(bare, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
     ref, _ = frac_gradient_batch(hinted, 0.5, pts, QuadratureConfig())
     assert np.all(np.isfinite(e)) and np.all(e > 0.0)
     assert np.all(np.sqrt(np.sum((v - ref) ** 2, axis=-1)) <= e)
-    with pytest.raises(ConfigError):
-        frac_gradient_batch(bare, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
+
+
+def _hinted_and_hintless_couple():
+    """A supported scalar field, a supported vector field, and the vector
+    field with its hint removed."""
+    F = gaussian_vector((0.0, 0.2), 0.9)
+    return gaussian((0.1, 0.0)), F, replace(F, support_radius=None)
+
+
+def test_far_plan_refuses_a_hintless_field_without_far_cutoff():
+    g, _, bare = _hinted_and_hintless_couple()
+    with pytest.raises(ConfigError, match="far_cutoff"):
+        nl_divergence_batch(g, bare, 0.5, np.array([[0.3, 0.1]]), QuadratureConfig())
+
+
+def test_far_plan_extrapolates_a_mixed_couple_with_far_cutoff(monkeypatch):
+    """With far_cutoff set, a hinted and a hintless field run on the
+    extrapolated tail, at R_far = max(far_cutoff, the hinted field's need),
+    and agree with the hinted run within the returned estimate."""
+    g, F, bare = _hinted_and_hintless_couple()
+    X = np.array([[0.3, 0.1], [0.7, -0.4]])
+    cfg = QuadratureConfig(far_cutoff=3.0)
+    need = g.support_radius + float(np.max(np.sqrt(_inner(X)))) + 1e-9
+    assert quadrature._far_plan((g, bare), X, cfg, 0.5) == (max(3.0, need), None)
+    seen = []
+    original = quadrature._extrapolated_tail
+
+    def spy(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_extrapolated_tail", spy)
+    v, e = nl_divergence_batch(g, bare, 0.5, X, cfg)
+    assert seen == [max(3.0, need)]
+    ref, _ = nl_divergence_batch(g, F, 0.5, X, QuadratureConfig())
+    assert np.all(e > 0.0) and np.all(np.abs(v - ref) <= e)
+
+
+def test_far_plan_takes_a_small_far_cutoff_as_given_for_hintless_fields():
+    """Only hintless fields: R_far is far_cutoff even below 2 near_radius,
+    the floor that a hinted field raises it to."""
+    bare = replace(gaussian((0.0, 0.0)), support_radius=None)
+    cfg = QuadratureConfig(near_radius=0.2, far_cutoff=0.3)
+    assert quadrature._far_plan((bare,), np.array([[0.1, 0.0]]), cfg, 0.5) == (0.3, None)
+    narrow = gaussian((0.0, 0.0), 0.01)  # support 0.04
+    assert quadrature._far_plan((narrow,), np.array([[0.0, 0.0]]), cfg, 0.5) == (0.4, 0.0)
+
+
+def test_far_plan_adds_a_bound_per_decay_hinted_field():
+    """Supported fields add no tail; each decay-hinted one adds its bound at
+    the common R_far."""
+    g = gaussian((0.0, 0.0))
+    decaying = ScalarField(n=2, fn=lambda p: 1.0 / (1.0 + _inner(p)) ** 2, decay=(1.0, 4.0))
+    X = np.array([[0.5, 0.0]])
+    cfg = QuadratureConfig()
+    far_R, tail = quadrature._far_plan((g, decaying, decaying), X, cfg, 0.5)
+    one = quadrature._decay_bound(1.0, 4.0, 0.5, far_R, 0.5, 2)
+    assert far_R >= g.support_radius + 0.5 and tail == 0.0 + one + one
+    assert quadrature._far_plan((g,), X, cfg, 0.5) == (g.support_radius + 0.5 + 1e-9, 0.0)
 
 
 def test_extrapolated_tail_refuses_slow_decay():
@@ -248,7 +303,7 @@ def test_extrapolated_tail_refuses_slow_decay():
     slow = ScalarField(n=2, fn=lambda p: p[..., 0] / (1.0 + _inner(p)) ** 0.55)
     pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
     with pytest.raises(DomainError, match="decay geometrically"):
-        frac_gradient_batch(slow, 0.5, pts, QuadratureConfig(tail_model=False, far_cutoff=6.0))
+        frac_gradient_batch(slow, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
 
 
 @pytest.mark.parametrize("call", [
@@ -331,7 +386,7 @@ def test_riesz_transform_squares_direct(cfg, gauss2d):
             v, _ = riesz_transform_batch(gauss2d, p.reshape(-1, 2), cfg)
             return v[:, k].reshape(p.shape[:-1])
 
-        comps.append(ScalarField(n=2, fn=fn, decay=(1.0, 2.0), smooth=True))
+        comps.append(ScalarField(n=2, fn=fn, decay=(1.0, 2.0)))
     x = np.array([0.4, 0.3])
     total = sum(riesz_transform(c, x, cfg).value[k] for k, c in enumerate(comps))
     assert total == pytest.approx(-gauss2d(x), abs=1e-2)
@@ -441,8 +496,6 @@ def test_besov_zero_field(cfg, gauss2d):
 
 
 def test_besov_gaussian_vs_dense_oracle(cfg, gauss2d):
-    from dataclasses import replace
-
     dense = replace(cfg, lq_grid_nodes=160, near_radial_nodes=20,
                     mid_panel_nodes=10, mid_angular_nodes=48)
     a = besov_seminorm(gauss2d, 0.4, 2.0, cfg)
