@@ -280,11 +280,10 @@ class ExperimentConfig:
         if self.engine == "both":
             raise ConfigError("op runs take a single engine; use bench to compare")
         field = self._field_ref(s, "field", "smooth" if self.engine == "spectral" else None)
-        key = "order" if "order" in s and "alpha" not in s else "alpha"
         if operator == "riesz-transform":  # the order is unused, only recorded
-            alpha = _read(s, "op", key, float, 0.5)
+            alpha = _read(s, "op", "alpha", float, 0.5)
         else:
-            alpha = _read(s, "op", key, float, check=(
+            alpha = _read(s, "op", "alpha", float, check=(
                 _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
         g = _table(self.raw, "grid")  # the output lattice
         grid = GridSpec(_read(g, "grid", "lower", _floats), _read(g, "grid", "upper", _floats),
@@ -294,8 +293,7 @@ class ExperimentConfig:
         return {"operator": operator, "field": field, "alpha": alpha, "grid": grid}
 
     def _parse_verify(self, s: dict) -> dict:
-        return {"names": _read(s, "verify", "checks", _checks, "default"),
-                "tolerance_abs": _read(s, "verify", "tolerance_abs", float, None, _POSITIVE)}
+        return {"names": _read(s, "verify", "checks", _checks, "default")}
 
     def _parse_convergence(self, s: dict) -> dict:
         return {"engine": _read(s, "convergence", "engine", ("spectral", "direct"), "spectral"),
@@ -333,12 +331,12 @@ class ExperimentConfig:
     # -- normalization ------------------------------------------------------
 
     def normalized(self) -> dict:
+        """Every value that can change a computed result; `out` and `jobs`
+        cannot, so they stay out of the form and of its digest."""
         out = {
             "kind": self.kind,
             "seed": self.seed,
             "engine": self.engine,
-            "jobs": self.jobs,
-            "out": self.out_dir,
             "fields": {k: dict(sorted(v.items())) for k, v in sorted(self.fields.items())},
         }
         for key in ("grid", "quadrature", "spectral", self.kind):

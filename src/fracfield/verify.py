@@ -6,12 +6,13 @@ VerifyReport, and decides pass/fail through one centralized tolerance policy:
 
     pass  iff  |lhs - rhs| <= max(abs_tol, rel_tol * scale, est_factor * est)
 
-with the binding branch recorded. Ground-truth right sides over atoms are
-exact arithmetic; quadrature appears on left sides only, so the error
-accounting is one-sided. All randomness is seeded; node layouts are fixed;
-pass flags are reproducible bit for bit for a given configuration. Ball and
-polar integrals take their nodes and weights from the shared polar rule of
-`quadrature` and only sum the integrand over them.
+with the binding branch recorded; nothing re-decides a report after its check
+returns. Ground-truth right sides over atoms are exact arithmetic; quadrature
+appears on left sides only, so the error accounting is one-sided. All
+randomness is seeded; node layouts are fixed; pass flags are reproducible bit
+for bit for a given configuration. Ball and polar integrals take their nodes
+and weights from the shared polar rule of `quadrature` and only sum the
+integrand over them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,8 +84,9 @@ class TolerancePolicy:
         return abs_err <= bounds[branch], branch
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
+    """A check's verdict; `seconds` is 0.0 unless the suite registry timed it."""
     name: str
     params: dict
     lhs: float
@@ -93,31 +95,19 @@ class VerifyReport:
     rel_err: float
     est_err: float
     passed: bool
-    seconds: float
+    seconds: float = 0.0
     branch: str = ""
     notes: str = ""
 
     def to_json_line(self) -> str:
-        rec = {
-            "name": self.name,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "est_err": self.est_err,
-            "pass": self.passed,
-            "seconds": round(self.seconds, 4),
-            "branch": self.branch,
-            "notes": self.notes,
-        }
+        rec = asdict(self)
+        rec["pass"] = rec.pop("passed")
+        rec["seconds"] = round(self.seconds, 4)
         return json.dumps(rec, sort_keys=True)
 
 
-def _report(name, params, lhs, rhs, est, policy, t0, scale=None, notes="") -> VerifyReport:
+def _report(name, params, lhs, rhs, est, policy, scale, notes="") -> VerifyReport:
     abs_err = abs(lhs - rhs)
-    if scale is None:
-        scale = max(abs(lhs), abs(rhs), 1e-30)
     rel_err = abs_err / max(scale, 1e-30)
     passed, branch = policy.decide(abs_err, scale, est)
     return VerifyReport(
@@ -129,7 +119,6 @@ def _report(name, params, lhs, rhs, est, policy, t0, scale=None, notes="") -> Ve
         rel_err=float(rel_err),
         est_err=float(est),
         passed=bool(passed),
-        seconds=time.time() - t0,
         branch=branch,
         notes=notes,
     )
@@ -222,7 +211,6 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> Ve
     F is either an analytic pole field carrying its ground-truth measure, or
     a smooth VectorField (right side from the spectral divergence density).
     """
-    t0 = time.time()
     policy = TolerancePolicy(rel_tol=1e-2)
     if hasattr(F, "measure"):  # analytic pole field
         lhs, est = duality_pairing(F, xi, cfg)
@@ -230,14 +218,14 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> Ve
         rhs = -float(np.sum(mu.atom_weights * xi(mu.atom_points)))
         params = {"alpha": F.alpha, "n": F.n, "field": F.field.cache_token,
                   "xi": xi.cache_token}
-        return _report("duality", params, lhs, rhs, est, policy, t0,
+        return _report("duality", params, lhs, rhs, est, policy,
                        scale=max(abs(rhs), 1e-6))
     n = F.n
     lhs, est_l = polar_integral(_pairing(F, xi, alpha, cfg), n, _support(F), cfg)
     rhs_int, est_r = polar_integral(_density_pairing(F, xi, alpha), n, _support(xi), cfg)
     rhs = -rhs_int
     params = {"alpha": alpha, "n": n, "field": F.cache_token, "xi": xi.cache_token}
-    return _report("duality", params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("duality", params, lhs, rhs, est_l + est_r, policy,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
@@ -251,7 +239,6 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
     Each linear term is also cross-checked against the spectral engine; the
     bilinear term is compared with the spectral residual of the other three.
     """
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=0.0, est_factor=5.0)
     X = np.asarray(points, dtype=float)
     gF = scalar_times_vector(g, F)
@@ -279,7 +266,7 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
     )
     params = {"alpha": alpha, "n": g.n, "points": len(X),
               "g": g.cache_token, "F": F.cache_token}
-    return _report("leibniz_pointwise", params, lhs, 0.0, est, policy, t0,
+    return _report("leibniz_pointwise", params, lhs, 0.0, est, policy,
                    scale=float(np.max(np.abs(t_prod))) + 1e-30,
                    notes=f"max spectral cross-term deviation {cross:.3e}")
 
@@ -287,7 +274,6 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
 def check_zero_mass_nl(g: ScalarField, F: VectorField, alpha: float,
                        cfg: QuadratureConfig) -> VerifyReport:
     """int div^a_NL(g, F) dx == 0 over an expanding ball with decay tail."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     n = g.n
     R = _support(g, F) + 18.0
@@ -298,13 +284,12 @@ def check_zero_mass_nl(g: ScalarField, F: VectorField, alpha: float,
 
     val, est = polar_integral(fn, n, R, cfg)
     params = {"alpha": alpha, "n": n, "R": R, "g": g.cache_token, "F": F.cache_token}
-    return _report("leibniz_zero_mass", params, val, 0.0, est, policy, t0, scale=1.0)
+    return _report("leibniz_zero_mass", params, val, 0.0, est, policy, scale=1.0)
 
 
 def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
                      cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a g dx == - int g d(div^a F) for smooth fields."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-3, est_factor=0.0)
     n = g.n
     lhs, est_l = polar_integral(_pairing(F, g, alpha, cfg), n, _support(F), cfg)
@@ -317,7 +302,7 @@ def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
     rhs_int, est_r = polar_integral(rhs_fn, n, _support(g), cfg)
     rhs = -rhs_int
     params = {"alpha": alpha, "n": n, "g": g.cache_token, "F": F.cache_token}
-    return _report("leibniz_global_ibp", params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("leibniz_global_ibp", params, lhs, rhs, est_l + est_r, policy,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
@@ -329,7 +314,6 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     stated constant is asserted; the proof-side constant 2 mu is a known
     caveat recorded in the notes.
     """
-    t0 = time.time()
     n = g.n
     q = FracParams(alpha, n, p).q
     if math.isinf(q):
@@ -351,7 +335,6 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     dom = GridSpec((-S,) * n, (S,) * n, (192,) * n) if n <= 2 else GridSpec((-S,) * 3, (S,) * 3, (48,) * 3)
     rhs = mu_const(n, alpha) * besov_seminorm(g, alpha, q, cfg) * lp_norm(F, p, dom)
     ratio = lhs / rhs if rhs > 0 else math.inf
-    t = time.time() - t0
     passed = ratio <= 1.0 + 0.02
     return VerifyReport(
         name="leibniz_l1_bound",
@@ -363,7 +346,6 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
         rel_err=float(ratio),
         est_err=float(est + 0.2 * tail),
         passed=bool(passed),
-        seconds=t,
         branch="ratio",
         notes=f"ratio {ratio:.4f}; stated constant asserted, proof-side "
               f"constant 2*mu would double the right side",
@@ -380,7 +362,6 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     int_{B_r} F.grad^a xi + int xi F.grad^a chi_B + int F.gradNL^a(chi_B, xi)
         == - int_{B_r} xi d(div^a F).
     """
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-4, rel_tol=1e-2, est_factor=0.0)
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
@@ -403,7 +384,7 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     params = {"alpha": alpha, "n": n, "r": r, "x0": tuple(x0.tolist()),
               "F": F.cache_token, "xi": xi.cache_token,
               "terms": [round(t1, 6), round(t2, 6), round(t3, 6), round(rhs, 6)]}
-    return _report("ball_ibp", params, lhs, rhs, est, policy, t0, scale=scale)
+    return _report("ball_ibp", params, lhs, rhs, est, policy, scale=scale)
 
 
 def _ball_polar_integral(fn_batch, x0, r, cfg) -> tuple[float, float]:
@@ -495,7 +476,6 @@ def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig) -
     For pole fields the right side is exact atom arithmetic:
     sum_i w_i rho_eps(x - p_i).
     """
-    t0 = time.time()
     X = np.asarray(points, dtype=float)
     n = X.shape[1]
     rho = mollifier(eps, n)
@@ -511,7 +491,7 @@ def check_mollification(pole_field, eps: float, points, cfg: QuadratureConfig) -
     params = {"alpha": pole_field.alpha, "n": n, "eps": eps, "points": len(X),
               "scale": scale}
     return _report("mollification", params, float(vals[worst]), float(rhs[worst]),
-                   float(np.max(ests)), policy, t0, scale=scale)
+                   float(np.max(ests)), policy, scale=scale)
 
 
 def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "floor",
@@ -530,7 +510,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     range (the exponent is negative, so letting r grow kills the total mass);
     that rigidity is a pure consequence and is not exercised numerically.
     """
-    t0 = time.time()
     c = np.asarray(center, dtype=float)
     n = c.shape[0]
     floor = FracParams(alpha, n, p).decay_exponent_floor()
@@ -554,7 +533,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     if np.any(masses <= 0):
         raise ConfigError("ball masses must be positive on the radius list")
     slope = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
-    t = time.time() - t0
     if expect == "flat":
         passed = abs(slope) <= 0.05
         rhs, abs_err = 0.0, abs(slope)
@@ -577,7 +555,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
         rel_err=float(abs_err / max(abs(floor), 1.0)),
         est_err=0.0,
         passed=bool(passed),
-        seconds=t,
         branch="slope",
         notes=f"fitted slope {slope:.4f}; theoretical floor {floor:.4f}",
     )
@@ -586,7 +563,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
 def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig) -> VerifyReport:
     """div^a F (R^n) == 0 for compact smooth fields in the subcritical range,
     integrated over the ball of radius R = 12 plus a rim-fitted tail."""
-    t0 = time.time()
     R = 12.0
     policy = TolerancePolicy(abs_tol=2e-3, est_factor=0.0)
     inner = _refined(cfg)
@@ -605,13 +581,12 @@ def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig) -> Ver
     params = {"alpha": alpha, "n": F.n, "R": R, "F": F.cache_token,
               "tail_correction": corr}
     return _report("zero_total", params, val + corr, 0.0, est + 0.2 * abs(corr),
-                   policy, t0, scale=1.0)
+                   policy, scale=1.0)
 
 
 def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
                        cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a phi == int (I_{1-a} F) . grad phi (two pipelines)."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-2, est_factor=0.0)
     n = F.n
     lhs, est_l = polar_integral(_pairing(F, phi, alpha, cfg), n, _support(F), cfg)
@@ -636,7 +611,7 @@ def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
 
     rhs, est_r = polar_integral(rhs_fn, n, _support(phi), cfg)
     params = {"alpha": alpha, "n": n, "F": F.cache_token, "phi": phi.cache_token}
-    return _report("div_relation", params, lhs, rhs, est_l + est_r, policy, t0,
+    return _report("div_relation", params, lhs, rhs, est_l + est_r, policy,
                    scale=max(abs(lhs), abs(rhs), 1e-6))
 
 
@@ -651,19 +626,17 @@ def _mean_free(pf: PeriodicField) -> PeriodicField:
 
 
 def check_semigroup_spectral() -> VerifyReport:
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 1024))
     a = spectral_riesz_potential(spectral_riesz_potential(pf, 0.4), 0.3)
     b = spectral_riesz_potential(pf, 0.7)
     diff = float(np.max(np.abs(a.data - b.data)))
     return _report("semigroup_spectral", {"orders": [0.3, 0.4], "grid": "16/1024"},
-                   diff, 0.0, 0.0, policy, t0, scale=1.0)
+                   diff, 0.0, 0.0, policy, scale=1.0)
 
 
 def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:
     """I_0.3 (I_0.4 f) == I_0.7 f at sample points by nested direct quadrature."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     G = gaussian((0.0, 0.0))
     X = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.9], [-1.3, 0.0], [1.0, 1.0]])
@@ -673,12 +646,11 @@ def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:
     worst = int(np.argmax(np.abs(lhs - rhs)))
     params = {"orders": [0.3, 0.4], "points": X.shape[0]}
     return _report("semigroup_direct", params, float(lhs[worst]), float(rhs[worst]),
-                   float(np.max(e1 + e2)), policy, t0, scale=1.0)
+                   float(np.max(e1 + e2)), policy, scale=1.0)
 
 
 def check_symbol_factorization() -> VerifyReport:
     """Spectral grad^a f == spectral gradient of I_{1-a} f at roundoff."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 512))
     worst = 0.0
@@ -687,12 +659,11 @@ def check_symbol_factorization() -> VerifyReport:
         b = spectral_frac_gradient(spectral_riesz_potential(pf, 1.0 - alpha), 1.0)
         worst = max(worst, float(np.max(np.abs(a.data - b.data))))
     return _report("symbol_factorization", {"alphas": [0.1, 0.5, 0.9]}, worst, 0.0, 0.0,
-                   policy, t0, scale=1.0)
+                   policy, scale=1.0)
 
 
 def check_riesz_square() -> VerifyReport:
     """sum_i R_i^2 == -Id on mean-zero band-limited fields (spectral)."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
     grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128), periodic=True)
     f = random_band_limited(grid, 6, seed=7)
@@ -702,12 +673,11 @@ def check_riesz_square() -> VerifyReport:
         acc += spectral_riesz_transform(PeriodicField(grid, R.data[j])).data[j]
     diff = float(np.max(np.abs(acc + f.data)))
     return _report("riesz_square", {"grid": "16/128", "kmax": 6}, diff, 0.0, 0.0,
-                   policy, t0, scale=1.0)
+                   policy, scale=1.0)
 
 
 def check_cross_engine(cfg: QuadratureConfig, seed: int = 0) -> VerifyReport:
     """Master oracle contract: direct vs spectral on a Gaussian point suite."""
-    t0 = time.time()
     policy = TolerancePolicy(abs_tol=1e-3, est_factor=0.0)
     rng = np.random.default_rng(seed)
     G = gaussian((0.0, 0.0))
@@ -726,7 +696,7 @@ def check_cross_engine(cfg: QuadratureConfig, seed: int = 0) -> VerifyReport:
         worst = max(worst, float(np.max(rel)))
         est_max = max(est_max, float(np.max(de)))
     params = {"alphas": [0.3, 0.5, 0.7], "points": 10, "seed": seed}
-    return _report("cross_engine", params, worst, 0.0, 3.0 * est_max, policy, t0,
+    return _report("cross_engine", params, worst, 0.0, 3.0 * est_max, policy,
                    scale=1.0, notes="max relative disagreement across ops/points")
 
 
@@ -789,7 +759,6 @@ def fitted_order(rows: list[dict]) -> float:
 
 
 def check_convergence_orders() -> VerifyReport:
-    t0 = time.time()
     rows_s = convergence_sweep_spectral()
     rows_d = convergence_sweep_direct()
     o_s = fitted_order(rows_s)
@@ -805,7 +774,6 @@ def check_convergence_orders() -> VerifyReport:
         rel_err=0.0,
         est_err=0.0,
         passed=bool(passed),
-        seconds=time.time() - t0,
         branch="orders",
         notes=f"spectral order {o_s:.2f} (>=4), direct order {o_d:.2f} (>=1.8)",
     )
@@ -816,7 +784,8 @@ def check_convergence_orders() -> VerifyReport:
 
 def default_suite_registry(cfg: QuadratureConfig, seed: int = 0) -> dict[str, Callable[[], VerifyReport]]:
     """Named thunks for the standard verification battery (n = 2); each
-    report carries its registry key as its name."""
+    report carries its registry key as its name and the wall time of its
+    thunk as its seconds."""
     y = np.array([0.0, 0.0])
     z = np.array([1.0, 0.0])
     xi = gaussian((0.4, 0.2))
@@ -859,7 +828,12 @@ def default_suite_registry(cfg: QuadratureConfig, seed: int = 0) -> dict[str, Ca
     reg["riesz_square"] = check_riesz_square
     reg["cross_engine"] = lambda: check_cross_engine(cfg, seed=seed)
     reg["convergence_orders"] = check_convergence_orders
-    return {k: (lambda k=k, thunk=thunk: replace(thunk(), name=k)) for k, thunk in reg.items()}
+
+    def named_and_timed(name, thunk):  # the one clock: inputs built and check run
+        t0 = time.perf_counter()
+        return replace(thunk(), name=name, seconds=time.perf_counter() - t0)
+
+    return {k: (lambda k=k, thunk=thunk: named_and_timed(k, thunk)) for k, thunk in reg.items()}
 
 
 def run_suite(cfg: Optional[QuadratureConfig] = None, seed: int = 0,

@@ -23,9 +23,10 @@ def gauss_vec2d():
 
 
 @pytest.fixture(autouse=True)
-def _quiet_runtime_warnings():
+def _runtime_warnings_are_errors():
+    """A RuntimeWarning a test does not expect with pytest.warns fails it."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         yield
 
 

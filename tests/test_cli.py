@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +147,14 @@ def test_cli_verify_filter_and_failure(tmp_path, capsys):
     lines = (tmp_path / "verify_report.jsonl").read_text().splitlines()
     recs = [json.loads(l) for l in lines]
     assert len(recs) == 1 and recs[0]["name"] == "riesz_square"
-    # impossible tolerance forces a failure exit
+    # a coarse angular rule fails cross_engine on its own 1e-3 bound
     cfgp.write_text(
-        'kind = "verify"\n[verify]\nchecks = ["duality_delta_pair_a0.5"]\n'
-        'tolerance_abs = 1e-15\n'
+        'kind = "verify"\n[verify]\nchecks = ["cross_engine"]\n'
+        '[quadrature]\nmid_angular_nodes = 4\nnear_angular_nodes = 4\n'
     )
     assert run_main(capsys, "verify", "--config", cfgp, "--out", tmp_path)[0] == 1
+    rec = json.loads((tmp_path / "verify_report.jsonl").read_text())
+    assert rec["name"] == "cross_engine" and not rec["pass"] and rec["branch"] == "abs"
 
 
 def test_cli_decay_cantor(tmp_path, capsys):
@@ -316,7 +319,11 @@ def test_cli_op_every_operator_dimension_and_engine(tmp_path, capsys, operator, 
         f'[spectral]\nbox = 16.0\nresolution = {({1: 256, 2: 64, 3: 32})[n]}\n'
         f'[op]\noperator = "{operator}"\nfield = "f"\nalpha = 0.5\n'
     )
-    assert main(["op", "--config", str(cfgp), "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    # a Gaussian has a non-zero mean, which the spectral potential drops with a warning
+    biased = operator == "riesz-potential" and engine == "spectral"
+    with pytest.warns(RuntimeWarning, match="non-negligible mean") if biased else nullcontext():
+        rc = main(["op", "--config", str(cfgp), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
     meta, planes = read_grid(tmp_path / "op_output.bin")
     values = [f"value_{k}" for k in range(n)] if vector_out else ["value"]
     assert set(planes) == set(values) | {"error_est"}
@@ -343,8 +350,8 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
     ("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", 'alpha = "x"'), None, "op.alpha: 'x'"),
     ("bench", _edited("bench_gaussian.toml", "points = 100", 'points = "x"'), None,
      "bench.points: 'x'"),
-    ("verify", _edited("verify_default.toml", '"default"', '"default"\ntolerance_abs = "x"'),
-     None, "verify.tolerance_abs: 'x'"),
+    ("verify", _edited("verify_default.toml", '"default"', '"default"\ntolerance_abs = 1.0'),
+     None, "unknown key: verify.tolerance_abs"),
     ("decay", _edited("decay_pole.toml", "z = [1.0, 0.0]", ""), None,
      "fields.pair.z is required"),
     ("verify", 'jobs = "x"\n' + VERIFY_TEXT, None, "jobs: 'x'"),
@@ -367,11 +374,14 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "unknown quadrature option: quadrature.tail_model"),
     ("decay", _edited("decay_smooth.toml", "width = 1.0", "width = 1.0\namplitude = 7.0"), None,
      "unknown key: fields.smooth.amplitude"),
+    ("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", "order = 0.5"), None,
+     "op.alpha is required"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
         "kind-unknown-key", "spectral-resolution", "top-level-unknown-key",
-        "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude"])
+        "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude",
+        "op-order-alias"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,
@@ -388,19 +398,38 @@ def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, ki
 
 
 PINNED_DIGESTS = {
-    "bench_gaussian.toml": "e37f772ed4caef68",
-    "convergence_spectral.toml": "647269d582e11eb5",
-    "decay_cantor.toml": "fa3eeff7c588f1eb",
-    "decay_pole.toml": "49b44075d08b5acf",
-    "decay_smooth.toml": "6b82c04a6085e1eb",
-    "op_gaussian_grad.toml": "669296776c6e0996",
-    "verify_default.toml": "977b68767a8c994a",
+    "bench_gaussian.toml": "ea2da506d4cf05f8",
+    "convergence_spectral.toml": "1ca5b3f5e63e5c18",
+    "decay_cantor.toml": "94260a12d11a1217",
+    "decay_pole.toml": "a1f1cbe59749e2a9",
+    "decay_smooth.toml": "3c29aba225f421d3",
+    "op_gaussian_grad.toml": "7d715f5069d71fec",
+    "verify_default.toml": "d1dc67346d4faf58",
 }
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.toml")))
 def test_shipped_config_digests_are_pinned(name):
-    """The normalized form of each shipped config, defaults filled in, keeps
-    its digest: output headers stay comparable across versions."""
+    """The normalized form of each shipped config, defaults filled in and
+    `out` and `jobs` left out, keeps its digest: output headers stay
+    comparable across versions and output directories."""
     cfg = ExperimentConfig.from_dict(load_config(CONFIG_DIR / name))
     assert config_digest(cfg.normalized()) == PINNED_DIGESTS[name]
+
+
+def test_digest_ignores_out_and_jobs(tmp_path, capsys, monkeypatch):
+    """--out, --jobs and FRACFIELD_JOBS change no computed value, so they
+    leave the output header's config digest as it is."""
+    monkeypatch.delenv("FRACFIELD_JOBS", raising=False)
+    cfgp = CONFIG_DIR / "decay_cantor.toml"
+
+    def digest(out, *extra):
+        assert run_main(capsys, "decay", "--config", cfgp, "--out", out, *extra)[0] == 0
+        lines = (out / "decay_table.csv").read_text().splitlines()
+        return next(l for l in lines if l.startswith("# config_digest")).split()[-1]
+
+    expected = PINNED_DIGESTS["decay_cantor.toml"]
+    assert digest(tmp_path / "a") == expected
+    assert digest(tmp_path / "b", "--jobs", 2) == expected
+    monkeypatch.setenv("FRACFIELD_JOBS", "3")
+    assert digest(tmp_path / "c") == expected

@@ -18,6 +18,7 @@ from fracfield.verify import (
     check_duality,
     check_global_ibp,
     check_leibniz_pointwise,
+    check_riesz_square,
     check_semigroup_spectral,
     check_symbol_factorization,
     check_zero_mass_nl,
@@ -47,6 +48,30 @@ def test_report_serialization_roundtrip():
     assert rec["pass"] is True
     assert set(rec) >= {"name", "params", "lhs", "rhs", "abs_err", "rel_err",
                         "est_err", "pass", "seconds"}
+
+
+def test_report_json_line_bytes():
+    """The record's keys, number formats and rounded seconds are fixed."""
+    r = VerifyReport(name="ball_ibp_r0.8", params={"alpha": 0.5, "x0": (0.0, 1.0),
+                     "p": float("inf"), "terms": [0.286935, -0.177907]},
+                     lhs=0.14623716763889125, rhs=0.14619025544995007,
+                     abs_err=4.691218894117832e-05, rel_err=0.00016349424625698174,
+                     est_err=3.787117351694306e-05, passed=True, seconds=0.530349,
+                     branch="rel", notes="a note")
+    assert r.to_json_line() == (
+        '{"abs_err": 4.691218894117832e-05, "branch": "rel", "est_err": '
+        '3.787117351694306e-05, "lhs": 0.14623716763889125, "name": "ball_ibp_r0.8", '
+        '"notes": "a note", "params": {"alpha": 0.5, "p": Infinity, "terms": '
+        '[0.286935, -0.177907], "x0": [0.0, 1.0]}, "pass": true, "rel_err": '
+        '0.00016349424625698174, "rhs": 0.14619025544995007, "seconds": 0.5303}')
+
+
+def test_report_is_decided_once_and_timed_by_the_suite():
+    """A report is immutable; a check called directly carries no time."""
+    rep = check_riesz_square()
+    assert rep.seconds == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.passed = False
 
 
 def test_check_duality_zero_test_function(cfg):
@@ -164,6 +189,7 @@ def test_suite_parallel_matches_serial(cfg):
     assert len(serial) == len(names)
     for x, y in zip(serial, parallel):
         assert dataclasses.replace(x, seconds=0.0) == dataclasses.replace(y, seconds=0.0)
+        assert x.seconds > 0.0 and y.seconds > 0.0
 
 
 def test_default_suite_all_green_and_budgeted(cfg):
@@ -181,6 +207,7 @@ def test_default_suite_all_green_and_budgeted(cfg):
     assert [r.name for r in reports] == sorted(default_suite_registry(cfg))
     failures = [r.name for r in reports if not r.passed]
     assert not failures, failures
+    assert all(r.seconds > 0.0 for r in reports)
     assert wall < 600.0
 
 
