@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import ConfigError, DomainError, EmbeddingError, FracfieldError, PreconditionError
 from .fields import GridSpec, ScalarField, VectorField, cutoff, gaussian, gaussian_vector, mollifier
 from .measures import RadonMeasure, measure_ball_mass
-from .quadrature import OperatorResult, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .special import FracParams, gamma_fn, mu_const, omega_const
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "FracfieldError",
     "FracParams",
     "GridSpec",
-    "OperatorResult",
     "PreconditionError",
     "QuadratureConfig",
     "RadonMeasure",

@@ -1,12 +1,13 @@
 """Experiment configuration: TOML or JSON in, validated normalized dict out.
 
-The normalized form is a plain JSON-serializable dict with canonical key
-order; parse -> normalize -> serialize -> parse is a fixed point. This module
-is the only reader of config values: each one is converted, given its default
-and range-checked once, and a bad one raises a ConfigError naming its
-`<section>.<key>`, as does a key that no parser reads. Field definitions are
-named templates; each is built once, here, by its analytic/field constructor,
-which checks its own parameters.
+This module is the only reader of config values: each one is converted,
+given its default and range-checked once, and a bad one raises a ConfigError
+naming its `<section>.<key>`, as does a key that no parser reads. The
+normalized form is the record of every value read, converted and with its
+defaults filled in, as a plain JSON-serializable dict, so two spellings of
+one experiment normalize alike; parse -> normalize -> serialize -> parse is
+a fixed point. Field definitions are named templates; each is built once,
+here, by its analytic/field constructor, which checks its own parameters.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _atoms(v) -> list:
 def _checks(v):
     if v != "default" and not (isinstance(v, list) and all(isinstance(c, str) for c in v)):
         raise TypeError(v)
-    return None if v == "default" else v
+    return v
 
 
 _WHAT = {float: "a number", int: "an integer", _floats: "a list of numbers",
@@ -81,35 +82,38 @@ def _at_least(k: int):
     return (lambda v: v >= k, f"be at least {k}")
 
 
-def _read(section: dict, where: str, key: str, conv, default=_REQUIRED, check=None):
+def _read(section: "_Table", where: str, key: str, conv, default=_REQUIRED, check=None):
     """section[key] converted by conv (a function, or a tuple of allowed
     values), else the default; None stays None when it is the default.
-    check = (predicate, what the value must do)."""
+    check = (predicate, what the value must do). The value is recorded in
+    the section's record."""
     name = f"{where}.{key}" if where else key
     v = section.get(key, default)
     if v is _REQUIRED:
         raise ConfigError(f"{name} is required")
-    if v is None and default is None:
-        return None
-    if isinstance(conv, tuple):
-        if v not in conv:
-            raise ConfigError(f"{name} must be one of {conv}, got {v!r}")
-    else:
-        try:
-            v = conv(v)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{name}: {v!r} is not {_WHAT[conv]}") from None
-    if check is not None and not check[0](v):
-        raise ConfigError(f"{name} must {check[1]}, got {v!r}")
+    if v is not None or default is not None:
+        if isinstance(conv, tuple):
+            if v not in conv:
+                raise ConfigError(f"{name} must be one of {conv}, got {v!r}")
+        else:
+            try:
+                v = conv(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name}: {v!r} is not {_WHAT[conv]}") from None
+        if check is not None and not check[0](v):
+            raise ConfigError(f"{name} must {check[1]}, got {v!r}")
+    section.record[key] = v
     return v
 
 
 class _Table(dict):
-    """A config table that remembers which keys its parser read."""
+    """A config table that remembers which keys its parser read, and in
+    `record` the values read from it, sub-tables' records included."""
 
     def __init__(self, data: dict):
         super().__init__(data)
         self.read: set = set()
+        self.record: dict = {}
 
     def get(self, key, default=None):
         self.read.add(key)
@@ -121,11 +125,13 @@ class _Table(dict):
                 raise ConfigError(f"unknown key: {where}.{key}" if where else f"unknown key: {key}")
 
 
-def _table(data: dict, key: str, where: str = "") -> _Table:
+def _table(data: _Table, key: str, where: str = "") -> _Table:
     v = data.get(key, {})
     if not isinstance(v, dict):
         raise ConfigError(f"[{where}{key}] must be a table")
-    return _Table(v)
+    table = _Table(v)
+    data.record[key] = table.record
+    return table
 
 
 def _convolved(atoms, alpha):
@@ -156,14 +162,14 @@ TEMPLATES = {
 }
 
 
-def _parse_field(name: str, spec: dict) -> tuple[dict, Any]:
+def _parse_field(name: str, spec: _Table) -> tuple[dict, Any]:
     """(normalized parameters, built field) of one [fields.<name>] table."""
     where = f"fields.{name}"
     tpl = _read(spec, where, "template", tuple(TEMPLATES))
     params, build, _ = TEMPLATES[tpl]
-    out = {"template": tpl}
+    out = spec.record
     for key, conv, default in params:
-        out[key] = _read(spec, where, key, conv, default(out) if callable(default) else default)
+        _read(spec, where, key, conv, default(out) if callable(default) else default)
     spec.check_read(where)
     try:
         return out, build(*(out[key] for key, _, _ in params))
@@ -171,15 +177,14 @@ def _parse_field(name: str, spec: dict) -> tuple[dict, Any]:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _parse_quadrature(q: dict) -> QuadratureConfig:
-    defaults = {f.name: f.default for f in dataclasses.fields(QuadratureConfig)}
-    for key in q:
-        if key not in defaults:
-            raise ConfigError(f"unknown quadrature option: quadrature.{key}")
+def _parse_quadrature(q: _Table) -> QuadratureConfig:
     # each option converts like its default; far_cutoff (default None) is a number
-    return QuadratureConfig(**{
-        key: _read(q, "quadrature", key, float if d is None else type(d), d)
-        for key, d in defaults.items() if key in q})
+    cfg = QuadratureConfig(**{
+        f.name: _read(q, "quadrature", f.name, float if f.default is None else type(f.default),
+                      f.default)
+        for f in dataclasses.fields(QuadratureConfig)})
+    q.check_read("quadrature")
+    return cfg
 
 
 def load_config(path) -> dict:
@@ -219,7 +224,7 @@ class ExperimentConfig:
     """
 
     kind: str
-    raw: dict
+    raw: _Table  # the top-level table; its record is the normalized form
     seed: int
     engine: str
     jobs: int
@@ -263,11 +268,12 @@ class ExperimentConfig:
 
     # -- the kinds' sections ------------------------------------------------
 
-    def _field_ref(self, section: dict, key: str, feed: Optional[str] = None):
+    def _field_ref(self, section: _Table, key: str, feed: Optional[str] = None):
         name = section.get(key)
         if not isinstance(name, str) or name not in self.fields:
             raise ConfigError(
                 f"{self.kind}.{key}: field {name!r} is not defined under [fields]")
+        section.record[key] = name
         tpl = self.fields[name]["template"]
         if feed is not None and feed not in TEMPLATES[tpl][2]:
             raise ConfigError(
@@ -293,7 +299,8 @@ class ExperimentConfig:
         return {"operator": operator, "field": field, "alpha": alpha, "grid": grid}
 
     def _parse_verify(self, s: dict) -> dict:
-        return {"names": _read(s, "verify", "checks", _checks, "default")}
+        checks = _read(s, "verify", "checks", _checks, "default")
+        return {"names": None if checks == "default" else checks}
 
     def _parse_convergence(self, s: dict) -> dict:
         return {"engine": _read(s, "convergence", "engine", ("spectral", "direct"), "spectral"),
@@ -331,28 +338,10 @@ class ExperimentConfig:
     # -- normalization ------------------------------------------------------
 
     def normalized(self) -> dict:
-        """Every value that can change a computed result; `out` and `jobs`
-        cannot, so they stay out of the form and of its digest."""
-        out = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "engine": self.engine,
-            "fields": {k: dict(sorted(v.items())) for k, v in sorted(self.fields.items())},
-        }
-        for key in ("grid", "quadrature", "spectral", self.kind):
-            if key in self.raw:
-                out[key] = _canon(self.raw[key])
-        return out
+        """Every value read, converted and with its defaults filled in, except
+        `out` and `jobs`: they cannot change a computed result, so they stay
+        out of the form and of its digest."""
+        return {k: v for k, v in self.raw.record.items() if k not in ("out", "jobs")}
 
     def serialize(self) -> str:
         return json.dumps(self.normalized(), sort_keys=True, indent=2)
-
-
-def _canon(v: Any) -> Any:
-    if isinstance(v, dict):
-        return {k: _canon(v[k]) for k in sorted(v)}
-    if isinstance(v, (list, tuple)):
-        return [_canon(x) for x in v]
-    if isinstance(v, bool) or isinstance(v, (int, str)) or v is None:
-        return v
-    return float(v)

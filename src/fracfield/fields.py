@@ -15,7 +15,7 @@ Grid points are stored the same way: one (n, *counts) array seen as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -182,18 +182,6 @@ class ScalarField:
             r2 = _inner(pts)
             g = np.where(r2[..., None] <= self.support_radius**2, g, 0.0)
         return g[0] if single else g
-
-    def scaled(self, a: float) -> "ScalarField":
-        a = float(a)
-        base = self.fn
-        gf = self.grad_fn
-        return replace(
-            self,
-            fn=lambda p: a * base(p),
-            grad_fn=(lambda p: a * gf(p)) if gf is not None else None,
-            decay=None if self.decay is None else (abs(a) * self.decay[0], self.decay[1]),
-            cache_token=None if self.cache_token is None else f"{a}*({self.cache_token})",
-        )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ The error estimate is |fine - coarse| (half node counts) plus the tail bound.
 All evaluators are batched over evaluation points: each pass builds its node
 template once and evaluates it around blocks of points sized so a block's
 temporaries stay in cache (`_BLOCK_NODES`). Every public operator is one call
-of the driver `_run_op` with its kernel order, constant and integrand kind.
+of the driver `_run_op` with its kernel order, constant and integrand kind;
+it takes one point of shape (n,) or a batch of shape (m, n) and returns
+`(values, estimates)` with one row per point.
 
 Every polar rule of the package comes from one builder here: `_gauss` maps
 Gauss-Legendre onto [a, b], and `_polar_rule` tensors radii with the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,18 +94,6 @@ class QuadratureConfig:
             mid_angular_nodes=max(4, self.mid_angular_nodes // 2),
             mid_panel_nodes=max(2, self.mid_panel_nodes // 2),
         )
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    """Value (scalar or n-vector) with a nonnegative error estimate."""
-
-    value: Union[float, Array]
-    error: float
-
-    def __post_init__(self) -> None:
-        if not (self.error >= 0.0 and math.isfinite(self.error)):
-            raise ConfigError("error estimate must be finite and nonnegative")
 
 
 def _read_only(*arrays: Array) -> tuple[Array, ...]:
@@ -522,13 +512,6 @@ def _points(x, n) -> Array:
     raise ConfigError(f"evaluation points must have shape (n,) or (m, n) with n={n}")
 
 
-def _first(batch) -> OperatorResult:
-    """The single-point form of a batch result."""
-    vals, errs = batch
-    value = vals[0] if vals.ndim == 2 else float(vals[0])
-    return OperatorResult(value, float(errs[0]))
-
-
 # ---------------------------------------------------------------------------
 # public operators
 
@@ -538,18 +521,10 @@ def frac_gradient_batch(xi: ScalarField, alpha: float, x, cfg: QuadratureConfig)
     return _run_op((xi,), None, x, alpha, mu_const(xi.n, alpha), cfg)
 
 
-def frac_gradient(xi: ScalarField, alpha: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    return _first(frac_gradient_batch(xi, alpha, x, cfg))
-
-
 def frac_divergence_batch(F: VectorField, alpha: float, x, cfg: QuadratureConfig):
     """Fractional divergence of a vector field at a batch of points."""
     alpha = _check_alpha(alpha)
     return _run_op((), F, x, alpha, mu_const(F.n, alpha), cfg)
-
-
-def frac_divergence(F: VectorField, alpha: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    return _first(frac_divergence_batch(F, alpha, x, cfg))
 
 
 def nl_gradient_batch(f: ScalarField, g: ScalarField, alpha: float, x,
@@ -559,21 +534,11 @@ def nl_gradient_batch(f: ScalarField, g: ScalarField, alpha: float, x,
     return _run_op((f, g), None, x, alpha, mu_const(f.n, alpha), cfg)
 
 
-def nl_gradient(f: ScalarField, g: ScalarField, alpha: float, x,
-                cfg: QuadratureConfig) -> OperatorResult:
-    return _first(nl_gradient_batch(f, g, alpha, x, cfg))
-
-
 def nl_divergence_batch(g: ScalarField, F: VectorField, alpha: float, x,
                         cfg: QuadratureConfig):
     """Bilinear nonlocal divergence of the couple (g, F)."""
     alpha = _check_alpha(alpha)
     return _run_op((g,), F, x, alpha, mu_const(g.n, alpha), cfg)
-
-
-def nl_divergence(g: ScalarField, F: VectorField, alpha: float, x,
-                  cfg: QuadratureConfig) -> OperatorResult:
-    return _first(nl_divergence_batch(g, F, alpha, x, cfg))
 
 
 def riesz_potential_batch(f: ScalarField, beta: float, x, cfg: QuadratureConfig):
@@ -583,17 +548,9 @@ def riesz_potential_batch(f: ScalarField, beta: float, x, cfg: QuadratureConfig)
                    increment=False)
 
 
-def riesz_potential(f: ScalarField, beta: float, x, cfg: QuadratureConfig) -> OperatorResult:
-    return _first(riesz_potential_batch(f, beta, x, cfg))
-
-
 def riesz_transform_batch(f: ScalarField, x, cfg: QuadratureConfig):
     """Vector Riesz transform: principal value via symmetric increment shells."""
     return _run_op((f,), None, x, 0.0, riesz_transform_const(f.n), cfg)
-
-
-def riesz_transform(f: ScalarField, x, cfg: QuadratureConfig) -> OperatorResult:
-    return _first(riesz_transform_batch(f, x, cfg))
 
 
 # ---------------------------------------------------------------------------

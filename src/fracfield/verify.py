@@ -592,15 +592,7 @@ def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
     lhs, est_l = polar_integral(_pairing(F, phi, alpha, cfg), n, _support(F), cfg)
 
     def rhs_fn(pts):
-        if phi.grad_fn is not None:
-            gp = phi.gradient(pts)
-        else:
-            h = 1e-6
-            gp = np.stack(
-                [(phi(pts + h * np.eye(n)[k]) - phi(pts - h * np.eye(n)[k])) / (2 * h)
-                 for k in range(n)],
-                axis=-1,
-            )
+        gp = phi.gradient(pts)
         acc = np.zeros(pts.shape[0])
         ests = np.zeros(pts.shape[0])
         for k in range(n):

@@ -15,7 +15,7 @@ from fracfield.fields import ScalarField, VectorField, _dist2, _inner, _leading,
 from fracfield.quadrature import (
     QuadratureConfig,
     _leggauss,
-    frac_divergence,
+    frac_divergence_batch,
     singular_radial_rule,
     sphere_rule,
 )
@@ -173,7 +173,7 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         return w * vals
 
     G = VectorField(n=n, fn=wfn, decay=F.decay)
-    base = frac_divergence(G, alpha, x, cfg)
+    base, base_err = frac_divergence_batch(G, alpha, x, cfg)
 
     mu = mu_const(n, alpha)
     dirs, w_ang = sphere_rule(n, cfg.mid_angular_nodes)
@@ -190,5 +190,5 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         win = _window(rr, 0.5 * d, d)[:, None]
         S = np.einsum("rak,rak->ra", fv, kv) * win * (rr ** (n - alpha))[:, None]
         corr += float(np.einsum("ra,r,a->", S, wr, w_ang))
-    value = base.value + mu * corr
-    return value, base.error + 1e-3 * abs(mu * corr) + 1e-12
+    value = base[0] + mu * corr
+    return value, base_err[0] + 1e-3 * abs(mu * corr) + 1e-12

@@ -31,8 +31,8 @@ from fracfield.fields import (
 from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import (
     QuadratureConfig,
-    frac_gradient,
-    nl_gradient,
+    frac_gradient_batch,
+    nl_gradient_batch,
     sphere_rule,
 )
 from fracfield.special import _mu_raw, mu_const, omega_const
@@ -246,9 +246,23 @@ def test_grad_chi_ball_vs_mollified_indicator(cfg):
                              mid_panel_growth=1.25)
     pts = [(1.7, 0.4), (0.5, 0.1), (0.0, 2.2), (-1.4, 0.2), (0.3, -0.6)]
     for pt in pts:
-        direct = frac_gradient(ramp, alpha, np.array(pt), dense).value
+        direct = frac_gradient_batch(ramp, alpha, np.array(pt), dense)[0][0]
         surf = grad_chi_ball(r, (0.0, 0.0), alpha, np.array(pt), 384)
         assert np.linalg.norm(direct - surf) <= 0.02 * np.linalg.norm(surf) + 1e-4
+
+
+@pytest.mark.parametrize("y", [-2.0, -0.6, 1.1, 3.5])
+def test_grad_chi_ball_1d_matches_kernel_integral(y):
+    """In R^1 the boundary is two points; the closed form equals the kernel
+    mu sign(t-y)|t-y|^(-1-a) integrated over the interval, off the interval."""
+    from scipy.integrate import quad
+
+    x0, r, alpha = 0.25, 0.8, 0.4
+    ref, _ = quad(lambda t: math.copysign(abs(t - y) ** (-1.0 - alpha), t - y),
+                  x0 - r, x0 + r, epsabs=0.0, epsrel=1e-12)
+    g = grad_chi_ball(r, (x0,), alpha, (y,))
+    assert g.shape == (1,)
+    assert g[0] == pytest.approx(mu_const(1, alpha) * ref, rel=1e-10)
 
 
 def test_grad_chi_ball_3d_far_field():
@@ -282,7 +296,7 @@ def test_grad_cutoff_annulus_direct_consistency(cfg):
     eps, r, alpha = 0.25, 1.0, 0.5
     ramp = ramp_cutoff_field(eps, r, (0.0, 0.0))
     for pt in [(1.7, 0.4), (0.5, 0.1), (1.1, 0.0)]:
-        direct = frac_gradient(ramp, alpha, np.array(pt), cfg).value
+        direct = frac_gradient_batch(ramp, alpha, np.array(pt), cfg)[0][0]
         ann = grad_cutoff_annulus(eps, r, (0.0, 0.0), alpha, np.array(pt), cfg)
         assert np.linalg.norm(direct - ann) <= 0.02 * np.linalg.norm(ann) + 1e-6
 
@@ -303,7 +317,7 @@ def test_nl_gradient_ball_vs_mollified_indicator(cfg, gauss2d):
     vals = []
     for k in (16, 32):
         ramp = ramp_cutoff_field(1.0 / k, 1.0, (0.0, 0.0))
-        rows = [nl_gradient(ramp, gauss2d, 0.5, w, cfg).value for w in W]
+        rows = [nl_gradient_batch(ramp, gauss2d, 0.5, w, cfg)[0][0] for w in W]
         vals.append(np.array(rows))
     rich = 2.0 * vals[1] - vals[0]
     for i in range(len(W)):
@@ -433,7 +447,7 @@ def test_mollified_field_smooth_at_pole():
 
 def test_duality_pairing_zero_test_function(cfg, gauss2d):
     dp = make_delta_pair(Y, Z, 0.5)
-    zero = gauss2d.scaled(0.0)
+    zero = gaussian((0.0, 0.0), amplitude=0.0)
     val, est = duality_pairing(dp, zero, cfg)
     assert val == pytest.approx(0.0, abs=1e-10)
 

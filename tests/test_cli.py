@@ -299,6 +299,38 @@ def test_cli_decay_takes_dimension_from_source(tmp_path, capsys):
     assert floor == pytest.approx(0.5)
 
 
+def _footer(path, key):
+    line = next(l for l in path.read_text().splitlines() if l.startswith(f"# {key} "))
+    return line.split()[-1]
+
+
+def test_cli_convergence_spectral_and_direct(tmp_path, capsys):
+    """The shipped spectral sweep converges spectrally fast; a short direct
+    sweep writes a finite fitted order."""
+    rc, err = run_main(capsys, "convergence", "--config", CONFIG_DIR / "convergence_spectral.toml",
+                       "--out", tmp_path)
+    assert rc == 0, err
+    assert float(_footer(tmp_path / "convergence_spectral.csv", "fitted_order")) >= 4.0
+    cfgp = tmp_path / "direct.toml"
+    cfgp.write_text('kind = "convergence"\n[convergence]\nengine = "direct"\nlevels = 3\n')
+    rc, err = run_main(capsys, "convergence", "--config", cfgp, "--out", tmp_path)
+    assert rc == 0, err
+    assert math.isfinite(float(_footer(tmp_path / "convergence_direct.csv", "fitted_order")))
+
+
+def test_cli_bench_shipped_config(tmp_path, capsys):
+    """The shipped bench config (n = 2) times both engines on its points and
+    records their disagreement within the 1e-3 contract."""
+    rc, err = run_main(capsys, "bench", "--config", CONFIG_DIR / "bench_gaussian.toml",
+                       "--out", tmp_path)
+    assert rc == 0, err
+    lines = [l for l in (tmp_path / "bench.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "engine,points,seconds,max_rel_disagreement"
+    rows = [l.split(",") for l in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("direct", "100"), ("spectral", "100")]
+    assert all(float(r[2]) >= 0.0 and float(r[3]) <= 1e-3 for r in rows)
+
+
 @pytest.mark.parametrize("engine", ["direct", "spectral"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
@@ -360,8 +392,7 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "seed must be at least 0"),
     ("verify", VERIFY_TEXT + '[quadrature]\nnear_radial_nodes = "x"\n', None,
      "quadrature.near_radial_nodes: 'x'"),
-    ("verify", VERIFY_TEXT + "[quadrature]\nfoo = 1\n", None,
-     "unknown quadrature option: quadrature.foo"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nfoo = 1\n", None, "unknown key: quadrature.foo"),
     ("op", _edited("op_gaussian_grad.toml", "width = 1.0", "widht = 2.0"), None,
      "unknown key: fields.main.widht"),
     ("bench", _edited("bench_gaussian.toml", "points = 100", "points = 100\npoint = 5"), None,
@@ -371,17 +402,19 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
     ("verify", "sede = 3\n" + VERIFY_TEXT, None, "unknown key: sede"),
     ("verify", VERIFY_TEXT + "[quadratur]\ntol = 1e-9\n", None, "unknown key: quadratur"),
     ("verify", VERIFY_TEXT + "[quadrature]\ntail_model = false\n", None,
-     "unknown quadrature option: quadrature.tail_model"),
+     "unknown key: quadrature.tail_model"),
     ("decay", _edited("decay_smooth.toml", "width = 1.0", "width = 1.0\namplitude = 7.0"), None,
      "unknown key: fields.smooth.amplitude"),
     ("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", "order = 0.5"), None,
      "op.alpha is required"),
+    ("op", _edited("op_gaussian_grad.toml", "width = 1.0", "width = -1.0"), None,
+     "fields.main: gaussian width must be positive"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
         "kind-unknown-key", "spectral-resolution", "top-level-unknown-key",
         "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude",
-        "op-order-alias"])
+        "op-order-alias", "template-constructor-error"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,
@@ -398,13 +431,13 @@ def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, ki
 
 
 PINNED_DIGESTS = {
-    "bench_gaussian.toml": "ea2da506d4cf05f8",
-    "convergence_spectral.toml": "1ca5b3f5e63e5c18",
-    "decay_cantor.toml": "94260a12d11a1217",
-    "decay_pole.toml": "a1f1cbe59749e2a9",
-    "decay_smooth.toml": "3c29aba225f421d3",
-    "op_gaussian_grad.toml": "7d715f5069d71fec",
-    "verify_default.toml": "d1dc67346d4faf58",
+    "bench_gaussian.toml": "5f8d85a378901c14",
+    "convergence_spectral.toml": "eb4b438f09ec9e04",
+    "decay_cantor.toml": "22e8d98b24ab1c1f",
+    "decay_pole.toml": "dda42e4562bd8e80",
+    "decay_smooth.toml": "78bb20ecf3586d03",
+    "op_gaussian_grad.toml": "ab6823f3b662b032",
+    "verify_default.toml": "3e83ed0571502bf1",
 }
 
 
@@ -415,6 +448,16 @@ def test_shipped_config_digests_are_pinned(name):
     comparable across versions and output directories."""
     cfg = ExperimentConfig.from_dict(load_config(CONFIG_DIR / name))
     assert config_digest(cfg.normalized()) == PINNED_DIGESTS[name]
+
+
+def test_digest_ignores_spelling():
+    """A default written out, a section left out or a number written in
+    another type reads the same values, so it keeps the digest."""
+    shipped = load_config(CONFIG_DIR / "verify_default.toml")
+    spellings = [shipped, {**shipped, "quadrature": {"near_radius": 0.2}}, {"kind": "verify"},
+                 {**shipped, "quadrature": {"near_radial_nodes": 12.0}}]
+    digests = {config_digest(ExperimentConfig.from_dict(d).normalized()) for d in spellings}
+    assert digests == {PINNED_DIGESTS["verify_default.toml"]}
 
 
 def test_digest_ignores_out_and_jobs(tmp_path, capsys, monkeypatch):

@@ -129,13 +129,6 @@ def test_combinators_hints():
     assert gF.support_radius == min(g.support_radius, F.support_radius)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=-1.5, max_value=1.5), st.floats(min_value=-1.5, max_value=1.5))
-def test_scaled_field_property(x, y):
-    f = gaussian((0.0, 0.0))
-    assert f.scaled(-2.5)((x, y)) == pytest.approx(-2.5 * f((x, y)), rel=1e-12)
-
-
 # products of these stay finite, so both sums see the same finite terms
 _FINITE = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
 

@@ -13,19 +13,12 @@ from fracfield.fields import (GridSpec, ScalarField, _inner, ball_indicator, gau
                               gaussian_vector)
 from fracfield.norms import besov_seminorm, lp_norm
 from fracfield.quadrature import (
-    OperatorResult,
     QuadratureConfig,
-    frac_divergence,
     frac_divergence_batch,
-    frac_gradient,
     frac_gradient_batch,
-    nl_divergence,
     nl_divergence_batch,
-    nl_gradient,
     nl_gradient_batch,
-    riesz_potential,
     riesz_potential_batch,
-    riesz_transform,
     riesz_transform_batch,
     _leggauss,
     panel_radial_rule,
@@ -181,8 +174,6 @@ def test_config_validation():
         QuadratureConfig(tol=0.0)
     with pytest.raises(ConfigError):
         QuadratureConfig(far_cutoff=0.1, near_radius=0.2)
-    with pytest.raises(ConfigError):
-        OperatorResult(1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,39 +181,39 @@ def test_config_validation():
 
 def test_constant_field_maps_to_zero(cfg):
     c = constant_field(2, 3.7)
-    r = frac_gradient(c, 0.5, (0.4, -0.2), cfg)
-    assert np.allclose(r.value, 0.0, atol=1e-14)
-    rt = riesz_transform(c, (0.4, -0.2), cfg)
-    assert np.allclose(rt.value, 0.0, atol=1e-14)
+    r, _ = frac_gradient_batch(c, 0.5, (0.4, -0.2), cfg)
+    assert np.allclose(r[0], 0.0, atol=1e-14)
+    rt, _ = riesz_transform_batch(c, (0.4, -0.2), cfg)
+    assert np.allclose(rt[0], 0.0, atol=1e-14)
 
 
 def test_odd_symmetry_zero_at_center(cfg, gauss2d):
-    r = frac_gradient(gauss2d, 0.5, (0.0, 0.0), cfg)
-    assert np.allclose(r.value, 0.0, atol=1e-12)
-    rt = riesz_transform(gauss2d, (0.0, 0.0), cfg)
-    assert np.allclose(rt.value, 0.0, atol=1e-12)
+    r, _ = frac_gradient_batch(gauss2d, 0.5, (0.0, 0.0), cfg)
+    assert np.allclose(r[0], 0.0, atol=1e-12)
+    rt, _ = riesz_transform_batch(gauss2d, (0.0, 0.0), cfg)
+    assert np.allclose(rt[0], 0.0, atol=1e-12)
 
 
 def test_nl_ops_vanish_on_constants(cfg, gauss2d, gauss_vec2d):
-    zero = gauss2d.scaled(0.0)
-    r = nl_gradient(zero, gauss2d, 0.5, (0.3, 0.1), cfg)
-    assert np.allclose(r.value, 0.0, atol=1e-14)
-    r2 = nl_divergence(zero, gauss_vec2d, 0.5, (0.3, 0.1), cfg)
-    assert r2.value == pytest.approx(0.0, abs=1e-14)
-    r3 = nl_gradient(gauss2d, gauss2d, 0.5, (0.0, 0.0), cfg)
-    assert np.allclose(r3.value, 0.0, atol=1e-12)  # odd integrand by symmetry
+    zero = gaussian((0.0, 0.0), amplitude=0.0)
+    r, _ = nl_gradient_batch(zero, gauss2d, 0.5, (0.3, 0.1), cfg)
+    assert np.allclose(r[0], 0.0, atol=1e-14)
+    r2, _ = nl_divergence_batch(zero, gauss_vec2d, 0.5, (0.3, 0.1), cfg)
+    assert r2[0] == pytest.approx(0.0, abs=1e-14)
+    r3, _ = nl_gradient_batch(gauss2d, gauss2d, 0.5, (0.0, 0.0), cfg)
+    assert np.allclose(r3[0], 0.0, atol=1e-12)  # odd integrand by symmetry
 
 
 def test_alpha_domain_errors(cfg, gauss2d):
     for bad in (0.0, 1.0, 1.3, -0.2):
         with pytest.raises(DomainError):
-            frac_gradient(gauss2d, bad, (0.0, 0.0), cfg)
+            frac_gradient_batch(gauss2d, bad, (0.0, 0.0), cfg)
 
 
 def test_missing_hints_config_error(cfg):
     bare = ScalarField(n=2, fn=lambda p: np.exp(-np.sum(p * p, -1)))
     with pytest.raises(ConfigError):
-        frac_gradient(bare, 0.5, (0.0, 0.0), cfg)
+        frac_gradient_batch(bare, 0.5, (0.0, 0.0), cfg)
 
 
 def test_extrapolated_tail_without_hints():
@@ -309,11 +300,11 @@ def test_extrapolated_tail_refuses_slow_decay():
 @pytest.mark.parametrize("call", [
     lambda G, F, pair, cfg: frac_divergence_batch(G, 0.5, (0.3, 0.1), cfg),
     lambda G, F, pair, cfg: frac_gradient_batch(F, 0.5, (0.3, 0.1), cfg),
-    lambda G, F, pair, cfg: frac_gradient(pair, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: frac_gradient_batch(pair, 0.5, (0.3, 0.1), cfg),
     lambda G, F, pair, cfg: riesz_potential_batch(F, 0.5, (0.3, 0.1), cfg),
     lambda G, F, pair, cfg: riesz_transform_batch(pair, (0.3, 0.1), cfg),
-    lambda G, F, pair, cfg: nl_divergence(F, G, 0.5, (0.3, 0.1), cfg),
-    lambda G, F, pair, cfg: nl_gradient(G, F, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: nl_divergence_batch(F, G, 0.5, (0.3, 0.1), cfg),
+    lambda G, F, pair, cfg: nl_gradient_batch(G, F, 0.5, (0.3, 0.1), cfg),
 ], ids=["div-of-scalar", "grad-of-vector", "grad-of-pair", "potential-of-vector",
         "transform-of-pair", "nl-div-swapped", "nl-grad-of-vector"])
 def test_wrong_field_kind_config_error(cfg, call):
@@ -330,26 +321,26 @@ def test_wrong_field_kind_config_error(cfg, call):
 # frozen whole-space references
 
 def test_frac_gradient_reference(cfg, gauss2d):
-    r = frac_gradient(gauss2d, 0.6, (0.5, 0.0), cfg)
-    assert abs(r.value[0] - GRAD06_AT_05) < 1e-6
-    assert abs(r.value[1]) < 1e-12
-    assert abs(r.value[0] - GRAD06_AT_05) <= 3.0 * r.error
-    r2 = frac_gradient(gauss2d, 0.3, (0.8, 0.0), cfg)
-    assert abs(r2.value[0] - PSIP03_AT_08) < 1e-6
+    r, e = frac_gradient_batch(gauss2d, 0.6, (0.5, 0.0), cfg)
+    assert abs(r[0, 0] - GRAD06_AT_05) < 1e-6
+    assert abs(r[0, 1]) < 1e-12
+    assert abs(r[0, 0] - GRAD06_AT_05) <= 3.0 * e[0]
+    r2, _ = frac_gradient_batch(gauss2d, 0.3, (0.8, 0.0), cfg)
+    assert abs(r2[0, 0] - PSIP03_AT_08) < 1e-6
 
 
 def test_frac_divergence_reference(cfg):
     F = gaussian_vector((0.0, 0.0), amplitudes=(1.0, 0.0))
-    r = frac_divergence(F, 0.5, (0.3, 0.4), cfg)
-    assert abs(r.value - DIV05_AT_03_04) < 1e-6
+    r, _ = frac_divergence_batch(F, 0.5, (0.3, 0.4), cfg)
+    assert abs(r[0] - DIV05_AT_03_04) < 1e-6
 
 
 def test_riesz_potential_reference(cfg, gauss2d):
-    r = riesz_potential(gauss2d, 0.5, (0.0, 0.0), cfg)
-    assert abs(r.value - I05_AT_0) < 1e-6
-    r2 = riesz_potential(gauss2d, 0.5, (0.7, 0.0), cfg)
-    assert abs(r2.value - I05_AT_07) < 1e-6
-    assert r.value >= 0.0  # positive kernel on a nonnegative field
+    r, _ = riesz_potential_batch(gauss2d, 0.5, (0.0, 0.0), cfg)
+    assert abs(r[0] - I05_AT_0) < 1e-6
+    r2, _ = riesz_potential_batch(gauss2d, 0.5, (0.7, 0.0), cfg)
+    assert abs(r2[0] - I05_AT_07) < 1e-6
+    assert r[0] >= 0.0  # positive kernel on a nonnegative field
 
 
 def test_riesz_potential_semigroup_direct_light(cfg, gauss2d):
@@ -364,17 +355,17 @@ def test_riesz_potential_semigroup_direct_light(cfg, gauss2d):
 
 def test_riesz_potential_domain_errors(cfg, gauss2d):
     with pytest.raises(DomainError):
-        riesz_potential(gauss2d, 2.0, (0.0, 0.0), cfg)  # beta >= n
+        riesz_potential_batch(gauss2d, 2.0, (0.0, 0.0), cfg)  # beta >= n
     slow = ScalarField(n=2, fn=lambda p: (1 + np.sum(p * p, -1)) ** -0.2,
                        decay=(1.0, 0.4))
     with pytest.raises(DomainError):
-        riesz_potential(slow, 0.5, (0.0, 0.0), cfg)  # decay 0.4 <= order 0.5
+        riesz_potential_batch(slow, 0.5, (0.0, 0.0), cfg)  # decay 0.4 <= order 0.5
 
 
 def test_riesz_transform_reference(cfg, gauss2d):
-    r = riesz_transform(gauss2d, (1.0, 0.0), cfg)
-    assert abs(r.value[0] - RT_AT_1) < 1e-5
-    assert abs(r.value[1]) < 1e-10
+    r, _ = riesz_transform_batch(gauss2d, (1.0, 0.0), cfg)
+    assert abs(r[0, 0] - RT_AT_1) < 1e-5
+    assert abs(r[0, 1]) < 1e-10
 
 
 def test_riesz_transform_squares_direct(cfg, gauss2d):
@@ -388,7 +379,7 @@ def test_riesz_transform_squares_direct(cfg, gauss2d):
 
         comps.append(ScalarField(n=2, fn=fn, decay=(1.0, 2.0)))
     x = np.array([0.4, 0.3])
-    total = sum(riesz_transform(c, x, cfg).value[k] for k, c in enumerate(comps))
+    total = sum(riesz_transform_batch(c, x, cfg)[0][0, k] for k, c in enumerate(comps))
     assert total == pytest.approx(-gauss2d(x), abs=1e-2)
 
 
@@ -403,12 +394,12 @@ def test_linearity(cfg):
     for _ in range(3):
         a, b = rng.uniform(-2, 2, 2)
         combo = lin_comb(a, f1, b, f2)
-        r_combo = frac_gradient(combo, 0.5, x, cfg)
-        r1 = frac_gradient(f1, 0.5, x, cfg)
-        r2 = frac_gradient(f2, 0.5, x, cfg)
-        lhs = r_combo.value
-        rhs = a * r1.value + b * r2.value
-        tol = 2.0 * (r_combo.error + abs(a) * r1.error + abs(b) * r2.error)
+        v_combo, e_combo = frac_gradient_batch(combo, 0.5, x, cfg)
+        v1, e1 = frac_gradient_batch(f1, 0.5, x, cfg)
+        v2, e2 = frac_gradient_batch(f2, 0.5, x, cfg)
+        lhs = v_combo[0]
+        rhs = a * v1[0] + b * v2[0]
+        tol = 2.0 * (e_combo[0] + abs(a) * e1[0] + abs(b) * e2[0])
         assert np.linalg.norm(lhs - rhs) <= tol + 1e-12
 
 
@@ -418,10 +409,10 @@ def test_alpha_homogeneity(cfg):
     xi = gaussian((0.0, 0.0))
     xi_lam = gaussian((0.0, 0.0), width=1.0 / lam)  # xi(lam x)
     x = np.array([0.3, 0.15])
-    lhs = frac_gradient(xi_lam, alpha, x, cfg)
-    rhs = frac_gradient(xi, alpha, lam * x, cfg)
-    assert np.linalg.norm(lhs.value - lam**alpha * rhs.value) <= \
-        2.0 * (lhs.error + lam**alpha * rhs.error) + 1e-10
+    lhs, lhs_err = frac_gradient_batch(xi_lam, alpha, x, cfg)
+    rhs, rhs_err = frac_gradient_batch(xi, alpha, lam * x, cfg)
+    assert np.linalg.norm(lhs[0] - lam**alpha * rhs[0]) <= \
+        2.0 * (lhs_err[0] + lam**alpha * rhs_err[0]) + 1e-10
 
 
 def test_translation_invariance(cfg):
@@ -429,9 +420,9 @@ def test_translation_invariance(cfg):
     xi = gaussian((0.0, 0.0))
     xi_shift = gaussian(v)  # xi(. - v)
     x = np.array([0.2, 0.5])
-    a = frac_gradient(xi, 0.5, x, cfg)
-    b = frac_gradient(xi_shift, 0.5, x + v, cfg)
-    assert np.linalg.norm(a.value - b.value) <= 2.0 * (a.error + b.error) + 1e-10
+    a, a_err = frac_gradient_batch(xi, 0.5, x, cfg)
+    b, b_err = frac_gradient_batch(xi_shift, 0.5, x + v, cfg)
+    assert np.linalg.norm(a[0] - b[0]) <= 2.0 * (a_err[0] + b_err[0]) + 1e-10
 
 
 def test_error_estimate_honesty_20_cases(cfg):
@@ -475,6 +466,18 @@ def test_lp_norm_gaussian_l2(gauss2d):
     assert lp_norm(gauss2d, 2.0, dom) == pytest.approx(2.0**-0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lp_norm_decay_tail_bounds_wider_box(p):
+    """The decay hint's tail bound makes the norm on a box an upper bound:
+    it covers the unhinted norm on a box four times wider."""
+    fn = lambda x: (1.0 + _inner(x)) ** -1.5  # <= |x|^-3
+    hinted = ScalarField(n=2, fn=fn, decay=(1.0, 3.0))
+    bare = ScalarField(n=2, fn=fn)
+    narrow = GridSpec((-2.0, -2.0), (2.0, 2.0), (128, 128))
+    wide = GridSpec((-8.0, -8.0), (8.0, 8.0), (512, 512))
+    assert lp_norm(hinted, p, narrow) >= lp_norm(bare, p, wide) > lp_norm(bare, p, narrow)
+
+
 def test_sup_norm_dominates_samples(gauss2d):
     dom = GridSpec((-2.0, -2.0), (2.0, 2.0), (64, 64))
     sup = lp_norm(gauss2d, math.inf, dom)
@@ -491,7 +494,7 @@ def test_besov_indicator_analytic(cfg):
 
 
 def test_besov_zero_field(cfg, gauss2d):
-    zero = gauss2d.scaled(0.0)
+    zero = gaussian((0.0, 0.0), amplitude=0.0)
     assert besov_seminorm(zero, 0.4, 2.0, cfg) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -518,9 +521,9 @@ def test_batch_matches_single(cfg, gauss2d):
     pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
     vals, errs = frac_gradient_batch(gauss2d, 0.5, pts, cfg)
     for i, p in enumerate(pts):
-        single = frac_gradient(gauss2d, 0.5, p, cfg)
+        single, _ = frac_gradient_batch(gauss2d, 0.5, p, cfg)
         # batch evaluation shares one far cutoff across points
-        assert np.allclose(single.value, vals[i], rtol=1e-8, atol=1e-9)
+        assert np.allclose(single[0], vals[i], rtol=1e-8, atol=1e-9)
 
 
 def test_constant_vector_field_divergence_zero(cfg):
@@ -528,8 +531,8 @@ def test_constant_vector_field_divergence_zero(cfg):
 
     const_vec = VectorField(n=2, fn=lambda p: np.multiply.outer(
         np.array([1.5, -0.5]), np.ones(p.shape[:-1])), decay=(0.0, 1.0))
-    r = frac_divergence(const_vec, 0.5, (0.3, -0.1), cfg)
-    assert r.value == pytest.approx(0.0, abs=1e-14)
+    r, _ = frac_divergence_batch(const_vec, 0.5, (0.3, -0.1), cfg)
+    assert r[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_delta_pair_divergence_vanishes_off_atoms(cfg):
@@ -550,7 +553,7 @@ def test_nl_divergence_brute_force_oracle(cfg, gauss2d):
     F = gaussian_vector((0.0, 0.0), amplitudes=(1.0, 0.0))
     x = np.array([0.2, 0.0])
     alpha = 0.5
-    engine = nl_divergence(gauss2d, F, alpha, x, cfg)
+    engine, engine_err = nl_divergence_batch(gauss2d, F, alpha, x, cfg)
 
     r = np.geomspace(1e-6, 30.0, 4000)
     th = 2.0 * math.pi * (np.arange(256) + 0.5) / 256
@@ -565,7 +568,7 @@ def test_nl_divergence_brute_force_oracle(cfg, gauss2d):
     from fracfield.special import mu_const
 
     brute *= mu_const(2, alpha)
-    assert engine.value == pytest.approx(brute, abs=max(1e-4, 5.0 * engine.error))
+    assert engine[0] == pytest.approx(brute, abs=max(1e-4, 5.0 * engine_err[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +650,7 @@ def test_blocked_passes_match_unblocked(monkeypatch, n, block_nodes):
        seed=st.integers(0, 2**16), data=st.data())
 def test_permuted_batch_permutes_results(n, op, block_nodes, seed, data):
     """Results do not depend on a point's position in the batch, whichever
-    block it falls in."""
+    block it falls in, and every estimate is finite and nonnegative."""
     support, calls = _operator_calls(n)
     X = _batches(n, support, 13, seed)["mixed"]
     perm = np.array(data.draw(st.permutations(range(len(X)))))
@@ -656,3 +659,4 @@ def test_permuted_batch_permutes_results(n, op, block_nodes, seed, data):
         vals, errs = calls[op](X)
         pvals, perrs = calls[op](X[perm])
     assert np.array_equal(pvals, vals[perm]) and np.array_equal(perrs, errs[perm])
+    assert np.all(np.isfinite(errs)) and np.all(errs >= 0)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from fracfield.analytic import make_delta_pair, spectral_gradient_of
-from fracfield.errors import ConfigError
-from fracfield.fields import cutoff, gaussian, gaussian_vector
+from fracfield.errors import ConfigError, DomainError
+from fracfield.fields import ScalarField, cutoff, gaussian, gaussian_vector
 from fracfield.spectral import _cached_frac_derivative
 from fracfield.verify import (
     TolerancePolicy,
     VerifyReport,
     check_ball_ibp,
+    check_div_relation,
     check_duality,
     check_global_ibp,
     check_leibniz_pointwise,
@@ -76,7 +77,7 @@ def test_report_is_decided_once_and_timed_by_the_suite():
 
 def test_check_duality_zero_test_function(cfg):
     dp = make_delta_pair((0.0, 0.0), (1.0, 0.0), 0.5)
-    zero = gaussian((0.0, 0.0)).scaled(0.0)
+    zero = gaussian((0.0, 0.0), amplitude=0.0)
     rep = check_duality(dp, zero, 0.5, cfg)
     assert rep.passed
     assert rep.lhs == pytest.approx(0.0, abs=1e-8)
@@ -121,7 +122,7 @@ def test_zero_mass_symmetric_roles(cfg):
 
 
 def test_global_ibp_zero_g(cfg, gauss_vec2d):
-    zero = gaussian((0.0, 0.0)).scaled(0.0)
+    zero = gaussian((0.0, 0.0), amplitude=0.0)
     rep = check_global_ibp(zero, gauss_vec2d, 0.5, cfg)
     assert rep.passed
     assert rep.lhs == pytest.approx(0.0, abs=1e-10)
@@ -218,7 +219,7 @@ def test_nl_l1_bound_scale_invariant_ratio(cfg, gauss2d):
 
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
     r1 = check_nl_l1_bound(gauss2d, F, 0.5, 2.0, cfg)
-    r2 = check_nl_l1_bound(gauss2d.scaled(2.0), F, 0.5, 2.0, cfg)
+    r2 = check_nl_l1_bound(gaussian((0.0, 0.0), amplitude=2.0), F, 0.5, 2.0, cfg)
     assert r1.passed and r2.passed
     assert r1.rel_err == pytest.approx(r2.rel_err, rel=1e-3)  # the ratio
 
@@ -279,3 +280,12 @@ def test_spectral_cache_under_threads_keeps_each_field_its_own_result():
         sys.setswitchinterval(old)
     for i, pf in enumerate(got):
         np.testing.assert_array_equal(pf.data, want[i % 3])
+
+
+def test_div_relation_needs_closed_form_gradient(cfg, gauss_vec2d):
+    """The right-hand pipeline pairs I_(1-a) F with the closed-form gradient
+    of phi; a phi without one is refused."""
+    g = gaussian((0.0, 0.0))
+    bare = ScalarField(n=2, fn=g.fn, support_radius=g.support_radius)
+    with pytest.raises(DomainError, match="closed-form gradient"):
+        check_div_relation(gauss_vec2d, bare, 0.5, cfg)
