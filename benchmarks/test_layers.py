@@ -57,7 +57,8 @@ FIELDS = {
 
 def _per_eval(benchmark, fn, pts):
     benchmark(fn, pts)
-    benchmark.extra_info["ns_per_eval"] = benchmark.stats.stats.median / EVALS * 1e9
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_eval"] = benchmark.stats.stats.median / EVALS * 1e9
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -80,7 +81,8 @@ DIRECT_OPS = {
 
 def _per_point(benchmark, fn, X):
     benchmark(fn, X)
-    benchmark.extra_info["us_per_pt"] = benchmark.stats.stats.median / len(X) * 1e6
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_pt"] = benchmark.stats.stats.median / len(X) * 1e6
 
 
 @pytest.mark.parametrize("op", DIRECT_OPS)

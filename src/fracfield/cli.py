@@ -1,13 +1,24 @@
 """Command line driver.
 
     fracfield <op|verify|convergence|decay|bench> --config <path>
-              [--out <dir>] [--engine direct|spectral|both] [--seed <u64>]
+              [--out <dir>] [--engine direct|spectral] [--seed <u64>]
               [--jobs <n>]
 
 Declarative experiment configs (TOML, or JSON) in; operator grids and
 verification/convergence/decay/bench tables out. Exit codes: 0 success,
 1 verification failure, 2 config error, 3 numerical precondition violation.
 The FRACFIELD_JOBS environment variable sets the default parallelism.
+
+Besides `kind`, `out` and `jobs`, each kind reads only what its run uses;
+any other key, or a flag for one (`decay --seed 3`), exits 2:
+
+    op           engine (default direct), then [quadrature] if direct or
+                 [spectral] if spectral, [grid], [op] and its field
+    verify       seed, [quadrature], [verify]
+    convergence  engine (default spectral), [convergence]; its
+                 base_resolution only for the spectral engine
+    decay        [decay] and its field
+    bench        seed, [quadrature], [spectral], [bench] and its field
 """
 
 from __future__ import annotations
@@ -73,17 +84,16 @@ def _digest(cfg: ExperimentConfig) -> str:
     return config_digest(cfg.normalized())
 
 
-def run_op(cfg: ExperimentConfig, out_dir: Path, operator, field, alpha, grid) -> int:
+def run_op(cfg: ExperimentConfig, out_dir: Path, engine, operator, field, alpha, grid,
+           quadrature=None, spectral=None) -> int:
     """Apply one operator to one field over an output lattice."""
     pts = grid.center_points().reshape(-1, grid.n)
-    direct, spectral = OPERATORS[operator]
-    if cfg.engine == "spectral":
-        pf = embed(field, *cfg.spectral)
-        out = spectral(pf, alpha)
-        vals = out.sample_linear(pts)
+    direct, periodic = OPERATORS[operator]
+    if engine == "spectral":
+        vals = periodic(embed(field, *spectral), alpha).sample_linear(pts)
         errs = np.zeros(pts.shape[0])
     else:
-        vals, errs = direct(field, alpha, pts, cfg.quadrature)
+        vals, errs = direct(field, alpha, pts, quadrature)
 
     planes = {}
     vals = np.asarray(vals)
@@ -94,15 +104,17 @@ def run_op(cfg: ExperimentConfig, out_dir: Path, operator, field, alpha, grid) -
         planes["value"] = vals.reshape(grid.counts)
     planes["error_est"] = np.asarray(errs).reshape(grid.counts)
     path = out_dir / "op_output.bin"
-    write_grid(path, _digest(cfg), grid.lower, grid.upper, grid.counts, planes,
-               extra={"engine": cfg.engine, "operator": operator, "alpha": alpha})
+    extra = {"engine": engine, "operator": operator}
+    if alpha is not None:  # the transform has no order
+        extra["alpha"] = alpha
+    write_grid(path, _digest(cfg), grid.lower, grid.upper, grid.counts, planes, extra=extra)
     print(f"wrote {path}")
     return 0
 
 
-def run_verify(cfg: ExperimentConfig, out_dir: Path, names) -> int:
+def run_verify(cfg: ExperimentConfig, out_dir: Path, names, seed, quadrature) -> int:
     """Run the named verification checks; exit 1 iff any fails its own bound."""
-    reports = run_suite(cfg.quadrature, seed=cfg.seed, jobs=cfg.jobs, names=names)
+    reports = run_suite(quadrature, seed=seed, jobs=cfg.jobs, names=names)
     path = out_dir / "verify_report.jsonl"
     with open(path, "w") as fh:
         for r in reports:
@@ -174,15 +186,16 @@ def _bench_points(rng, n: int, m: int):
     return rad[:, None] * dirs
 
 
-def run_bench(cfg: ExperimentConfig, out_dir: Path, field, alpha, points) -> int:
+def run_bench(cfg: ExperimentConfig, out_dir: Path, field, alpha, points, seed, quadrature,
+              spectral) -> int:
     """Wall-time and agreement comparison of the two engines."""
-    pts = _bench_points(np.random.default_rng(cfg.seed), field.n, points)
+    pts = _bench_points(np.random.default_rng(seed), field.n, points)
     t0 = time.time()
-    dv, _ = frac_gradient_batch(field, alpha, pts, cfg.quadrature)
+    dv, _ = frac_gradient_batch(field, alpha, pts, quadrature)
     t_direct = time.time() - t0
 
     t0 = time.time()
-    pf = embed(field, *cfg.spectral)
+    pf = embed(field, *spectral)
     sp = spectral_frac_gradient(pf, alpha)
     sv = sp.sample_linear(pts)
     t_spectral = time.time() - t0

@@ -2,12 +2,14 @@
 
 This module is the only reader of config values: each one is converted,
 given its default and range-checked once, and a bad one raises a ConfigError
-naming its `<section>.<key>`, as does a key that no parser reads. The
+naming its `<section>.<key>`. Each kind reads only the keys its run uses,
+so a key it would ignore is refused like a typo, as unknown. The
 normalized form is the record of every value read, converted and with its
 defaults filled in, as a plain JSON-serializable dict, so two spellings of
 one experiment normalize alike; parse -> normalize -> serialize -> parse is
-a fixed point. Field definitions are named templates; each is built once,
-here, by its analytic/field constructor, which checks its own parameters.
+a fixed point. Field definitions are named templates; the one a kind
+references is built once, here, by its analytic/field constructor, which
+checks its own parameters.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from . import quadrature, spectral
 from .quadrature import QuadratureConfig
 
 KINDS = ("op", "verify", "convergence", "decay", "bench")
-ENGINES = ("direct", "spectral", "both")
+ENGINES = ("direct", "spectral")
 # operator name -> (direct, spectral), called as direct(field, order, points,
-# quadrature_config) and spectral(periodic_field, order)
+# quadrature_config) and spectral(periodic_field, order); the transform has no
+# order and gets None
 OPERATORS = {
     "frac-gradient": (quadrature.frac_gradient_batch, spectral.spectral_frac_gradient),
     "frac-divergence": (quadrature.frac_divergence_batch, spectral.spectral_frac_divergence),
@@ -48,14 +51,17 @@ def _floats(v) -> list:
     return [float(c) for c in v]
 
 
-def _ints(v) -> list:
-    return [int(c) for c in _floats(v)]
-
-
-def _bool(v) -> bool:
-    if not isinstance(v, bool):
+def _int(v) -> int:
+    """An integer, or a number or string that is one (12.0, "12"); not a bool."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
         raise TypeError(v)
-    return v
+    return int(v)
+
+
+def _ints(v) -> list:
+    if isinstance(v, str):
+        raise TypeError(v)
+    return [_int(c) for c in v]
 
 
 def _atoms(v) -> list:
@@ -70,12 +76,12 @@ def _checks(v):
     return v
 
 
-_WHAT = {float: "a number", int: "an integer", _floats: "a list of numbers",
-         _ints: "a list of integers", _bool: "true or false",
-         _atoms: "a non-empty list of [point, weight] atoms",
+_WHAT = {float: "a number", _int: "an integer", _floats: "a list of numbers",
+         _ints: "a list of integers", _atoms: "a non-empty list of [point, weight] atoms",
          _checks: "'default' or a list of check-name filters"}
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _POSITIVE = (lambda v: v > 0, "be positive")
+_POW2 = (spectral._is_pow2, "be a power of two")
 
 
 def _at_least(k: int):
@@ -158,7 +164,7 @@ TEMPLATES = {
                    make_delta_pair, ("decay",)),
     "convolved": ((("atoms", _atoms, _REQUIRED), ("alpha", float, 0.5)), _convolved, ("decay",)),
     "indicator-ball": ((_CENTER, _RADIUS), ball_indicator, ()),
-    "cantor": ((("level", int, 8), ("dim", int, 1)), cantor_measure, ("decay",)),
+    "cantor": ((("level", _int, 8), ("dim", _int, 1)), cantor_measure, ("decay",)),
 }
 
 
@@ -175,16 +181,6 @@ def _parse_field(name: str, spec: _Table) -> tuple[dict, Any]:
         return out, build(*(out[key] for key, _, _ in params))
     except ValueError as e:  # DomainError, ConfigError, or unequal atom dimensions
         raise ConfigError(f"{where}: {e}") from e
-
-
-def _parse_quadrature(q: _Table) -> QuadratureConfig:
-    # each option converts like its default; far_cutoff (default None) is a number
-    cfg = QuadratureConfig(**{
-        f.name: _read(q, "quadrature", f.name, float if f.default is None else type(f.default),
-                      f.default)
-        for f in dataclasses.fields(QuadratureConfig)})
-    q.check_read("quadrature")
-    return cfg
 
 
 def load_config(path) -> dict:
@@ -218,21 +214,14 @@ def load_config(path) -> dict:
 class ExperimentConfig:
     """Validated experiment description: every value a run uses, read once.
 
-    `params` holds the parsed values of the kind's own section, keyed as the
-    runner's keyword arguments; `fields` holds the normalized template
-    parameters and `built` the field each one built.
+    `params` holds the values the kind's run uses, keyed as the runner's
+    keyword arguments; the kind's parser reads them and nothing else.
     """
 
     kind: str
     raw: _Table  # the top-level table; its record is the normalized form
-    seed: int
-    engine: str
     jobs: int
     out_dir: str
-    fields: dict
-    built: dict
-    quadrature: QuadratureConfig
-    spectral: tuple[float, int]  # periodic box width, nodes per axis
     params: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
@@ -242,81 +231,85 @@ class ExperimentConfig:
         if kind is not None and cfg_kind != kind:
             raise ConfigError(
                 f"config kind {cfg_kind!r} does not match the subcommand {kind!r}")
-        fields = _table(data, "fields")
-        parsed = {name: _parse_field(name, _table(fields, name, "fields.")) for name in fields}
-        sp = _table(data, "spectral")
-        obj = cls(
-            kind=cfg_kind,
-            raw=data,
-            seed=_read(data, "", "seed", int, 0, _at_least(0)),
-            engine=_read(data, "", "engine", ENGINES, "both" if cfg_kind == "bench" else "direct"),
-            jobs=_read(data, "", "jobs", int, 1),
-            out_dir=_read(data, "", "out", str, "."),
-            fields={name: spec for name, (spec, _) in parsed.items()},
-            built={name: field for name, (_, field) in parsed.items()},
-            quadrature=_parse_quadrature(_table(data, "quadrature")),
-            spectral=(_read(sp, "spectral", "box", float, 16.0),
-                      _read(sp, "spectral", "resolution", int, 1024,
-                            (spectral._is_pow2, "be a power of two"))),
-        )
-        sp.check_read("spectral")
+        obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "", "jobs", _int, 1),
+                  out_dir=_read(data, "", "out", str, "."))
         section = _table(data, cfg_kind)
         obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
         section.check_read(cfg_kind)
         data.check_read()
         return obj
 
-    # -- the kinds' sections ------------------------------------------------
+    # -- the values the kinds share ------------------------------------------
 
     def _field_ref(self, section: _Table, key: str, feed: Optional[str] = None):
+        """The field that section[key] names, parsed and built; [fields] must
+        hold no other."""
         name = section.get(key)
-        if not isinstance(name, str) or name not in self.fields:
+        fields = _table(self.raw, "fields")
+        if not isinstance(name, str) or name not in fields:
             raise ConfigError(
                 f"{self.kind}.{key}: field {name!r} is not defined under [fields]")
         section.record[key] = name
-        tpl = self.fields[name]["template"]
-        if feed is not None and feed not in TEMPLATES[tpl][2]:
+        spec, field = _parse_field(name, _table(fields, name, "fields."))
+        fields.check_read("fields")
+        if feed is not None and feed not in TEMPLATES[spec["template"]][2]:
             raise ConfigError(
-                f"{self.kind}.{key}: field {name!r} has template {tpl!r}, not a {feed} "
-                f"one {tuple(t for t, e in TEMPLATES.items() if feed in e[2])}")
-        return self.built[name]
+                f"{self.kind}.{key}: field {name!r} has template {spec['template']!r}, not a "
+                f"{feed} one {tuple(t for t, e in TEMPLATES.items() if feed in e[2])}")
+        return field
 
-    def _parse_op(self, s: dict) -> dict:
+    def _seed(self) -> int:
+        return _read(self.raw, "", "seed", _int, 0, _at_least(0))
+
+    def _quadrature(self) -> QuadratureConfig:
+        # integer options take integers; the rest, far_cutoff (default None) too, numbers
+        q = _table(self.raw, "quadrature")
+        cfg = QuadratureConfig(**{
+            f.name: _read(q, "quadrature", f.name, _int if type(f.default) is int else float,
+                          f.default)
+            for f in dataclasses.fields(QuadratureConfig)})
+        q.check_read("quadrature")
+        return cfg
+
+    def _spectral(self) -> tuple[float, int]:
+        """(periodic box width, nodes per axis)"""
+        sp = _table(self.raw, "spectral")
+        out = (_read(sp, "spectral", "box", float, 16.0),
+               _read(sp, "spectral", "resolution", _int, 1024, _POW2))
+        sp.check_read("spectral")
+        return out
+
+    # -- the kinds' sections ------------------------------------------------
+
+    def _parse_op(self, s: _Table) -> dict:
+        engine = _read(self.raw, "", "engine", ENGINES, "direct")
         operator = _read(s, "op", "operator", tuple(OPERATORS))
-        if self.engine == "both":
-            raise ConfigError("op runs take a single engine; use bench to compare")
-        field = self._field_ref(s, "field", "smooth" if self.engine == "spectral" else None)
-        if operator == "riesz-transform":  # the order is unused, only recorded
-            alpha = _read(s, "op", "alpha", float, 0.5)
-        else:
-            alpha = _read(s, "op", "alpha", float, check=(
-                _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
+        field = self._field_ref(s, "field", "smooth" if engine == "spectral" else None)
+        alpha = None if operator == "riesz-transform" else _read(s, "op", "alpha", float, check=(
+            _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
         g = _table(self.raw, "grid")  # the output lattice
         grid = GridSpec(_read(g, "grid", "lower", _floats), _read(g, "grid", "upper", _floats),
-                        _read(g, "grid", "counts", _ints),
-                        _read(g, "grid", "periodic", _bool, False))
+                        _read(g, "grid", "counts", _ints))
         g.check_read("grid")
-        return {"operator": operator, "field": field, "alpha": alpha, "grid": grid}
+        return {"engine": engine, "operator": operator, "field": field, "alpha": alpha,
+                "grid": grid, **({"spectral": self._spectral()} if engine == "spectral"
+                                 else {"quadrature": self._quadrature()})}
 
-    def _parse_verify(self, s: dict) -> dict:
+    def _parse_verify(self, s: _Table) -> dict:
         checks = _read(s, "verify", "checks", _checks, "default")
-        return {"names": None if checks == "default" else checks}
+        return {"names": None if checks == "default" else checks, "seed": self._seed(),
+                "quadrature": self._quadrature()}
 
-    def _parse_convergence(self, s: dict) -> dict:
-        return {"engine": _read(s, "convergence", "engine", ("spectral", "direct"), "spectral"),
+    def _parse_convergence(self, s: _Table) -> dict:
+        engine = _read(self.raw, "", "engine", ENGINES, "spectral")
+        return {"engine": engine,
                 "alpha": _read(s, "convergence", "alpha", float, 0.5, _OPEN_UNIT),
-                "levels": _read(s, "convergence", "levels", int, 4, _at_least(2)),
-                "base_resolution": _read(s, "convergence", "base_resolution", int, 32)}
+                "levels": _read(s, "convergence", "levels", _int, 4, _at_least(2)),
+                "base_resolution": _read(s, "convergence", "base_resolution", _int, 32, _POW2)
+                if engine == "spectral" else None}
 
-    def _parse_decay(self, s: dict) -> dict:
+    def _parse_decay(self, s: _Table) -> dict:
         source = self._field_ref(s, "source", "decay")
-        if "radii" in s:
-            radii = np.array(_read(s, "decay", "radii", _floats, check=(
-                lambda r: len(r) >= 3 and min(r) > 0, "hold at least 3 positive radii")))
-        elif "pow3_levels" in s:
-            radii = 3.0 ** -np.arange(0, _read(s, "decay", "pow3_levels", int, check=_at_least(3)))
-        else:
-            raise ConfigError("decay needs 'radii' or 'pow3_levels'")
         expect = _read(s, "decay", "expect", ("floor", "flat", "exponent"), "floor")
         return {
             "source": source,
@@ -324,16 +317,19 @@ class ExperimentConfig:
             "p": _read(s, "decay", "p", float, "inf"),
             "center": np.array(_read(s, "decay", "center", _floats, [0.0] * source.n, check=(
                 lambda c: len(c) == source.n, f"have the source's {source.n} coordinates"))),
-            "radii": radii,
+            "radii": np.array(_read(s, "decay", "radii", _floats, check=(
+                lambda r: len(r) >= 3 and min(r) > 0, "hold at least 3 positive radii"))),
             "expect": expect,
             "target": _read(s, "decay", "target", float,
                             _REQUIRED if expect == "exponent" else None),
         }
 
-    def _parse_bench(self, s: dict) -> dict:
+    def _parse_bench(self, s: _Table) -> dict:
         return {"field": self._field_ref(s, "field", "smooth"),
                 "alpha": _read(s, "bench", "alpha", float, 0.5, _OPEN_UNIT),
-                "points": _read(s, "bench", "points", int, check=_at_least(1))}
+                "points": _read(s, "bench", "points", _int, check=_at_least(1)),
+                "seed": self._seed(), "quadrature": self._quadrature(),
+                "spectral": self._spectral()}
 
     # -- normalization ------------------------------------------------------
 

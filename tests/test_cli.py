@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -44,8 +45,12 @@ def test_load_toml_and_json(tmp_path):
         load_config(tmp_path / "missing.toml")
 
 
-def test_config_roundtrip_fixed_point():
-    raw = load_config(CONFIG_DIR / "op_gaussian_grad.toml")
+SHIPPED = sorted(p.name for p in CONFIG_DIR.glob("*.toml"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_config_roundtrip_fixed_point(name):
+    raw = load_config(CONFIG_DIR / name)
     cfg = ExperimentConfig.from_dict(raw)
     ser = cfg.serialize()
     cfg2 = ExperimentConfig.from_dict(json.loads(ser))
@@ -312,7 +317,7 @@ def test_cli_convergence_spectral_and_direct(tmp_path, capsys):
     assert rc == 0, err
     assert float(_footer(tmp_path / "convergence_spectral.csv", "fitted_order")) >= 4.0
     cfgp = tmp_path / "direct.toml"
-    cfgp.write_text('kind = "convergence"\n[convergence]\nengine = "direct"\nlevels = 3\n')
+    cfgp.write_text('kind = "convergence"\nengine = "direct"\n[convergence]\nlevels = 3\n')
     rc, err = run_main(capsys, "convergence", "--config", cfgp, "--out", tmp_path)
     assert rc == 0, err
     assert math.isfinite(float(_footer(tmp_path / "convergence_direct.csv", "fitted_order")))
@@ -343,13 +348,15 @@ def test_cli_op_every_operator_dimension_and_engine(tmp_path, capsys, operator, 
     field = (f'template = "gaussian-vector"\ncenter = {center}\n'
              f'amplitudes = {[1.0, -0.5, 0.25][:n]}\n' if vector_in
              else f'template = "gaussian"\ncenter = {center}\n')
+    box = (f'[spectral]\nbox = 16.0\nresolution = {({1: 256, 2: 64, 3: 32})[n]}\n'
+           if engine == "spectral" else "")
     cfgp = tmp_path / "op.toml"
     cfgp.write_text(
         f'kind = "op"\nengine = "{engine}"\n'
         f'[fields.f]\n{field}'
-        f'[grid]\nlower = {[-1.0] * n}\nupper = {[1.0] * n}\ncounts = {[4] * n}\n'
-        f'[spectral]\nbox = 16.0\nresolution = {({1: 256, 2: 64, 3: 32})[n]}\n'
-        f'[op]\noperator = "{operator}"\nfield = "f"\nalpha = 0.5\n'
+        f'[grid]\nlower = {[-1.0] * n}\nupper = {[1.0] * n}\ncounts = {[4] * n}\n{box}'
+        f'[op]\noperator = "{operator}"\nfield = "f"\n'
+        + ("" if operator == "riesz-transform" else "alpha = 0.5\n")
     )
     # a Gaussian has a non-zero mean, which the spectral potential drops with a warning
     biased = operator == "riesz-potential" and engine == "spectral"
@@ -409,12 +416,27 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "op.alpha is required"),
     ("op", _edited("op_gaussian_grad.toml", "width = 1.0", "width = -1.0"), None,
      "fields.main: gaussian width must be positive"),
+    ("verify", _edited("verify_default.toml", "seed = 0", "seed = 1.7"), None,
+     "seed: 1.7 is not an integer"),
+    ("verify", _edited("verify_default.toml", "seed = 0", "seed = true"), None,
+     "seed: True is not an integer"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nnear_radial_nodes = 12.5\n", None,
+     "quadrature.near_radial_nodes: 12.5 is not an integer"),
+    ("op", _edited("op_gaussian_grad.toml", "[32, 32]", "[8.7, 8]"), None,
+     "grid.counts: [8.7, 8] is not a list of integers"),
+    ("convergence", _edited("convergence_spectral.toml", "= 32", "= 48"), None,
+     "convergence.base_resolution must be a power of two, got 48"),
+    ("decay", re.sub(r"radii = \[[^]]*\]", "pow3_levels = 10",
+                     (CONFIG_DIR / "decay_cantor.toml").read_text()), None,
+     "decay.radii is required"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
         "kind-unknown-key", "spectral-resolution", "top-level-unknown-key",
         "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude",
-        "op-order-alias", "template-constructor-error"])
+        "op-order-alias", "template-constructor-error", "seed-fraction", "seed-bool",
+        "quadrature-int-fraction", "grid-counts-fraction", "base-resolution-pow2",
+        "decay-pow3-levels-alone"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,
@@ -430,18 +452,93 @@ def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, ki
     assert err.startswith("config error: ") and named in err, err
 
 
+SPECTRAL_OP_TEXT = _edited("op_gaussian_grad.toml", 'engine = "direct"', 'engine = "spectral"')
+TRANSFORM_TEXT = _edited("op_gaussian_grad.toml", '"frac-gradient"', '"riesz-transform"')
+
+
+@pytest.mark.parametrize("kind,text,flags,name", [
+    ("decay", (CONFIG_DIR / "decay_cantor.toml").read_text(), ["--seed", 3], "seed"),
+    ("decay", (CONFIG_DIR / "decay_cantor.toml").read_text(), ["--engine", "spectral"],
+     "engine"),
+    ("verify", VERIFY_TEXT, ["--engine", "direct"], "engine"),
+    ("bench", (CONFIG_DIR / "bench_gaussian.toml").read_text(), ["--engine", "direct"],
+     "engine"),
+    ("bench", 'engine = "both"\n' + (CONFIG_DIR / "bench_gaussian.toml").read_text(), [],
+     "engine"),
+    ("op", (CONFIG_DIR / "op_gaussian_grad.toml").read_text() + "[spectral]\nbox = 16.0\n", [],
+     "spectral"),
+    ("op", SPECTRAL_OP_TEXT + "[quadrature]\ntol = 1e-4\n", [], "quadrature"),
+    ("op", TRANSFORM_TEXT, [], "op.alpha"),
+    ("op", _edited("op_gaussian_grad.toml", "counts = [32, 32]",
+                   "counts = [32, 32]\nperiodic = false"), [], "grid.periodic"),
+    ("op", (CONFIG_DIR / "op_gaussian_grad.toml").read_text()
+     + '[fields.x]\ntemplate = "gaussian"\ncenter = [0.0, 0.0]\n', [], "fields.x"),
+    ("convergence", _edited("convergence_spectral.toml", 'engine = "spectral"\n', "")
+     .replace("[convergence]\n", '[convergence]\nengine = "spectral"\n'), [],
+     "convergence.engine"),
+    ("convergence", (CONFIG_DIR / "convergence_spectral.toml").read_text(),
+     ["--engine", "direct"], "convergence.base_resolution"),
+    ("convergence", (CONFIG_DIR / "convergence_spectral.toml").read_text(), ["--seed", 7],
+     "seed"),
+    ("convergence", (CONFIG_DIR / "convergence_spectral.toml").read_text()
+     + "[quadrature]\nmid_angular_nodes = 8\n", [], "quadrature"),
+    ("decay", _edited("decay_cantor.toml", 'expect = "exponent"',
+                      'expect = "exponent"\npow3_levels = 10'), [], "decay.pow3_levels"),
+    ("decay", (CONFIG_DIR / "decay_cantor.toml").read_text() + "[spectral]\nbox = 16.0\n", [],
+     "spectral"),
+    ("verify", VERIFY_TEXT + "[spectral]\nresolution = 64\n", [], "spectral"),
+    ("verify", VERIFY_TEXT + '[fields.x]\ntemplate = "gaussian"\ncenter = [0.0, 0.0]\n', [],
+     "fields"),
+], ids=["decay-seed-flag", "decay-engine-flag", "verify-engine-flag", "bench-engine-flag",
+        "bench-engine-both", "direct-op-spectral", "spectral-op-quadrature",
+        "transform-alpha", "grid-periodic", "unreferenced-field", "convergence-section-engine",
+        "direct-convergence-base-resolution", "convergence-seed-flag",
+        "convergence-quadrature", "decay-pow3-levels", "decay-spectral", "verify-spectral",
+        "verify-fields"])
+def test_cli_refuses_a_value_the_run_would_ignore(tmp_path, capsys, monkeypatch, kind, text,
+                                                  flags, name):
+    """A key, table or flag the kind's run does not use exits 2 as unknown,
+    before any computation."""
+    monkeypatch.delenv("FRACFIELD_JOBS", raising=False)
+    cfgp = tmp_path / "unread.toml"
+    cfgp.write_text(text)
+    rc, err = run_main(capsys, kind, "--config", cfgp, "--out", tmp_path, *flags)
+    assert rc == 2
+    assert err == f"config error: unknown key: {name}\n", err
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
+
+
+def test_cli_convergence_engine_flag(tmp_path, capsys):
+    """--engine selects the convergence sweep: direct writes its own table."""
+    cfgp = tmp_path / "c.toml"
+    cfgp.write_text('kind = "convergence"\n[convergence]\nlevels = 3\n')
+    rc, err = run_main(capsys, "convergence", "--config", cfgp, "--out", tmp_path,
+                       "--engine", "direct")
+    assert rc == 0, err
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["convergence_direct.csv"]
+    assert "# engine direct" in (tmp_path / "convergence_direct.csv").read_text()
+
+
+def test_seed_keeps_every_digit():
+    """An integer key takes a Python int as it is, with no round trip
+    through float, as `--seed` passes it."""
+    seed = 12345678901234567891
+    cfg = ExperimentConfig.from_dict({"kind": "verify", "seed": seed})
+    assert cfg.params["seed"] == seed and cfg.normalized()["seed"] == seed
+
+
 PINNED_DIGESTS = {
-    "bench_gaussian.toml": "5f8d85a378901c14",
-    "convergence_spectral.toml": "eb4b438f09ec9e04",
-    "decay_cantor.toml": "22e8d98b24ab1c1f",
-    "decay_pole.toml": "dda42e4562bd8e80",
-    "decay_smooth.toml": "78bb20ecf3586d03",
-    "op_gaussian_grad.toml": "ab6823f3b662b032",
-    "verify_default.toml": "3e83ed0571502bf1",
+    "bench_gaussian.toml": "0b949949be2bc159",
+    "convergence_spectral.toml": "8c9d21bccfb30ed5",
+    "decay_cantor.toml": "a247f66000a1f039",
+    "decay_pole.toml": "5cbdc25273c3ff22",
+    "decay_smooth.toml": "a77a8d8cba18b400",
+    "op_gaussian_grad.toml": "8455356e04b28bd8",
+    "verify_default.toml": "f43bf3c8710eec3c",
 }
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.toml")))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_config_digests_are_pinned(name):
     """The normalized form of each shipped config, defaults filled in and
     `out` and `jobs` left out, keeps its digest: output headers stay
