@@ -88,12 +88,12 @@ def _at_least(k: int):
     return (lambda v: v >= k, f"be at least {k}")
 
 
-def _read(section: "_Table", where: str, key: str, conv, default=_REQUIRED, check=None):
+def _read(section: "_Table", key: str, conv, default=_REQUIRED, check=None):
     """section[key] converted by conv (a function, or a tuple of allowed
     values), else the default; None stays None when it is the default.
     check = (predicate, what the value must do). The value is recorded in
     the section's record."""
-    name = f"{where}.{key}" if where else key
+    name = section.name(key)
     v = section.get(key, default)
     if v is _REQUIRED:
         raise ConfigError(f"{name} is required")
@@ -113,29 +113,34 @@ def _read(section: "_Table", where: str, key: str, conv, default=_REQUIRED, chec
 
 
 class _Table(dict):
-    """A config table that remembers which keys its parser read, and in
-    `record` the values read from it, sub-tables' records included."""
+    """A config table at its dotted `path` ("" at the top level) that
+    remembers which keys its parser read, and in `record` the values read
+    from it, sub-tables' records included."""
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, path: str = ""):
         super().__init__(data)
+        self.path = path
         self.read: set = set()
         self.record: dict = {}
+
+    def name(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
 
-    def check_read(self, where: str = "") -> None:
+    def check_read(self) -> None:
         for key in self:
             if key not in self.read:
-                raise ConfigError(f"unknown key: {where}.{key}" if where else f"unknown key: {key}")
+                raise ConfigError(f"unknown key: {self.name(key)}")
 
 
-def _table(data: _Table, key: str, where: str = "") -> _Table:
+def _table(data: _Table, key: str) -> _Table:
     v = data.get(key, {})
     if not isinstance(v, dict):
-        raise ConfigError(f"[{where}{key}] must be a table")
-    table = _Table(v)
+        raise ConfigError(f"[{data.name(key)}] must be a table")
+    table = _Table(v, data.name(key))
     data.record[key] = table.record
     return table
 
@@ -168,19 +173,24 @@ TEMPLATES = {
 }
 
 
-def _parse_field(name: str, spec: _Table) -> tuple[dict, Any]:
+def _parse_field(spec: _Table) -> tuple[dict, Any]:
     """(normalized parameters, built field) of one [fields.<name>] table."""
-    where = f"fields.{name}"
-    tpl = _read(spec, where, "template", tuple(TEMPLATES))
+    tpl = _read(spec, "template", tuple(TEMPLATES))
     params, build, _ = TEMPLATES[tpl]
     out = spec.record
     for key, conv, default in params:
-        _read(spec, where, key, conv, default(out) if callable(default) else default)
-    spec.check_read(where)
+        _read(spec, key, conv, default(out) if callable(default) else default)
+    spec.check_read()
+    return out, _built(spec, build, *(out[key] for key, _, _ in params))
+
+
+def _built(table: _Table, build, *args, sep: str = ": ", **kwargs):
+    """build(*args, **kwargs); a ValueError it raises (DomainError, ConfigError,
+    or numpy's on unequal atom dimensions) becomes a ConfigError naming table."""
     try:
-        return out, build(*(out[key] for key, _, _ in params))
-    except ValueError as e:  # DomainError, ConfigError, or unequal atom dimensions
-        raise ConfigError(f"{where}: {e}") from e
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{table.path}{sep}{e}") from e
 
 
 def load_config(path) -> dict:
@@ -227,15 +237,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict, kind: Optional[str] = None) -> "ExperimentConfig":
         data = _Table(data)
-        cfg_kind = _read(data, "", "kind", KINDS, _REQUIRED if kind is None else kind)
+        cfg_kind = _read(data, "kind", KINDS, _REQUIRED if kind is None else kind)
         if kind is not None and cfg_kind != kind:
             raise ConfigError(
                 f"config kind {cfg_kind!r} does not match the subcommand {kind!r}")
-        obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "", "jobs", _int, 1),
-                  out_dir=_read(data, "", "out", str, "."))
+        obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "jobs", _int, 1),
+                  out_dir=_read(data, "out", str, "."))
         section = _table(data, cfg_kind)
         obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
-        section.check_read(cfg_kind)
+        section.check_read()
         data.check_read()
         return obj
 
@@ -248,88 +258,88 @@ class ExperimentConfig:
         fields = _table(self.raw, "fields")
         if not isinstance(name, str) or name not in fields:
             raise ConfigError(
-                f"{self.kind}.{key}: field {name!r} is not defined under [fields]")
+                f"{section.name(key)}: field {name!r} is not defined under [fields]")
         section.record[key] = name
-        spec, field = _parse_field(name, _table(fields, name, "fields."))
-        fields.check_read("fields")
+        spec, field = _parse_field(_table(fields, name))
+        fields.check_read()
         if feed is not None and feed not in TEMPLATES[spec["template"]][2]:
             raise ConfigError(
-                f"{self.kind}.{key}: field {name!r} has template {spec['template']!r}, not a "
+                f"{section.name(key)}: field {name!r} has template {spec['template']!r}, not a "
                 f"{feed} one {tuple(t for t, e in TEMPLATES.items() if feed in e[2])}")
         return field
 
     def _seed(self) -> int:
-        return _read(self.raw, "", "seed", _int, 0, _at_least(0))
+        return _read(self.raw, "seed", _int, 0, _at_least(0))
 
     def _quadrature(self) -> QuadratureConfig:
         # integer options take integers; the rest, far_cutoff (default None) too, numbers
         q = _table(self.raw, "quadrature")
-        cfg = QuadratureConfig(**{
-            f.name: _read(q, "quadrature", f.name, _int if type(f.default) is int else float,
-                          f.default)
+        cfg = _built(q, QuadratureConfig, sep=".", **{  # its errors start with their field
+            f.name: _read(q, f.name, _int if type(f.default) is int else float, f.default)
             for f in dataclasses.fields(QuadratureConfig)})
-        q.check_read("quadrature")
+        q.check_read()
         return cfg
 
-    def _spectral(self) -> tuple[float, int]:
-        """(periodic box width, nodes per axis)"""
+    def _spectral(self, n: int) -> tuple[float, int]:
+        """(periodic box width, nodes per axis) for a field on R^n"""
         sp = _table(self.raw, "spectral")
-        out = (_read(sp, "spectral", "box", float, 16.0),
-               _read(sp, "spectral", "resolution", _int, 1024, _POW2))
-        sp.check_read("spectral")
+        out = (_read(sp, "box", float, 16.0),
+               _read(sp, "resolution", _int, 1024 if n <= 2 else 128, _POW2))
+        sp.check_read()
         return out
 
     # -- the kinds' sections ------------------------------------------------
 
     def _parse_op(self, s: _Table) -> dict:
-        engine = _read(self.raw, "", "engine", ENGINES, "direct")
-        operator = _read(s, "op", "operator", tuple(OPERATORS))
+        engine = _read(self.raw, "engine", ENGINES, "direct")
+        operator = _read(s, "operator", tuple(OPERATORS))
         field = self._field_ref(s, "field", "smooth" if engine == "spectral" else None)
-        alpha = None if operator == "riesz-transform" else _read(s, "op", "alpha", float, check=(
+        alpha = None if operator == "riesz-transform" else _read(s, "alpha", float, check=(
             _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
         g = _table(self.raw, "grid")  # the output lattice
-        grid = GridSpec(_read(g, "grid", "lower", _floats), _read(g, "grid", "upper", _floats),
-                        _read(g, "grid", "counts", _ints))
-        g.check_read("grid")
+        grid = _built(g, GridSpec, _read(g, "lower", _floats), _read(g, "upper", _floats),
+                      _read(g, "counts", _ints))
+        g.check_read()
         return {"engine": engine, "operator": operator, "field": field, "alpha": alpha,
-                "grid": grid, **({"spectral": self._spectral()} if engine == "spectral"
+                "grid": grid, **({"spectral": self._spectral(field.n)} if engine == "spectral"
                                  else {"quadrature": self._quadrature()})}
 
     def _parse_verify(self, s: _Table) -> dict:
-        checks = _read(s, "verify", "checks", _checks, "default")
+        checks = _read(s, "checks", _checks, "default")
         return {"names": None if checks == "default" else checks, "seed": self._seed(),
                 "quadrature": self._quadrature()}
 
     def _parse_convergence(self, s: _Table) -> dict:
-        engine = _read(self.raw, "", "engine", ENGINES, "spectral")
+        engine = _read(self.raw, "engine", ENGINES, "spectral")
         return {"engine": engine,
-                "alpha": _read(s, "convergence", "alpha", float, 0.5, _OPEN_UNIT),
-                "levels": _read(s, "convergence", "levels", _int, 4, _at_least(2)),
-                "base_resolution": _read(s, "convergence", "base_resolution", _int, 32, _POW2)
+                "alpha": _read(s, "alpha", float, 0.5, _OPEN_UNIT),
+                "levels": _read(s, "levels", _int, 4, _at_least(2)),
+                "base_resolution": _read(s, "base_resolution", _int, 32, _POW2)
                 if engine == "spectral" else None}
 
     def _parse_decay(self, s: _Table) -> dict:
         source = self._field_ref(s, "source", "decay")
-        expect = _read(s, "decay", "expect", ("floor", "flat", "exponent"), "floor")
+        expect = _read(s, "expect", ("floor", "flat", "exponent"), "floor")
         return {
             "source": source,
-            "alpha": _read(s, "decay", "alpha", float, 0.5),
-            "p": _read(s, "decay", "p", float, "inf"),
-            "center": np.array(_read(s, "decay", "center", _floats, [0.0] * source.n, check=(
+            "alpha": _read(s, "alpha", float, 0.5, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+            "p": _read(s, "p", float, "inf", _at_least(1)),
+            "center": np.array(_read(s, "center", _floats, [0.0] * source.n, check=(
                 lambda c: len(c) == source.n, f"have the source's {source.n} coordinates"))),
-            "radii": np.array(_read(s, "decay", "radii", _floats, check=(
-                lambda r: len(r) >= 3 and min(r) > 0, "hold at least 3 positive radii"))),
+            "radii": np.array(_read(s, "radii", _floats, check=(  # distinct logs: finite slopes
+                lambda r: len(r) >= 3 and min(r) > 0 and len(np.unique(np.log(r))) == len(r),
+                "hold at least 3 distinct positive radii"))),
             "expect": expect,
-            "target": _read(s, "decay", "target", float,
-                            _REQUIRED if expect == "exponent" else None),
+            "target": _read(s, "target", float, _REQUIRED if expect == "exponent" else None),
         }
 
     def _parse_bench(self, s: _Table) -> dict:
-        return {"field": self._field_ref(s, "field", "smooth"),
-                "alpha": _read(s, "bench", "alpha", float, 0.5, _OPEN_UNIT),
-                "points": _read(s, "bench", "points", _int, check=_at_least(1)),
+        field = self._field_ref(s, "field", "smooth")
+        return {"field": field,
+                "alpha": _read(s, "alpha", float, 0.5, _OPEN_UNIT),
+                "points": _read(s, "points", _int, check=_at_least(1)),
                 "seed": self._seed(), "quadrature": self._quadrature(),
-                "spectral": self._spectral()}
+                "spectral": self._spectral(field.n)}
 
     # -- normalization ------------------------------------------------------
 

@@ -4,10 +4,11 @@ Fields are immutable value objects wrapping a vectorized evaluator, plus the
 two hints the quadrature engine reads for its far field: a hard support
 radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s). A field
 with neither needs an explicit far cutoff. Scalar evaluators map points
-(..., n) to values (...).
-Vector evaluators return their values component-major, (n, ...), so every
+(..., n) to values (...). Vector evaluators, and a scalar field's
+gradient `grad_fn`, return their values component-major, (n, ...), so every
 elementwise step runs over contiguous component planes; calling a
-VectorField still returns (..., n), as a transposed view of that storage.
+VectorField or `ScalarField.gradient` still returns (..., n), as a
+transposed view of that storage.
 Grid points are stored the same way: one (n, *counts) array seen as
 (*counts, n).
 """
@@ -39,7 +40,6 @@ class GridSpec:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     counts: tuple[int, ...]
-    periodic: bool = False
 
     def __post_init__(self) -> None:
         lo = tuple(float(v) for v in self.lower)
@@ -143,13 +143,23 @@ def _leading(v: Array) -> Array:
     return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
 
-def _as_points(x, n: int) -> Array:
+def _evaluate(field, fn: Callable[[Array], Array], x, vector: bool):
+    """The one evaluation of every field call: fn at one point (n,) or at
+    points (..., n), 0 outside the support ball; fn's (...) values come back
+    as they are, its (n, ...) ones (`vector`) as (..., n). A single point
+    gives a float, or an (n,) array."""
     pts = np.asarray(x, dtype=float)
-    if pts.shape == (n,):
-        return pts[None, :]
-    if pts.ndim >= 1 and pts.shape[-1] == n:
-        return pts
-    raise ConfigError(f"points must have trailing dimension {n}, got shape {pts.shape}")
+    single = pts.shape == (field.n,)
+    if single:
+        pts = pts[None, :]
+    elif pts.ndim == 0 or pts.shape[-1] != field.n:
+        raise ConfigError(f"points must have trailing dimension {field.n}, got shape {pts.shape}")
+    vals = np.asarray(fn(pts), dtype=float)
+    if field.support_radius is not None:
+        vals = np.where(_inner(pts) <= field.support_radius**2, vals, 0.0)
+    if vector:
+        return vals[:, 0] if single else _trailing(vals)
+    return float(vals[0]) if single else vals
 
 
 @dataclass(frozen=True)
@@ -160,28 +170,16 @@ class ScalarField:
     fn: Callable[[Array], Array]
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None  # (C, s): |f| <= C |x|^-s far out
-    grad_fn: Optional[Callable[[Array], Array]] = None
+    grad_fn: Optional[Callable[[Array], Array]] = None  # (..., n) -> (n, ...)
     cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
-        pts = _as_points(x, self.n)
-        single = np.asarray(x, dtype=float).shape == (self.n,)
-        vals = np.asarray(self.fn(pts), dtype=float)
-        if self.support_radius is not None:
-            r2 = _inner(pts)
-            vals = np.where(r2 <= self.support_radius**2, vals, 0.0)
-        return float(vals[0]) if single else vals
+        return _evaluate(self, self.fn, x, vector=False)
 
     def gradient(self, x) -> Array:
         if self.grad_fn is None:
             raise DomainError("field has no closed-form gradient")
-        pts = _as_points(x, self.n)
-        single = np.asarray(x, dtype=float).shape == (self.n,)
-        g = np.asarray(self.grad_fn(pts), dtype=float)
-        if self.support_radius is not None:
-            r2 = _inner(pts)
-            g = np.where(r2[..., None] <= self.support_radius**2, g, 0.0)
-        return g[0] if single else g
+        return _evaluate(self, self.grad_fn, x, vector=True)
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,7 @@ class VectorField:
     cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
-        pts = _as_points(x, self.n)
-        single = np.asarray(x, dtype=float).shape == (self.n,)
-        vals = np.asarray(self.fn(pts), dtype=float)             # (n, ...)
-        if self.support_radius is not None:
-            r2 = _inner(pts)
-            vals = np.where(r2 <= self.support_radius**2, vals, 0.0)
-        return vals[:, 0] if single else _trailing(vals)
+        return _evaluate(self, self.fn, x, vector=True)
 
     def component(self, i: int) -> ScalarField:
         return ScalarField(
@@ -249,9 +241,7 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         return a * np.exp(-math.pi * _dist2(p, c) / w**2)
 
     def grad(p: Array) -> Array:
-        d = p - c
-        val = a * np.exp(-math.pi * _inner(d) / w**2)
-        return (-2.0 * math.pi / w**2) * d * val[..., None]
+        return (-2.0 * math.pi / w**2) * _leading(p - c) * fn(p)
 
     return ScalarField(
         n=n,

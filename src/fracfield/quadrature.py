@@ -73,18 +73,19 @@ class QuadratureConfig:
     lq_grid_nodes: int = 96
 
     def __post_init__(self) -> None:
+        # every message starts with the field's name
         if self.near_radius <= 0:
-            raise ConfigError("near_radius must be positive")
+            raise ConfigError(f"near_radius must be positive, got {self.near_radius!r}")
         if self.far_cutoff is not None and self.far_cutoff <= self.near_radius:
-            raise ConfigError("far_cutoff must exceed near_radius")
+            raise ConfigError(f"far_cutoff must exceed near_radius, got {self.far_cutoff!r}")
         if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+            raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if self.mid_panel_growth <= 1.0:
-            raise ConfigError("panel growth must exceed 1")
+            raise ConfigError(f"mid_panel_growth must exceed 1, got {self.mid_panel_growth!r}")
         for name in ("near_radial_nodes", "near_angular_nodes",
                      "mid_angular_nodes", "mid_panel_nodes", "lq_grid_nodes"):
             if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be at least 2")
+                raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)!r}")
 
     def coarsened(self) -> "QuadratureConfig":
         return replace(

@@ -19,6 +19,7 @@ the odd (i k_j) symbol components so real fields map to real fields.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,27 +42,30 @@ def _is_pow2(m: int) -> bool:
 class PeriodicField:
     """Real samples on a periodic power-of-two grid (scalar or n-vector).
 
-    Vector data carries the component axis first: shape (n, N_1, ..., N_n).
+    Scalar data has the grid's shape (N_1, ..., N_n); vector data carries the
+    component axis first, (n, N_1, ..., N_n).
     """
 
     grid: GridSpec
     data: Array
-    vector: bool = False
 
     def __post_init__(self) -> None:
-        if not self.grid.periodic:
-            raise ConfigError("PeriodicField requires a periodic GridSpec")
-        if any(not _is_pow2(c) for c in self.grid.counts):
-            raise ConfigError(f"sample counts must be powers of two, got {self.grid.counts}")
+        counts = self.grid.counts
+        if any(not _is_pow2(c) for c in counts):
+            raise ConfigError(f"sample counts must be powers of two, got {counts}")
         data = np.asarray(self.data, dtype=float)
-        want = ((self.grid.n,) + self.grid.counts) if self.vector else self.grid.counts
-        if data.shape != want:
-            raise ConfigError(f"data shape {data.shape} does not match grid {want}")
+        shapes = (counts, (self.grid.n,) + counts)  # scalar, vector
+        if data.shape not in shapes:
+            raise ConfigError(f"data shape {data.shape} is not one of {shapes}")
         object.__setattr__(self, "data", data)
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def vector(self) -> bool:
+        return self.data.ndim == self.grid.n + 1
 
     def mean(self) -> float:
         return float(np.mean(self.data))
@@ -174,9 +178,7 @@ def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicFie
             acc += sj
     if f.vector:
         return PeriodicField(grid, np.fft.irfftn(acc, s=grid.counts, axes=axes))
-    if gradient:
-        return PeriodicField(grid, np.stack(comps), vector=True)
-    return PeriodicField(grid, comps[0])
+    return PeriodicField(grid, np.stack(comps) if gradient else comps[0])
 
 
 def spectral_frac_gradient(f: PeriodicField, alpha: float) -> PeriodicField:
@@ -255,7 +257,7 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
         raise EmbeddingError(
             f"support radius {sup} exceeds L/2 - margin = {L / 2.0 - margin}"
         )
-    grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n, periodic=True)
+    grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n)
     # every node outside the support's index box has some |x_i| > sup, where
     # the support mask gives +0.0: only the box is evaluated
     axes = [grid.axis_nodes(i) for i in range(n)]
@@ -264,9 +266,9 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
     if isinstance(field, VectorField):  # (n, ...) storage
         data = np.zeros((n,) + grid.counts)
         data[(slice(None),) + box] = _leading(vals)
-        return PeriodicField(grid, data, vector=True)
-    data = np.zeros(grid.counts)
-    data[box] = vals
+    else:
+        data = np.zeros(grid.counts)
+        data[box] = vals
     return PeriodicField(grid, data)
 
 
@@ -290,19 +292,11 @@ def random_band_limited(grid: GridSpec, kmax: int, seed: int,
 
     def one() -> Array:
         spec = np.zeros(counts, dtype=complex)
-        ranges = [range(-kmax, kmax + 1)] * grid.n
-        import itertools
-
-        for mode in itertools.product(*ranges):
-            if all(m == 0 for m in mode):
-                continue
-            idx = tuple(m % c for m, c in zip(mode, counts))
-            spec[idx] = rng.normal() + 1j * rng.normal()
-        data = np.fft.ifftn(spec)
-        out = np.real(data)
+        for mode in itertools.product(range(-kmax, kmax + 1), repeat=grid.n):
+            if any(mode):  # the zero mode stays 0
+                spec[tuple(m % c for m, c in zip(mode, counts))] = rng.normal() + 1j * rng.normal()
+        out = np.real(np.fft.ifftn(spec))
         out -= out.mean()
         return out / (1.0 + np.max(np.abs(out)))
 
-    if vector:
-        return PeriodicField(grid, np.stack([one() for _ in range(grid.n)]), vector=True)
-    return PeriodicField(grid, one())
+    return PeriodicField(grid, np.stack([one() for _ in range(grid.n)]) if vector else one())

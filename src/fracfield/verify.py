@@ -36,7 +36,7 @@ from .analytic import (
     nl_gradient_ball,
     spectral_gradient_of,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fields import GridSpec, ScalarField, VectorField, _dist2, _inner, gaussian, gaussian_vector, mollifier, scalar_times_vector
 from .measures import RadonMeasure, measure_ball_mass
 from .norms import besov_seminorm, lp_norm
@@ -498,8 +498,8 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
                target: Optional[float] = None) -> VerifyReport:
     """Log-log slope of r -> |div^a F|(B_r(center)) against the n/q - alpha floor.
 
-    source: a smooth VectorField (density created spectrally), an analytic
-    pole field (atom masses, exact), or a RadonMeasure scanned directly.
+    source: a smooth VectorField on R^1 or R^2 (density created spectrally), an
+    analytic pole field (atom masses, exact), or a RadonMeasure scanned directly.
     expect: "floor" asserts slope >= n/q - alpha - 0.1; "flat" asserts
     |slope| <= 0.05 (the no-absolute-continuity regime); "exponent" asserts
     |slope - target| <= 0.05 (self-similar measures). params["masses"] holds
@@ -518,6 +518,8 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
         meas = source.abs()
     elif hasattr(source, "measure"):
         meas = source.measure.abs()
+    elif source.n == 3:  # the 2048^3 box below would need tens of GB
+        raise DomainError("a smooth decay source must lie in R^1 or R^2, got R^3")
     else:
         dens = spectral_divergence_of(source, alpha, N=2048)
         h = dens.grid.spacing
@@ -657,7 +659,7 @@ def check_symbol_factorization() -> VerifyReport:
 def check_riesz_square() -> VerifyReport:
     """sum_i R_i^2 == -Id on mean-zero band-limited fields (spectral)."""
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
-    grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128), periodic=True)
+    grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128))
     f = random_band_limited(grid, 6, seed=7)
     R = spectral_riesz_transform(f)
     acc = np.zeros_like(f.data)

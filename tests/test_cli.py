@@ -179,7 +179,7 @@ def test_cli_decay_rejects_p_below_one(tmp_path, capsys):
     assert "p = 1.0" in text
     cfgp.write_text(text.replace("p = 1.0", "p = 0.5"))
     rc, err = run_main(capsys, "decay", "--config", cfgp, "--out", tmp_path)
-    assert rc == 3, err
+    assert rc == 2 and err == "config error: decay.p must be at least 1, got 0.5\n", err
 
 
 def test_cli_decay_smooth_tabulates_spectral_masses(tmp_path, capsys):
@@ -302,6 +302,39 @@ def test_cli_decay_takes_dimension_from_source(tmp_path, capsys):
     floor = float(next(l for l in text.splitlines()
                        if l.startswith("# theoretical_floor")).split()[-1])
     assert floor == pytest.approx(0.5)
+
+
+def test_cli_decay_refuses_a_3d_smooth_source_before_embedding(tmp_path, capsys, monkeypatch):
+    """A 3-D smooth source would be embedded at 2048^3 nodes: decay exits 3
+    before spectral.embed is ever called."""
+    import fracfield.spectral
+
+    calls = []
+    monkeypatch.setattr(fracfield.spectral, "embed", lambda *args: calls.append(args))
+    cfgp = tmp_path / "d3.toml"
+    cfgp.write_text(_edited("decay_smooth.toml", "[0.2, 0.0]", "[0.2, 0.0, 0.0]")
+                    .replace("[1.0, 0.5]", "[1.0, 0.5, 0.25]")
+                    .replace("[0.3, 0.2]", "[0.3, 0.2, 0.0]"))
+    rc, err = run_main(capsys, "decay", "--config", cfgp, "--out", tmp_path)
+    assert rc == 3 and "R^3" in err, err
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["op", "bench"])
+@pytest.mark.parametrize("n,resolution", [(1, 1024), (2, 1024), (3, 128)])
+def test_spectral_resolution_default_follows_dimension(kind, n, resolution):
+    """Without [spectral] resolution a field on R^1 or R^2 is embedded at
+    1024^n nodes and one on R^3 at 128^3; the default is recorded."""
+    data = {"kind": kind, "fields": {"f": {"template": "gaussian", "center": [0.0] * n}}}
+    if kind == "op":
+        data.update(engine="spectral",
+                    op={"operator": "frac-gradient", "field": "f", "alpha": 0.5},
+                    grid={"lower": [-1.0] * n, "upper": [1.0] * n, "counts": [4] * n})
+    else:
+        data["bench"] = {"field": "f", "points": 4}
+    cfg = ExperimentConfig.from_dict(data)
+    assert cfg.params["spectral"] == (16.0, resolution)
+    assert cfg.normalized()["spectral"] == {"box": 16.0, "resolution": resolution}
 
 
 def _footer(path, key):
@@ -429,6 +462,30 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
     ("decay", re.sub(r"radii = \[[^]]*\]", "pow3_levels = 10",
                      (CONFIG_DIR / "decay_cantor.toml").read_text()), None,
      "decay.radii is required"),
+    ("verify", VERIFY_TEXT + "[quadrature]\ntol = 0.0\n", None,
+     "quadrature.tol must be positive, got 0.0"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nmid_panel_growth = 1.0\n", None,
+     "quadrature.mid_panel_growth must exceed 1, got 1.0"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nnear_radius = -1.0\n", None,
+     "quadrature.near_radius must be positive, got -1.0"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nfar_cutoff = 0.1\n", None,
+     "quadrature.far_cutoff must exceed near_radius, got 0.1"),
+    ("verify", VERIFY_TEXT + "[quadrature]\nmid_panel_nodes = 1\n", None,
+     "quadrature.mid_panel_nodes must be at least 2, got 1"),
+    ("op", _edited("op_gaussian_grad.toml", "upper = [2.0, 2.0]", "upper = [-2.0, 2.0]"), None,
+     "grid: GridSpec axis bounds must satisfy lower < upper, got [-2.0, -2.0]"),
+    ("op", _edited("op_gaussian_grad.toml", "[32, 32]", "[32, 3]"), None,
+     "grid: GridSpec needs >= 4 samples per axis, got 3"),
+    ("decay", _edited("decay_smooth.toml", "alpha = 0.5", "alpha = 1.5"), None,
+     "decay.alpha must lie in (0, 1], got 1.5"),
+    ("decay", _edited("decay_smooth.toml", "alpha = 0.5", "alpha = -0.5"), None,
+     "decay.alpha must lie in (0, 1], got -0.5"),
+    ("decay", _edited("decay_cantor.toml", "alpha = 0.5", "alpha = 0.0"), None,
+     "decay.alpha must lie in (0, 1], got 0.0"),
+    ("decay", _edited("decay_pole.toml", "p = 1.2", "p = 0.9"), None,
+     "decay.p must be at least 1, got 0.9"),
+    ("decay", _edited("decay_pole.toml", "[0.02,", "[0.02, 0.020000000000000004,"), None,
+     "decay.radii must hold at least 3 distinct positive radii"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
@@ -436,7 +493,10 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
         "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude",
         "op-order-alias", "template-constructor-error", "seed-fraction", "seed-bool",
         "quadrature-int-fraction", "grid-counts-fraction", "base-resolution-pow2",
-        "decay-pow3-levels-alone"])
+        "decay-pow3-levels-alone", "quadrature-tol", "quadrature-panel-growth",
+        "quadrature-near-radius", "quadrature-far-cutoff", "quadrature-node-count",
+        "grid-bounds", "grid-counts", "decay-alpha-above-one", "decay-alpha-negative",
+        "decay-alpha-zero", "decay-p-below-one", "decay-radii-equal-logs"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,

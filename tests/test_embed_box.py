@@ -34,10 +34,10 @@ L = 16.0
 def _full_grid_embed(field, N):
     """The reference: the field called on every node of the box."""
     n = field.n
-    grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n, periodic=True)
+    grid = GridSpec((-L / 2.0,) * n, (L / 2.0,) * n, (N,) * n)
     data = field(grid.node_points())
     if isinstance(field, VectorField):
-        return PeriodicField(grid, _leading(data), vector=True)
+        return PeriodicField(grid, _leading(data))
     return PeriodicField(grid, data)
 
 

@@ -64,6 +64,30 @@ def test_support_mask_exact():
     assert ind((1.0, 0.0)) == 0.0
 
 
+def test_gaussian_gradient_shapes_and_mask():
+    """gradient returns (n,) at one point and (..., n) on a batch, masked to
+    0 outside the support like the field itself."""
+    g = gaussian((0.2, -0.1), width=0.5, amplitude=2.0)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4, 2))
+    pts[0, 0] = (3.0, 0.0)  # beyond the support radius
+    grad = g.gradient(pts)
+    assert grad.shape == (3, 4, 2) and np.all(grad[0, 0] == 0.0)
+    assert np.array_equal(g.gradient(pts[1, 2]), grad[1, 2])
+    d = pts[1, 2] - (0.2, -0.1)
+    assert np.allclose(grad[1, 2], -2.0 * math.pi / 0.25 * d * g(pts[1, 2]), rtol=1e-14)
+    with pytest.raises(DomainError, match="no closed-form gradient"):
+        compact_bump((0.0, 0.0), 1.0).gradient(pts)
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 1)), np.float64(0.5)],
+                         ids=["one-point", "batch", "scalar"])
+def test_field_calls_refuse_points_of_another_dimension(x):
+    g = gaussian((0.0, 0.0))
+    for call in (g, g.gradient, gaussian_vector((0.0, 0.0))):
+        with pytest.raises(ConfigError, match="trailing dimension 2"):
+            call(x)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mollifier_unit_mass(eps, n):

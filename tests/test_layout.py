@@ -226,7 +226,7 @@ def test_pole_field_decay_hints_match_trailing_axis_layout(n):
 @pytest.mark.parametrize("n", DIMS)
 def test_sample_linear_matches_per_component_loop(n):
     N = {1: 64, 2: 16, 3: 8}[n]
-    grid = GridSpec((-4.0,) * n, (4.0,) * n, (N,) * n, periodic=True)
+    grid = GridSpec((-4.0,) * n, (4.0,) * n, (N,) * n)
     pts = np.random.default_rng(n).uniform(-7.0, 7.0, (6, 7, n))
     for vector in (False, True):
         pf = random_band_limited(grid, 2, seed=n, vector=vector)

@@ -20,7 +20,7 @@ from fracfield.spectral import (
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128), periodic=True)
+    return GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128))
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +29,41 @@ def gauss_pf():
 
 
 def test_power_of_two_required():
-    g = GridSpec((-8.0, -8.0), (8.0, 8.0), (100, 100), periodic=True)
+    g = GridSpec((-8.0, -8.0), (8.0, 8.0), (100, 100))
     with pytest.raises(ConfigError):
         PeriodicField(g, np.zeros((100, 100)))
     with pytest.raises(ConfigError):
         embed(gaussian((0.0, 0.0)), 16.0, 100)
+
+
+def test_periodic_field_kind_is_the_data_shape(small_grid):
+    """Data of the grid's shape is a scalar field, (n,) + that shape a vector
+    field; any other shape is refused."""
+    counts = small_grid.counts
+    assert not PeriodicField(small_grid, np.zeros(counts)).vector
+    assert PeriodicField(small_grid, np.zeros((2,) + counts)).vector
+    for shape in ((3,) + counts, (1,) + counts, (128, 64), (128,), (2, 2) + counts):
+        with pytest.raises(ConfigError, match="data shape"):
+            PeriodicField(small_grid, np.zeros(shape))
+
+
+def test_spectral_operator_argument_errors(small_grid):
+    f = random_band_limited(small_grid, 3, seed=4)
+    F = random_band_limited(small_grid, 3, seed=5, vector=True)
+    with pytest.raises(ConfigError, match="takes a scalar field"):
+        spectral_frac_gradient(F, 0.5)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(DomainError, match="divergence order"):
+            spectral_frac_divergence(F, alpha)
+    with pytest.raises(ConfigError, match="takes a vector field"):
+        spectral_frac_divergence(f, 0.5)
+    for beta in (0.0, -1.0):
+        with pytest.raises(DomainError, match="order must be positive"):
+            spectral_riesz_potential(f, beta)
+    with pytest.raises(ConfigError, match="takes a scalar field"):
+        spectral_riesz_potential(F, 0.5)
+    with pytest.raises(ConfigError, match="takes a scalar field"):
+        spectral_riesz_transform(F)
 
 
 def test_embed_margins():
