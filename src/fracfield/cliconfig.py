@@ -79,13 +79,15 @@ def _checks(v):
 _WHAT = {float: "a number", _int: "an integer", _floats: "a list of numbers",
          _ints: "a list of integers", _atoms: "a non-empty list of [point, weight] atoms",
          _checks: "'default' or a list of check-name filters"}
-_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-_POSITIVE = (lambda v: v > 0, "be positive")
 _POW2 = (spectral._is_pow2, "be a power of two")
 
 
 def _at_least(k: int):
     return (lambda v: v >= k, f"be at least {k}")
+
+
+def _below(k: int):
+    return (lambda v: 0.0 < v < k, f"lie in (0, {k})")
 
 
 def _read(section: "_Table", key: str, conv, default=_REQUIRED, check=None):
@@ -241,7 +243,7 @@ class ExperimentConfig:
         if kind is not None and cfg_kind != kind:
             raise ConfigError(
                 f"config kind {cfg_kind!r} does not match the subcommand {kind!r}")
-        obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "jobs", _int, 1),
+        obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "jobs", _int, 1, _at_least(1)),
                   out_dir=_read(data, "out", str, "."))
         section = _table(data, cfg_kind)
         obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
@@ -294,8 +296,8 @@ class ExperimentConfig:
         engine = _read(self.raw, "engine", ENGINES, "direct")
         operator = _read(s, "operator", tuple(OPERATORS))
         field = self._field_ref(s, "field", "smooth" if engine == "spectral" else None)
-        alpha = None if operator == "riesz-transform" else _read(s, "alpha", float, check=(
-            _POSITIVE if operator == "riesz-potential" else _OPEN_UNIT))
+        alpha = None if operator == "riesz-transform" else _read(
+            s, "alpha", float, check=_below(field.n if operator == "riesz-potential" else 1))
         g = _table(self.raw, "grid")  # the output lattice
         grid = _built(g, GridSpec, _read(g, "lower", _floats), _read(g, "upper", _floats),
                       _read(g, "counts", _ints))
@@ -312,7 +314,7 @@ class ExperimentConfig:
     def _parse_convergence(self, s: _Table) -> dict:
         engine = _read(self.raw, "engine", ENGINES, "spectral")
         return {"engine": engine,
-                "alpha": _read(s, "alpha", float, 0.5, _OPEN_UNIT),
+                "alpha": _read(s, "alpha", float, 0.5, _below(1)),
                 "levels": _read(s, "levels", _int, 4, _at_least(2)),
                 "base_resolution": _read(s, "base_resolution", _int, 32, _POW2)
                 if engine == "spectral" else None}
@@ -336,7 +338,7 @@ class ExperimentConfig:
     def _parse_bench(self, s: _Table) -> dict:
         field = self._field_ref(s, "field", "smooth")
         return {"field": field,
-                "alpha": _read(s, "alpha", float, 0.5, _OPEN_UNIT),
+                "alpha": _read(s, "alpha", float, 0.5, _below(1)),
                 "points": _read(s, "points", _int, check=_at_least(1)),
                 "seed": self._seed(), "quadrature": self._quadrature(),
                 "spectral": self._spectral(field.n)}

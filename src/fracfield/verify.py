@@ -4,15 +4,18 @@ Each check computes a left and right side by quadrature (direct singular
 integrals, the spectral engine, or exact atom arithmetic), assembles a
 VerifyReport, and decides pass/fail through one centralized tolerance policy:
 
-    pass  iff  |lhs - rhs| <= max(abs_tol, rel_tol * scale, est_factor * est)
+    pass  iff  abs_err <= max(abs_tol, rel_tol * scale, est_factor * est)
 
 with the binding branch recorded; nothing re-decides a report after its check
-returns. Ground-truth right sides over atoms are exact arithmetic; quadrature
-appears on left sides only, so the error accounting is one-sided. All
-randomness is seeded; node layouts are fixed; pass flags are reproducible bit
-for bit for a given configuration. Ball and polar integrals take their nodes
-and weights from the shared polar rule of `quadrature` and only sum the
-integrand over them.
+returns. An identity's abs_err is |lhs - rhs|. An inequality's is its signed
+gap, negative by its margin inside the bound: lhs - rhs for the L1 bound,
+floor - slope for the decay floor, and the larger shortfall of the two
+orders below their floors for the convergence check. Ground-truth right
+sides over atoms are exact arithmetic; quadrature appears on left sides
+only, so the error accounting is one-sided. All randomness is seeded; node
+layouts are fixed; pass flags are reproducible bit for bit for a given
+configuration. Ball and polar integrals take their nodes and weights from
+the shared polar rule of `quadrature` and only sum the integrand over them.
 """
 
 from __future__ import annotations
@@ -106,8 +109,10 @@ class VerifyReport:
         return json.dumps(rec, sort_keys=True)
 
 
-def _report(name, params, lhs, rhs, est, policy, scale, notes="") -> VerifyReport:
-    abs_err = abs(lhs - rhs)
+def _report(name, params, lhs, rhs, est, policy, scale, notes="", gap=None) -> VerifyReport:
+    """The report that policy decides on abs_err: |lhs - rhs|, or the signed
+    gap an inequality passes as `gap`."""
+    abs_err = abs(lhs - rhs) if gap is None else gap
     rel_err = abs_err / max(scale, 1e-30)
     passed, branch = policy.decide(abs_err, scale, est)
     return VerifyReport(
@@ -168,6 +173,17 @@ def _pairing(F: VectorField, xi: ScalarField, alpha: float, cfg: QuadratureConfi
     return fn
 
 
+def _pairing_report(name, params, F: VectorField, phi: ScalarField, alpha: float,
+                    rhs_fn, policy, cfg: QuadratureConfig) -> VerifyReport:
+    """Report on int F . grad^a phi dx == - int rhs_fn dx, the right side
+    integrated over phi's support."""
+    lhs, est_l = polar_integral(_pairing(F, phi, alpha, cfg), F.n, _support(F), cfg)
+    rhs_int, est_r = polar_integral(rhs_fn, F.n, _support(phi), cfg)
+    rhs = -rhs_int
+    return _report(name, params, lhs, rhs, est_l + est_r, policy,
+                   scale=max(abs(lhs), abs(rhs), 1e-6))
+
+
 def _density_pairing(F: VectorField, xi: ScalarField, alpha: float):
     """Integrand xi times the spectral divergence density of F, with a fixed
     1e-6 estimate."""
@@ -220,13 +236,9 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> Ve
                   "xi": xi.cache_token}
         return _report("duality", params, lhs, rhs, est, policy,
                        scale=max(abs(rhs), 1e-6))
-    n = F.n
-    lhs, est_l = polar_integral(_pairing(F, xi, alpha, cfg), n, _support(F), cfg)
-    rhs_int, est_r = polar_integral(_density_pairing(F, xi, alpha), n, _support(xi), cfg)
-    rhs = -rhs_int
-    params = {"alpha": alpha, "n": n, "field": F.cache_token, "xi": xi.cache_token}
-    return _report("duality", params, lhs, rhs, est_l + est_r, policy,
-                   scale=max(abs(lhs), abs(rhs), 1e-6))
+    params = {"alpha": alpha, "n": F.n, "field": F.cache_token, "xi": xi.cache_token}
+    return _pairing_report("duality", params, F, xi, alpha, _density_pairing(F, xi, alpha),
+                           policy, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +303,23 @@ def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
                      cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a g dx == - int g d(div^a F) for smooth fields."""
     policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-3, est_factor=0.0)
-    n = g.n
-    lhs, est_l = polar_integral(_pairing(F, g, alpha, cfg), n, _support(F), cfg)
 
     def rhs_fn(pts):
         dv, de = frac_divergence_batch(F, alpha, pts, cfg)
         gv = g(pts)
         return gv * dv, np.abs(gv) * de
 
-    rhs_int, est_r = polar_integral(rhs_fn, n, _support(g), cfg)
-    rhs = -rhs_int
-    params = {"alpha": alpha, "n": n, "g": g.cache_token, "F": F.cache_token}
-    return _report("leibniz_global_ibp", params, lhs, rhs, est_l + est_r, policy,
-                   scale=max(abs(lhs), abs(rhs), 1e-6))
+    params = {"alpha": alpha, "n": g.n, "g": g.cache_token, "F": F.cache_token}
+    return _pairing_report("leibniz_global_ibp", params, F, g, alpha, rhs_fn, policy, cfg)
 
 
 def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
                       cfg: QuadratureConfig) -> VerifyReport:
     """||div^a_NL(g,F)||_L1 <= mu(n,a) [g]_{B^a_{q,1}} ||F||_Lp.
 
-    The report's lhs/rhs are the two sides; pass iff ratio <= 1 + tol. The
-    stated constant is asserted; the proof-side constant 2 mu is a known
-    caveat recorded in the notes.
+    The report's lhs/rhs are the two sides; pass iff lhs - rhs <= 0.02 rhs,
+    that is, the ratio is at most 1.02. The stated constant is asserted; the
+    proof-side constant 2 mu is a known caveat recorded in the notes.
     """
     n = g.n
     q = FracParams(alpha, n, p).q
@@ -335,21 +342,11 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     dom = GridSpec((-S,) * n, (S,) * n, (192,) * n) if n <= 2 else GridSpec((-S,) * 3, (S,) * 3, (48,) * 3)
     rhs = mu_const(n, alpha) * besov_seminorm(g, alpha, q, cfg) * lp_norm(F, p, dom)
     ratio = lhs / rhs if rhs > 0 else math.inf
-    passed = ratio <= 1.0 + 0.02
-    return VerifyReport(
-        name="leibniz_l1_bound",
-        params={"alpha": alpha, "n": n, "p": p, "q": q,
-                "g": g.cache_token, "F": F.cache_token},
-        lhs=float(lhs),
-        rhs=float(rhs),
-        abs_err=float(max(0.0, lhs - rhs)),
-        rel_err=float(ratio),
-        est_err=float(est + 0.2 * tail),
-        passed=bool(passed),
-        branch="ratio",
-        notes=f"ratio {ratio:.4f}; stated constant asserted, proof-side "
-              f"constant 2*mu would double the right side",
-    )
+    params = {"alpha": alpha, "n": n, "p": p, "q": q, "g": g.cache_token, "F": F.cache_token}
+    return _report("leibniz_l1_bound", params, lhs, rhs, est + 0.2 * tail,
+                   TolerancePolicy(abs_tol=0.0, rel_tol=0.02, est_factor=0.0), scale=rhs,
+                   notes=f"ratio {ratio:.4f}; stated constant asserted, proof-side "
+                         f"constant 2*mu would double the right side", gap=lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,31 +532,17 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     if np.any(masses <= 0):
         raise ConfigError("ball masses must be positive on the radius list")
     slope = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
-    if expect == "flat":
-        passed = abs(slope) <= 0.05
-        rhs, abs_err = 0.0, abs(slope)
-    elif expect == "exponent":
-        if target is None:
-            raise ConfigError("expect='exponent' needs a target slope")
-        passed = abs(slope - target) <= 0.05
-        rhs, abs_err = float(target), abs(slope - target)
-    else:
-        passed = slope >= floor - 0.1
-        rhs, abs_err = floor, max(0.0, floor - slope)
-    return VerifyReport(
-        name="decay_scan",
-        params={"alpha": alpha, "n": n, "p": p, "center": tuple(c.tolist()),
-                "radii": [float(r) for r in radii], "expect": expect,
-                "floor": floor, "masses": [float(m) for m in masses]},
-        lhs=slope,
-        rhs=rhs,
-        abs_err=float(abs_err),
-        rel_err=float(abs_err / max(abs(floor), 1.0)),
-        est_err=0.0,
-        passed=bool(passed),
-        branch="slope",
-        notes=f"fitted slope {slope:.4f}; theoretical floor {floor:.4f}",
-    )
+    if expect == "exponent" and target is None:
+        raise ConfigError("expect='exponent' needs a target slope")
+    rhs = {"flat": 0.0, "exponent": target, "floor": floor}[expect]
+    params = {"alpha": alpha, "n": n, "p": p, "center": tuple(c.tolist()),
+              "radii": [float(r) for r in radii], "expect": expect,
+              "floor": floor, "masses": [float(m) for m in masses]}
+    return _report("decay_scan", params, slope, rhs, 0.0,
+                   TolerancePolicy(abs_tol=0.1 if expect == "floor" else 0.05, est_factor=0.0),
+                   scale=max(abs(floor), 1.0),
+                   notes=f"fitted slope {slope:.4f}; theoretical floor {floor:.4f}",
+                   gap=floor - slope if expect == "floor" else None)
 
 
 def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig) -> VerifyReport:
@@ -590,23 +573,19 @@ def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
                        cfg: QuadratureConfig) -> VerifyReport:
     """int F . grad^a phi == int (I_{1-a} F) . grad phi (two pipelines)."""
     policy = TolerancePolicy(abs_tol=1e-6, rel_tol=1e-2, est_factor=0.0)
-    n = F.n
-    lhs, est_l = polar_integral(_pairing(F, phi, alpha, cfg), n, _support(F), cfg)
 
-    def rhs_fn(pts):
+    def rhs_fn(pts):  # negated: the helper's right side is - int rhs_fn
         gp = phi.gradient(pts)
         acc = np.zeros(pts.shape[0])
         ests = np.zeros(pts.shape[0])
-        for k in range(n):
+        for k in range(F.n):
             v, e = riesz_potential_batch(F.component(k), 1.0 - alpha, pts, cfg)
             acc += v * gp[..., k]
             ests += e * np.abs(gp[..., k])
-        return acc, ests
+        return -acc, ests
 
-    rhs, est_r = polar_integral(rhs_fn, n, _support(phi), cfg)
-    params = {"alpha": alpha, "n": n, "F": F.cache_token, "phi": phi.cache_token}
-    return _report("div_relation", params, lhs, rhs, est_l + est_r, policy,
-                   scale=max(abs(lhs), abs(rhs), 1e-6))
+    params = {"alpha": alpha, "n": F.n, "F": F.cache_token, "phi": phi.cache_token}
+    return _pairing_report("div_relation", params, F, phi, alpha, rhs_fn, policy, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -757,20 +736,12 @@ def check_convergence_orders() -> VerifyReport:
     rows_d = convergence_sweep_direct()
     o_s = fitted_order(rows_s)
     o_d = fitted_order(rows_d)
-    passed = (o_s >= 4.0) and (o_d >= 1.8)
-    return VerifyReport(
-        name="convergence_orders",
-        params={"spectral_levels": [r["level"] for r in rows_s],
-                "direct_levels": [r["level"] for r in rows_d]},
-        lhs=float(o_s),
-        rhs=float(o_d),
-        abs_err=0.0,
-        rel_err=0.0,
-        est_err=0.0,
-        passed=bool(passed),
-        branch="orders",
-        notes=f"spectral order {o_s:.2f} (>=4), direct order {o_d:.2f} (>=1.8)",
-    )
+    params = {"spectral_levels": [r["level"] for r in rows_s],
+              "direct_levels": [r["level"] for r in rows_d]}
+    return _report("convergence_orders", params, o_s, o_d, 0.0,
+                   TolerancePolicy(abs_tol=0.0, est_factor=0.0), scale=1.0,
+                   notes=f"spectral order {o_s:.2f} (>=4), direct order {o_d:.2f} (>=1.8)",
+                   gap=np.max([4.0 - o_s, 1.8 - o_d]))  # a NaN order fails
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,11 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "decay.p must be at least 1, got 0.9"),
     ("decay", _edited("decay_pole.toml", "[0.02,", "[0.02, 0.020000000000000004,"), None,
      "decay.radii must hold at least 3 distinct positive radii"),
+    *[("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", "alpha = 2.5").replace(
+        '"frac-gradient"', '"riesz-potential"').replace('"direct"', f'"{engine}"'), None,
+       "config error: op.alpha must lie in (0, 2), got 2.5") for engine in ("direct", "spectral")],
+    ("verify", "jobs = 0\n" + VERIFY_TEXT, None, "config error: jobs must be at least 1, got 0"),
+    ("verify", VERIFY_TEXT, "0", "config error: jobs must be at least 1, got 0"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
         "verify-tolerance", "delta-pair-without-z", "jobs", "FRACFIELD_JOBS", "seed",
         "quadrature-value", "quadrature-unknown-key", "field-unknown-key",
@@ -496,7 +501,9 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
         "decay-pow3-levels-alone", "quadrature-tol", "quadrature-panel-growth",
         "quadrature-near-radius", "quadrature-far-cutoff", "quadrature-node-count",
         "grid-bounds", "grid-counts", "decay-alpha-above-one", "decay-alpha-negative",
-        "decay-alpha-zero", "decay-p-below-one", "decay-radii-equal-logs"])
+        "decay-alpha-zero", "decay-p-below-one", "decay-radii-equal-logs",
+        "riesz-potential-order-direct", "riesz-potential-order-spectral", "jobs-zero",
+        "FRACFIELD_JOBS-zero"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):
     """A malformed value exits 2 with a config error naming <section>.<key>,
@@ -507,9 +514,19 @@ def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, ki
         monkeypatch.setenv("FRACFIELD_JOBS", env)
     cfgp = tmp_path / "bad.toml"
     cfgp.write_text(text)
-    rc, err = run_main(capsys, kind, "--config", cfgp, "--out", tmp_path)
+    rc, err = run_main(capsys, kind, "--config", cfgp, "--out", tmp_path / "out")
     assert rc == 2
     assert err.startswith("config error: ") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_cli_jobs_flag_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.delenv("FRACFIELD_JOBS", raising=False)
+    rc, err = run_main(capsys, "verify", "--config", CONFIG_DIR / "verify_default.toml",
+                       "--out", tmp_path / "out", "--jobs", jobs)
+    assert (rc, err) == (2, f"config error: jobs must be at least 1, got {jobs}\n")
+    assert not (tmp_path / "out").exists()
 
 
 SPECTRAL_OP_TEXT = _edited("op_gaussian_grad.toml", 'engine = "direct"', 'engine = "spectral"')

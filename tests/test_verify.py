@@ -193,16 +193,22 @@ def test_suite_parallel_matches_serial(cfg):
         assert x.seconds > 0.0 and y.seconds > 0.0
 
 
-def test_default_suite_all_green_and_budgeted(cfg):
-    """The full default battery: >= 12 records, every check passing, well
-    inside the ten-minute ceiling (CI slack is 3x that)."""
+@pytest.fixture(scope="module")
+def default_run(cfg):
+    """(reports, caught warnings, wall seconds) of the default battery."""
     import time
 
     t0 = time.time()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         reports = run_suite(cfg, seed=0, jobs=1)
-    wall = time.time() - t0
+    return reports, caught, time.time() - t0
+
+
+def test_default_suite_all_green_and_budgeted(cfg, default_run):
+    """The full default battery: >= 12 records, every check passing, well
+    inside the ten-minute ceiling (CI slack is 3x that)."""
+    reports, caught, wall = default_run
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(reports) >= 12
     assert [r.name for r in reports] == sorted(default_suite_registry(cfg))
@@ -210,6 +216,37 @@ def test_default_suite_all_green_and_budgeted(cfg):
     assert not failures, failures
     assert all(r.seconds > 0.0 for r in reports)
     assert wall < 600.0
+
+
+def test_default_suite_reports_show_the_bounded_quantity(default_run):
+    """Every report is decided on a policy branch, and the three inequality
+    reports record their signed gap, negative by the margin they pass by."""
+    reports = {r.name: r for r in default_run[0]}
+    assert {r.branch for r in reports.values()} <= {"abs", "rel", "est"}
+    l1, decay, orders = (reports[k] for k in
+                         ("leibniz_l1_bound", "decay_smooth_pinf", "convergence_orders"))
+    assert l1.abs_err == l1.lhs - l1.rhs and l1.rel_err == l1.abs_err / l1.rhs
+    assert decay.abs_err == decay.params["floor"] - decay.lhs
+    assert orders.abs_err == max(4.0 - orders.lhs, 1.8 - orders.rhs)
+    for r in (l1, decay, orders):
+        assert r.passed and r.abs_err < 0.0, r
+
+
+def test_convergence_orders_fails_on_a_nan_order(monkeypatch):
+    """A sweep with no usable transition has a NaN order; the gap keeps it
+    and the report fails."""
+    import math
+
+    from fracfield import verify
+
+    good = [{"level": i, "err_vs_finest": 2.0 ** -(8 * i), "observed_order": 8.0}
+            for i in range(3)]
+    bad = [{"level": i, "err_vs_finest": 0.0, "observed_order": math.nan} for i in range(3)]
+    for spectral_rows, direct_rows in ((good, bad), (bad, good)):
+        monkeypatch.setattr(verify, "convergence_sweep_spectral", lambda: spectral_rows)
+        monkeypatch.setattr(verify, "convergence_sweep_direct", lambda: direct_rows)
+        rep = verify.check_convergence_orders()
+        assert math.isnan(rep.abs_err) and not rep.passed
 
 
 def test_nl_l1_bound_scale_invariant_ratio(cfg, gauss2d):
@@ -221,7 +258,7 @@ def test_nl_l1_bound_scale_invariant_ratio(cfg, gauss2d):
     r1 = check_nl_l1_bound(gauss2d, F, 0.5, 2.0, cfg)
     r2 = check_nl_l1_bound(gaussian((0.0, 0.0), amplitude=2.0), F, 0.5, 2.0, cfg)
     assert r1.passed and r2.passed
-    assert r1.rel_err == pytest.approx(r2.rel_err, rel=1e-3)  # the ratio
+    assert r1.rel_err == pytest.approx(r2.rel_err, rel=1e-3)  # ratio - 1
 
 
 @pytest.mark.parametrize("check", [check_semigroup_spectral, check_symbol_factorization])
