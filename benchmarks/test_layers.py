@@ -1,9 +1,13 @@
 """Layer microbenchmarks: field evaluation, the direct engine's passes and
 the spectral embedding.
 
-Run from the repository root:
+Run from the repository root (pytest-benchmark comes with the `test` extra):
 
     PYTHONPATH=src python -m pytest benchmarks -q
+
+and as a smoke run, each benchmark once and untimed:
+
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
 
 `benchmarks/` sits outside the `testpaths` of pyproject.toml, so the tier-1
 suite never runs these. Each field benchmark evaluates 1M points shaped like

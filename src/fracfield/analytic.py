@@ -292,7 +292,8 @@ def _ray_sphere(origins: Array, dirs: Array, center: Array, radius: float):
 
 def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
                      cfg: QuadratureConfig) -> Array:
-    """Nonlocal gradient of (indicator of B_r(x0), xi) at a batch of points.
+    """Nonlocal gradient of (indicator of B_r(x0), xi) at points W (..., n),
+    returned in W's shape.
 
     The indicator increment restricts the integral to the ball (points
     outside) or its complement (points inside); ray/sphere intersections give
@@ -339,7 +340,7 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
             inc = xi(pts) - xw[sel, None, None, None]
             radial = np.sum(inc * wt, axis=(2, 3))                    # (b, A)
             out[sel] = (mu * sign[sel])[:, None] * np.einsum("ma,a,ak->mk", radial, w_ang, dirs)
-    return out if np.asarray(W).ndim == 2 else out[0]
+    return out.reshape(np.shape(W))
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +482,9 @@ def duality_pairing(pole_field: PoleField, xi: ScalarField,
     G = spectral_gradient_of(xi, alpha)
     pole_radius = _pole_radius(poles)
 
-    def pole_part(m_rad: int, m_ang: int) -> float:
-        rr, wr = singular_radial_rule(pole_radius, alpha - 1.0, m_rad)
-        _, disp, w = _polar_rule(n, rr, wr, m_ang, n - alpha)
+    def pole_part(q: QuadratureConfig) -> float:
+        rr, wr = singular_radial_rule(pole_radius, alpha - 1.0, 2 * q.near_radial_nodes)
+        _, disp, w = _polar_rule(n, rr, wr, 2 * q.mid_angular_nodes, n - alpha)
         # the bulk carries weight 1 - win, so the pole part integrates win
         w = (w * _window(rr, 0.5 * pole_radius, pole_radius)[:, None]).ravel()
         total = 0.0
@@ -493,8 +494,7 @@ def duality_pairing(pole_field: PoleField, xi: ScalarField,
         return total
 
     bulk_f, bulk_c = _bulk_sums(F, G, poles, pole_radius)
-    pole_f = pole_part(cfg.near_radial_nodes * 2, cfg.mid_angular_nodes * 2)
-    pole_c = pole_part(cfg.near_radial_nodes, cfg.mid_angular_nodes)
+    pole_f, pole_c = pole_part(cfg), pole_part(cfg.coarsened())
     value = bulk_f + pole_f
     # far tail: |F| ~ C r^-sF beyond the window, |grad xi| ~ C' r^-(n+alpha)
     C_F, s_F = F.decay if F.decay is not None else (0.0, n + 1.0 - alpha)

@@ -132,19 +132,22 @@ def _report(name, params, lhs, rhs, est, policy, scale, notes="", gap=None) -> V
 # ---------------------------------------------------------------------------
 # shared quadrature helpers
 
-def _fine_coarse(c: Array, radial, fine, coarse) -> tuple[float, float]:
-    """fn's values and estimates summed over the polar rule around c (radii
-    and weights radial(m), the Jacobian r^(n-1)) at two levels, each (fn,
-    radial node count, angular node count). Returns the fine value and the
-    estimate |fine - coarse| + the fine level's summed estimates."""
+def _fine_coarse(c: Array, rule, cfg: QuadratureConfig) -> tuple[float, float]:
+    """A polar integral around c at the levels cfg and cfg.coarsened(), in
+    that order. rule(q) builds a level from its config q alone: the integrand
+    fn (points -> values, estimates), the radii, their weights and the
+    angular node count; the Jacobian r^(n-1) is added here. Returns the fine
+    value and the estimate |fine - coarse| + the fine level's summed
+    estimates."""
     n = c.shape[0]
 
-    def level(fn, m_rad, m_ang):
-        _, disp, w = _polar_rule(n, *radial(m_rad), m_ang, n - 1)
+    def level(q):
+        fn, r, w_r, m_ang = rule(q)
+        _, disp, w = _polar_rule(n, r, w_r, m_ang, n - 1)
         vals, ests = fn((c[:, None, None] + disp).reshape(n, -1).T)
         return float(np.sum(vals.reshape(w.shape) * w)), float(np.sum(ests.reshape(w.shape) * w))
 
-    (v_f, e_f), (v_c, _) = level(*fine), level(*coarse)
+    (v_f, e_f), (v_c, _) = level(cfg), level(cfg.coarsened())
     return v_f, abs(v_f - v_c) + e_f
 
 
@@ -156,12 +159,9 @@ def polar_integral(fn_batch: Callable[[Array], tuple[Array, Array]], n: int,
     Returns (value, est): est combines per-point estimates with a coarse
     angular/radial Richardson delta.
     """
-    def radial(m):
-        return _ball_radial_rule(R / 64.0, R, cfg.mid_panel_growth, m)
-
-    return _fine_coarse(
-        np.zeros(n), radial, (fn_batch, cfg.mid_panel_nodes, cfg.mid_angular_nodes),
-        (fn_batch, max(2, cfg.mid_panel_nodes // 2), max(4, cfg.mid_angular_nodes // 2)))
+    return _fine_coarse(np.zeros(n), lambda q: (
+        fn_batch, *_ball_radial_rule(R / 64.0, R, q.mid_panel_growth, q.mid_panel_nodes),
+        q.mid_angular_nodes), cfg)
 
 
 def _pairing(F: VectorField, xi: ScalarField, alpha: float, cfg: QuadratureConfig):
@@ -386,12 +386,8 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
 
 def _ball_polar_integral(fn_batch, x0, r, cfg) -> tuple[float, float]:
     """Integral over B_r(x0) with Gauss-Legendre radii on [0, r]."""
-    def radial(m):
-        return _gauss(0.0, r, m)
-
-    return _fine_coarse(
-        x0, radial, (fn_batch, 4 * cfg.mid_panel_nodes, cfg.mid_angular_nodes),
-        (fn_batch, 2 * cfg.mid_panel_nodes, max(4, cfg.mid_angular_nodes // 2)))
+    return _fine_coarse(x0, lambda q: (
+        fn_batch, *_gauss(0.0, r, 4 * q.mid_panel_nodes), q.mid_angular_nodes), cfg)
 
 
 def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
@@ -402,12 +398,13 @@ def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
     """
     R_out = _support(F) + float(np.linalg.norm(x0)) + 1.0
 
-    def radial_nodes(m):
+    def rule(q):
+        m = q.mid_panel_nodes
         s_min = r * 2.0**-12
         s_in, w_in = panel_radial_rule(s_min, r, 2.0, m)
         s0 = min(r, 1.0)
         s_on, w_on = panel_radial_rule(s_min, s0, 2.0, m)
-        far, w_far = panel_radial_rule(r + s0, R_out, cfg.mid_panel_growth, m)
+        far, w_far = panel_radial_rule(r + s0, R_out, q.mid_panel_growth, m)
         rho = np.concatenate([
             r - s_in,                      # inside, graded toward the sphere
             np.array([r - 0.5 * s_min]),   # inner strip, midpoint
@@ -416,18 +413,13 @@ def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
             far,
         ])
         w = np.concatenate([w_in, [s_min], [s_min], w_on, w_far])
-        return rho, w
 
-    def integrand(inner_cfg):
         def fn(pts):
-            nl = nl_gradient_ball(x0, r, xi, alpha, pts, inner_cfg)
+            nl = nl_gradient_ball(x0, r, xi, alpha, pts, q)
             return _inner(F(pts), nl), np.zeros(pts.shape[0])
-        return fn
+        return fn, rho, w, q.mid_angular_nodes
 
-    coarse = replace(cfg, mid_angular_nodes=max(16, cfg.mid_angular_nodes // 2))
-    return _fine_coarse(
-        x0, radial_nodes, (integrand(cfg), cfg.mid_panel_nodes, cfg.mid_angular_nodes),
-        (integrand(coarse), max(2, cfg.mid_panel_nodes - 2), max(8, cfg.mid_angular_nodes // 2)))
+    return _fine_coarse(x0, rule, cfg)
 
 
 def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
@@ -440,28 +432,27 @@ def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
     n = x0.shape[0]
     R_out = _support(xi) + float(np.linalg.norm(x0)) + 1.0
 
-    def run(m_s, m_ang, m_surf):
+    def run(q):
         # inside: s = r - rho in (0, r]; outside near: s = rho - r in (0, s0];
         # outside far: panels
         s0 = min(r, 1.0)
-        s_in, w_in = singular_radial_rule(r, -alpha, m_s)
-        s_on, w_on = singular_radial_rule(s0, -alpha, m_s)
-        rho_of, w_of = panel_radial_rule(r + s0, R_out, cfg.mid_panel_growth,
-                                         cfg.mid_panel_nodes)
+        s_in, w_in = singular_radial_rule(r, -alpha, 2 * q.near_radial_nodes)
+        s_on, w_on = singular_radial_rule(s0, -alpha, 2 * q.near_radial_nodes)
+        rho_of, w_of = panel_radial_rule(r + s0, R_out, q.mid_panel_growth,
+                                         q.mid_panel_nodes)
         rhos = np.concatenate([r - s_in, r + s_on, rho_of])
         # the singular rules integrate S(s) s^(-alpha); the profile g carries
         # the singularity, so their weights take s^alpha back
         w_r = np.concatenate([w_in * s_in**alpha, w_on * s_on**alpha, w_of])
-        dirs, disp, w = _polar_rule(n, rhos, w_r, m_ang, n - 1)
+        dirs, disp, w = _polar_rule(n, rhos, w_r, q.mid_angular_nodes, n - 1)
         pts = (x0[:, None, None] + disp).reshape(n, -1).T
         proj = _inner(F(pts).reshape(w.shape + (n,)), dirs)
         xv = xi(pts).reshape(w.shape)
-        g = grad_chi_ball_profile(r, alpha, n, rhos, m_surf)
+        g = grad_chi_ball_profile(r, alpha, n, rhos, 8 * q.mid_angular_nodes)
         return float(np.einsum("r,ra,ra,ra->", g, xv, proj, w))
 
-    v_f = run(24, cfg.mid_angular_nodes, 256)
-    v_c = run(12, max(4, cfg.mid_angular_nodes // 2), 128)
-    return v_f, abs(v_f - v_c)
+    v_f = run(cfg)
+    return v_f, abs(v_f - run(cfg.coarsened()))
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,14 @@ def test_nl_gradient_ball_single_point(cfg, gauss2d):
     assert np.array_equal(got, ref[0])
 
 
+def test_nl_gradient_ball_keeps_every_point_of_a_grid_shaped_batch(cfg, gauss2d):
+    W = np.random.default_rng(3).uniform(-1.6, 1.6, (2, 2, 2))
+    got = nl_gradient_ball((0.0, 0.0), 1.0, gauss2d, 0.5, W, cfg)
+    flat = nl_gradient_ball((0.0, 0.0), 1.0, gauss2d, 0.5, W.reshape(4, 2), cfg)
+    assert got.shape == (2, 2, 2)
+    assert np.array_equal(got, flat.reshape(2, 2, 2))
+
+
 _PERM_BATCH = _ball_batch(2, 1.0, "mixed", m=24, seed=7)
 _PERM_OUT = nl_gradient_ball((0.0, 0.0), 1.0, gaussian((0.4, 0.2)), 0.5, _PERM_BATCH,
                              QuadratureConfig())

@@ -369,6 +369,27 @@ def test_cli_bench_shipped_config(tmp_path, capsys):
     assert all(float(r[2]) >= 0.0 and float(r[3]) <= 1e-3 for r in rows)
 
 
+def test_cli_bench_computes_through_the_operator_table(tmp_path, capsys, monkeypatch):
+    """bench takes both engines' frac-gradient from the table op uses: the
+    table's entries see every call, direct engine first."""
+    direct, periodic = OPERATORS["frac-gradient"]
+    calls = []
+
+    def spy_direct(*args):
+        calls.append("direct")
+        return direct(*args)
+
+    def spy_periodic(*args):
+        calls.append("spectral")
+        return periodic(*args)
+
+    monkeypatch.setitem(OPERATORS, "frac-gradient", (spy_direct, spy_periodic))
+    rc, err = run_main(capsys, "bench", "--config", CONFIG_DIR / "bench_gaussian.toml",
+                       "--out", tmp_path)
+    assert rc == 0, err
+    assert calls == ["direct", "spectral"]
+
+
 @pytest.mark.parametrize("engine", ["direct", "spectral"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("operator", sorted(OPERATORS))

@@ -7,9 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from fracfield import analytic, verify
 from fracfield.analytic import make_delta_pair, spectral_gradient_of
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import ScalarField, cutoff, gaussian, gaussian_vector
+from fracfield.quadrature import QuadratureConfig, _ball_radial_rule, _gauss, panel_radial_rule
 from fracfield.spectral import _cached_frac_derivative
 from fracfield.verify import (
     TolerancePolicy,
@@ -149,6 +151,89 @@ def test_ball_ibp_raises_no_warning(cfg, gauss_vec2d, r):
         warnings.simplefilter("error")
         rep = check_ball_ibp(gauss_vec2d, gaussian((0.4, 0.2)), np.zeros(2), r, 0.5, cfg)
     assert rep.passed
+
+
+# odd counts, so coarsened() floors them (5 -> 2, 9 -> 4) and a coarse level
+# counted any other way (2 * 5, 5 - 2, 9) shows
+ODD_CFG = QuadratureConfig(near_radial_nodes=9, mid_panel_nodes=5, mid_angular_nodes=20)
+
+
+def _polar_rules(monkeypatch, run):
+    """(radii, angular node count) of every polar rule `run()` builds through
+    `_polar_rule` as bound in verify and analytic, in call order."""
+    calls = []
+    for mod in (verify, analytic):
+        def spy(n, r, w_r, m_ang, k=0.0, inner=mod._polar_rule):
+            calls.append((r.shape[0], m_ang))
+            return inner(n, r, w_r, m_ang, k)
+        monkeypatch.setattr(mod, "_polar_rule", spy)
+    run()
+    return calls
+
+
+def _levels(rule):
+    """rule(q) at ODD_CFG, then at its coarsened config."""
+    return [rule(ODD_CFG), rule(ODD_CFG.coarsened())]
+
+
+def test_fine_coarse_evaluates_cfg_then_its_coarsening():
+    seen = []
+
+    def rule(q):
+        seen.append(q)
+        return (lambda pts: (np.ones(len(pts)), np.zeros(len(pts))),
+                *_gauss(0.0, 1.0, q.mid_panel_nodes), q.mid_angular_nodes)
+
+    val, est = verify._fine_coarse(np.zeros(2), rule, ODD_CFG)
+    assert seen == [ODD_CFG, ODD_CFG.coarsened()]
+    assert val == pytest.approx(np.pi, rel=1e-13)  # the unit disk's area
+    assert est <= 1e-13
+
+
+def test_polar_integral_levels_are_cfg_and_its_coarsening(monkeypatch):
+    R = 3.0
+    calls = _polar_rules(monkeypatch, lambda: verify.polar_integral(
+        lambda pts: (np.ones(len(pts)), np.zeros(len(pts))), 2, R, ODD_CFG))
+    assert calls == _levels(lambda q: (
+        len(_ball_radial_rule(R / 64.0, R, q.mid_panel_growth, q.mid_panel_nodes)[0]),
+        q.mid_angular_nodes))
+
+
+def test_duality_pairing_pole_levels_are_cfg_and_its_coarsening(monkeypatch):
+    pf = make_delta_pair((0.0, 0.0), (1.0, 0.0), 0.5)
+    calls = _polar_rules(monkeypatch, lambda: analytic.duality_pairing(
+        pf, gaussian((0.4, 0.2)), ODD_CFG))
+    assert calls == _levels(lambda q: (2 * q.near_radial_nodes, 2 * q.mid_angular_nodes))
+
+
+def test_ball_ibp_terms_take_levels_cfg_and_its_coarsening(monkeypatch, gauss_vec2d):
+    """Terms 1-4 of the ball check each build the rule of the config, then
+    the rule of its coarsening; term 3's inner nonlocal gradient follows
+    the level it serves."""
+    r, xi = 1.0, gaussian((0.4, 0.2))
+    s0, s_min = min(r, 1.0), r * 2.0**-12
+    inner_cfgs = []
+    nl = verify.nl_gradient_ball
+    monkeypatch.setattr(verify, "nl_gradient_ball",
+                        lambda *args: inner_cfgs.append(args[-1]) or nl(*args))
+    calls = _polar_rules(monkeypatch, lambda: check_ball_ibp(
+        gauss_vec2d, xi, np.zeros(2), r, 0.5, ODD_CFG))
+
+    def panels(a, b, growth, m):
+        return len(panel_radial_rule(a, b, growth, m)[0])
+
+    ball = _levels(lambda q: (4 * q.mid_panel_nodes, q.mid_angular_nodes))
+    sphere = _levels(lambda q: (
+        4 * q.near_radial_nodes + panels(r + s0, xi.support_radius + 1.0,
+                                         q.mid_panel_growth, q.mid_panel_nodes),
+        q.mid_angular_nodes))
+    nonlocal_ = _levels(lambda q: (
+        panels(s_min, r, 2.0, q.mid_panel_nodes) + 2 + panels(s_min, s0, 2.0, q.mid_panel_nodes)
+        + panels(r + s0, gauss_vec2d.support_radius + 1.0, q.mid_panel_growth,
+                 q.mid_panel_nodes),
+        q.mid_angular_nodes))
+    assert calls == ball + sphere + nonlocal_ + ball
+    assert inner_cfgs == [ODD_CFG, ODD_CFG.coarsened()]
 
 
 def test_decay_scan_radius_rescaling_invariance(cfg):
