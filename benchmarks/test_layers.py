@@ -1,5 +1,5 @@
-"""Layer microbenchmarks: field evaluation, the direct engine's passes and
-the spectral embedding.
+"""Layer microbenchmarks: field evaluation, the direct engine's passes, the
+spectral embedding and operators.
 
 Run from the repository root (pytest-benchmark comes with the `test` extra):
 
@@ -23,7 +23,11 @@ Points inside the support run only the near/mid polar passes (fine and
 coarse); points beyond support + 1 run only the far-source rule.
 
 `embed` is timed on the Gaussians above at 1024^2 and on their R^3
-counterparts at 128^3; it evaluates only the index box of the support.
+counterparts at 128^3; it evaluates only the index box of the support. The
+four spectral operators are timed on those Gaussians embedded at 1024^2
+(the vector one for the divergence), and the fractional gradient also at
+128^3, as in perfbench's `spectral-grid`; `extra_info["workers"]` is the
+size of the thread pool their per-component transforms run on.
 
 The verifier benchmarks time one layer on the exact inputs of a default
 suite check, captured by running the check's own code once:
@@ -36,12 +40,18 @@ gradient already cached.
 import numpy as np
 import pytest
 
-from fracfield import verify
+from fracfield import spectral, verify
 from fracfield.analytic import duality_pairing, make_convolved, nl_gradient_ball
 from fracfield.fields import gaussian, gaussian_vector
 from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import QuadratureConfig, frac_divergence_batch, frac_gradient_batch
-from fracfield.spectral import embed
+from fracfield.spectral import (
+    embed,
+    spectral_frac_divergence,
+    spectral_frac_gradient,
+    spectral_riesz_potential,
+    spectral_riesz_transform,
+)
 
 BLOCK = (1000, 25, 40, 2)  # 1M points in R^2
 EVALS = BLOCK[0] * BLOCK[1] * BLOCK[2]
@@ -119,6 +129,31 @@ FIELDS_3D = {
 def test_embed_128_3d(benchmark, name):
     out = benchmark(embed, FIELDS_3D[name], 16.0, 128)
     assert out.data.shape == (3,) * out.vector + (128, 128, 128)
+
+
+SPECTRAL_OPS = {
+    "frac_gradient": (lambda pf: spectral_frac_gradient(pf, 0.5), "gaussian"),
+    "frac_divergence": (lambda pf: spectral_frac_divergence(pf, 0.5), "gaussian_vector"),
+    "riesz_potential": (lambda pf: spectral_riesz_potential(pf, 0.5), "gaussian"),
+    "riesz_transform": (spectral_riesz_transform, "gaussian"),
+}
+
+
+def _spectral_op(benchmark, op, pf):
+    out = benchmark(SPECTRAL_OPS[op][0], pf)
+    benchmark.extra_info["workers"] = spectral._cpus()  # the fan-out pool's size
+    assert np.all(np.isfinite(out.data))
+
+
+# a Gaussian's mean is not small: the documented constant-bias warning
+@pytest.mark.filterwarnings("ignore:Riesz potential input has a non-negligible mean")
+@pytest.mark.parametrize("op", SPECTRAL_OPS)
+def test_spectral_op(benchmark, op):
+    _spectral_op(benchmark, op, embed(FIELDS[SPECTRAL_OPS[op][1]], 16.0, 1024))
+
+
+def test_spectral_op_128_3d(benchmark):
+    _spectral_op(benchmark, "frac_gradient", embed(FIELDS_3D["gaussian"], 16.0, 128))
 
 
 def _first_calls(name, run):

@@ -88,13 +88,20 @@ class QuadratureConfig:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)!r}")
 
     def coarsened(self) -> "QuadratureConfig":
-        return replace(
-            self,
-            near_radial_nodes=max(4, self.near_radial_nodes // 2),
-            near_angular_nodes=max(4, self.near_angular_nodes // 2),
-            mid_angular_nodes=max(4, self.mid_angular_nodes // 2),
-            mid_panel_nodes=max(2, self.mid_panel_nodes // 2),
-        )
+        """The error estimate's coarse level: half the node counts, floored."""
+        return _coarsened(self)
+
+
+@lru_cache(maxsize=64)
+def _coarsened(cfg: QuadratureConfig) -> QuadratureConfig:
+    """Built once per config (frozen, so equal configs share the entry)."""
+    return replace(
+        cfg,
+        near_radial_nodes=max(4, cfg.near_radial_nodes // 2),
+        near_angular_nodes=max(4, cfg.near_angular_nodes // 2),
+        mid_angular_nodes=max(4, cfg.mid_angular_nodes // 2),
+        mid_panel_nodes=max(2, cfg.mid_panel_nodes // 2),
+    )
 
 
 def _read_only(*arrays: Array) -> tuple[Array, ...]:

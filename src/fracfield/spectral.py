@@ -15,15 +15,25 @@ scaled by 1/L_i (cycles per unit length), multipliers use the angular form
 The zero mode is always forced to 0 (the increment operators annihilate
 constants; the torus symbol is singular there). Nyquist planes are zeroed for
 the odd (i k_j) symbol components so real fields map to real fields.
+
+The per-component steps of a gradient, divergence or Riesz transform run
+concurrently on one thread pool, created on first use with a worker per
+usable CPU; numpy's FFTs release the GIL. Steps stay inline on a pool worker
+or a `verify.run_suite` worker, so parallelism never nests, and a forked
+child starts a pool of its own. Every output has the bits of the serial
+loop at any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -146,13 +156,74 @@ def _freq_grids(grid: GridSpec) -> tuple[tuple[Array, ...], Array]:
     return tuple(ks), mag
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None  # the fan-out executor from first use on; False on one CPU
+_pool_lock = threading.Lock()
+_fan_out_thread = threading.local()
+
+
+def _serial_thread() -> None:
+    """Mark the calling thread as a fan-out worker: the spectral steps it
+    runs stay inline, so parallelism never nests. The initializer of this
+    module's pool and of `verify.run_suite`'s."""
+    _fan_out_thread.worker = True
+
+
+def _drop_pool() -> None:
+    """In a forked child the parent's pool threads do not exist; start over."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # elsewhere there is no fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor():
+    """The module's thread pool, one worker per usable CPU, created on first
+    use; None when there is one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = _cpus()
+            if workers > 1:
+                # imported here: importing the package loads and starts nothing new
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = ThreadPoolExecutor(workers, thread_name_prefix="fracfield-fft",
+                                           initializer=_serial_thread)
+            else:
+                _pool = False
+        return _pool or None
+
+
+def _fan_out(step, n: int) -> list:
+    """[step(0), ..., step(n - 1)], run on the module's thread pool, or
+    inline when n is 1, there is one CPU, or the caller is itself a fan-out
+    worker. numpy's FFTs release the GIL, so the steps overlap; each writes
+    only its own arrays, so the bits do not depend on the thread count."""
+    pool = None if n == 1 or getattr(_fan_out_thread, "worker", False) else _executor()
+    return list(map(step, range(n)) if pool is None else pool.map(step, range(n)))
+
+
 def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicField:
     """The spectral engine's one driver: multiply by |2 pi k|^power.
 
     With `gradient`, component j also takes the factor 2 pi i k_j and has its
     Nyquist plane zeroed; a scalar input then gives the n-vector of
-    components and a vector input is contracted (the divergence), summed in
-    place. The zero mode is always set to 0.
+    components and a vector input is contracted (the divergence), its
+    component spectra summed in j order. The zero mode is always set to 0.
+    The per-component steps run through `_fan_out`: symbol and inverse
+    transform of each gradient component, forward transform and symbol of
+    each divergence component. Each step transforms in place in an array of
+    its own, so a step holds one spectrum however many run at once.
     """
     grid = f.grid
     ks, mag = _freq_grids(grid)
@@ -160,25 +231,39 @@ def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicFie
         amp = mag ** power
     amp[(0,) * grid.n] = 0.0  # mag vanishes only at the zero mode
     axes = tuple(range(grid.n))
-    spec = None if f.vector else np.fft.rfftn(f.data)
-    comps, acc = [], None
-    for j in range(grid.n) if gradient else (None,):
-        sj = np.fft.rfftn(f.data[j]) if f.vector else spec
+
+    def symbol(sj, j, out=None):
+        """sj times component j's symbol (j None: |2 pi k|^power alone)."""
+        sj = np.multiply(sj, amp if j is None else 2j * math.pi * ks[j], out=out)
         if j is not None:
-            sj = sj * (2j * math.pi * ks[j])
-        sj = sj * amp
+            sj *= amp
         sj[(0,) * grid.n] = 0.0
         if j is not None:
             sj[(slice(None),) * j + (grid.counts[j] // 2,)] = 0.0
-        if not f.vector:
-            comps.append(np.fft.irfftn(sj, s=grid.counts, axes=axes))
-        elif acc is None:
-            acc = sj
-        else:
-            acc += sj
-    if f.vector:
+        return sj
+
+    if f.vector:  # the divergence
+        def part(j):
+            sj = np.fft.rfftn(f.data[j], axes=axes, out=np.empty(amp.shape, dtype=complex))
+            return symbol(sj, j, out=sj)
+
+        # summed in j order; only the sum outlives the reduction
+        acc = reduce(operator.iadd, _fan_out(part, grid.n))
         return PeriodicField(grid, np.fft.irfftn(acc, s=grid.counts, axes=axes))
-    return PeriodicField(grid, np.stack(comps) if gradient else comps[0])
+    spec = np.fft.rfftn(f.data)
+    if not gradient:
+        return PeriodicField(grid, np.fft.irfftn(symbol(spec, None, out=spec),
+                                                 s=grid.counts, axes=axes))
+    out = np.empty((grid.n,) + grid.counts)
+
+    def component(j):
+        sj = symbol(spec, j)  # its own array: spec is shared
+        for ax in axes[:-1]:  # irfftn's passes, in place
+            np.fft.ifft(sj, axis=ax, out=sj)
+        np.fft.irfft(sj, n=grid.counts[-1], axis=-1, out=out[j])
+
+    _fan_out(component, grid.n)
+    return PeriodicField(grid, out)
 
 
 def spectral_frac_gradient(f: PeriodicField, alpha: float) -> PeriodicField:

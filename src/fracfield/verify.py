@@ -61,6 +61,7 @@ from .special import FracParams, mu_const, sphere_area
 from .spectral import (
     PeriodicField,
     _cached_frac_derivative,
+    _serial_thread,
     embed,
     random_band_limited,
     spectral_frac_gradient,
@@ -794,7 +795,10 @@ def default_suite_registry(cfg: QuadratureConfig, seed: int = 0) -> dict[str, Ca
 
 def run_suite(cfg: Optional[QuadratureConfig] = None, seed: int = 0,
               jobs: int = 1, names: Optional[Sequence[str]] = None) -> list[VerifyReport]:
-    """Run the default battery (optionally filtered by name substring)."""
+    """Run the default battery (optionally filtered by name substring).
+
+    With jobs > 1 the checks run on that many threads, and each check's
+    spectral transforms stay on its own thread (`spectral._serial_thread`)."""
     cfg = cfg or QuadratureConfig()
     reg = default_suite_registry(cfg, seed=seed)
     selected = {
@@ -806,6 +810,6 @@ def run_suite(cfg: Optional[QuadratureConfig] = None, seed: int = 0,
     if jobs <= 1:
         reports = [thunk() for thunk in selected.values()]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs, initializer=_serial_thread) as pool:
             reports = list(pool.map(lambda kv: kv[1](), selected.items()))
     return sorted(reports, key=lambda r: r.name)

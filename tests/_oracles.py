@@ -20,6 +20,7 @@ from fracfield.quadrature import (
     sphere_rule,
 )
 from fracfield.special import mu_const
+from fracfield.spectral import PeriodicField, _freq_grids
 
 Array = np.ndarray
 
@@ -192,3 +193,34 @@ def pole_field_divergence(pole_field, x, cfg: QuadratureConfig):
         corr += float(np.einsum("ra,r,a->", S, wr, w_ang))
     value = base[0] + mu * corr
     return value, base_err[0] + 1e-3 * abs(mu * corr) + 1e-12
+
+
+def serial_apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicField:
+    """`spectral._apply_symbol` as one serial loop over components, each taking
+    fresh arrays from `np.fft.rfftn`/`irfftn`: the reference for the engine's
+    fanned-out, in-place steps."""
+    grid = f.grid
+    ks, mag = _freq_grids(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = mag ** power
+    amp[(0,) * grid.n] = 0.0
+    axes = tuple(range(grid.n))
+    spec = None if f.vector else np.fft.rfftn(f.data)
+    comps, acc = [], None
+    for j in range(grid.n) if gradient else (None,):
+        sj = np.fft.rfftn(f.data[j]) if f.vector else spec
+        if j is not None:
+            sj = sj * (2j * math.pi * ks[j])
+        sj = sj * amp
+        sj[(0,) * grid.n] = 0.0
+        if j is not None:
+            sj[(slice(None),) * j + (grid.counts[j] // 2,)] = 0.0
+        if not f.vector:
+            comps.append(np.fft.irfftn(sj, s=grid.counts, axes=axes))
+        elif acc is None:
+            acc = sj
+        else:
+            acc += sj
+    if f.vector:
+        return PeriodicField(grid, np.fft.irfftn(acc, s=grid.counts, axes=axes))
+    return PeriodicField(grid, np.stack(comps) if gradient else comps[0])

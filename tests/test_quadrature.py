@@ -176,6 +176,23 @@ def test_config_validation():
         QuadratureConfig(far_cutoff=0.1, near_radius=0.2)
 
 
+@pytest.mark.parametrize("cfg", [
+    QuadratureConfig(),
+    QuadratureConfig(near_radial_nodes=9, near_angular_nodes=5, mid_angular_nodes=7,
+                     mid_panel_nodes=3, far_cutoff=4.0),
+])
+def test_coarsened_is_built_once_per_config(cfg):
+    """Half the node counts with their floors, as a replace of cfg would
+    build them, and the same object on every call."""
+    want = replace(cfg, near_radial_nodes=max(4, cfg.near_radial_nodes // 2),
+                   near_angular_nodes=max(4, cfg.near_angular_nodes // 2),
+                   mid_angular_nodes=max(4, cfg.mid_angular_nodes // 2),
+                   mid_panel_nodes=max(2, cfg.mid_panel_nodes // 2))
+    assert cfg.coarsened() == want
+    assert cfg.coarsened() is cfg.coarsened()
+    assert replace(cfg).coarsened() is cfg.coarsened()  # keyed on the value
+
+
 # ---------------------------------------------------------------------------
 # trivial structure
 
