@@ -141,7 +141,7 @@ SPECTRAL_OPS = {
 
 def _spectral_op(benchmark, op, pf):
     out = benchmark(SPECTRAL_OPS[op][0], pf)
-    benchmark.extra_info["workers"] = spectral._cpus()  # the fan-out pool's size
+    benchmark.extra_info["workers"] = spectral._cpus()  # threads per fanned-out call, at most
     assert np.all(np.isfinite(out.data))
 
 

@@ -31,17 +31,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing, _window
+from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing, _window, mollifier
 from .measures import RadonMeasure
 from .quadrature import (
     QuadratureConfig,
     _blocks,
-    _gauss,
     _polar_rule,
     singular_radial_rule,
     sphere_rule,
 )
-from .special import _mu_raw, mu_const, omega_const
+from .special import _gauss, _mu_raw, mu_const, omega_const
 from .spectral import _BOX, PeriodicField, _cached_frac_derivative
 
 Array = np.ndarray
@@ -356,8 +355,6 @@ def _mollified_kernel_profile(n: int, alpha: float, eps: float) -> tuple[Array, 
     inside the mollifier support, plain Gauss-Legendre outside) and consumed
     through linear interpolation.
     """
-    from .fields import mollifier
-
     rho = mollifier(eps, n)
     mu_minus = _mu_raw(n, -alpha)
     ts = np.linspace(0.0, _PROFILE_T_MAX, int(_PROFILE_T_MAX / 2.5e-3) + 2)

@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_dict({**load_config(args.config), **overrides}, kind=args.kind)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return globals()[f"run_{cfg.kind}"](cfg, out_dir, **cfg.params)
+        return _RUNNERS[cfg.kind](cfg, out_dir, **cfg.params)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -209,6 +209,11 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, field, alpha, points, seed, 
     print(f"wrote {path} (direct {seconds['direct']:.2f}s, spectral {seconds['spectral']:.2f}s, "
           f"max rel disagreement {worst:.2e})")
     return 0
+
+
+# kind -> its runner, called as runner(cfg, out_dir, **cfg.params)
+_RUNNERS = {"op": run_op, "verify": run_verify, "convergence": run_convergence,
+            "decay": run_decay, "bench": run_bench}
 
 
 if __name__ == "__main__":

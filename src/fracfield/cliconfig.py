@@ -29,7 +29,6 @@ from .measures import RadonMeasure
 from . import quadrature, spectral
 from .quadrature import QuadratureConfig
 
-KINDS = ("op", "verify", "convergence", "decay", "bench")
 ENGINES = ("direct", "spectral")
 # operator name -> (direct, spectral), called as direct(field, order, points,
 # quadrature_config) and spectral(periodic_field, order); the transform has no
@@ -246,7 +245,7 @@ class ExperimentConfig:
         obj = cls(kind=cfg_kind, raw=data, jobs=_read(data, "jobs", _int, 1, _at_least(1)),
                   out_dir=_read(data, "out", str, "."))
         section = _table(data, cfg_kind)
-        obj.params = getattr(obj, f"_parse_{cfg_kind}")(section)
+        obj.params = cls._PARSERS[cfg_kind](obj, section)
         section.check_read()
         data.check_read()
         return obj
@@ -343,6 +342,10 @@ class ExperimentConfig:
                 "seed": self._seed(), "quadrature": self._quadrature(),
                 "spectral": self._spectral(field.n)}
 
+    # kind -> the parser of its section; not annotated, so not a field
+    _PARSERS = {"op": _parse_op, "verify": _parse_verify, "convergence": _parse_convergence,
+                "decay": _parse_decay, "bench": _parse_bench}
+
     # -- normalization ------------------------------------------------------
 
     def normalized(self) -> dict:
@@ -353,3 +356,6 @@ class ExperimentConfig:
 
     def serialize(self) -> str:
         return json.dumps(self.normalized(), sort_keys=True, indent=2)
+
+
+KINDS = tuple(ExperimentConfig._PARSERS)

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .special import sphere_area
+from .special import _gauss, sphere_area
 
 Array = np.ndarray
 
@@ -325,8 +325,6 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
 @lru_cache(maxsize=1)
 def _bump_normalizer(n: int) -> float:
     """1 / integral_{B_1} exp(-1/(1-|x|^2)) dx, via radial Gauss-Legendre."""
-    from .quadrature import _gauss  # local import: quadrature depends on this module
-
     r, wr = _gauss(0.0, 1.0, 200)
     prof = np.exp(-1.0 / (1.0 - r**2))
     integral = sphere_area(n) * float(np.sum(prof * r ** (n - 1) * wr))

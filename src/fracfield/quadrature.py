@@ -25,8 +25,8 @@ of the driver `_run_op` with its kernel order, constant and integrand kind;
 it takes one point of shape (n,) or a batch of shape (m, n) and returns
 `(values, estimates)` with one row per point.
 
-Every polar rule of the package comes from one builder here: `_gauss` maps
-Gauss-Legendre onto [a, b], and `_polar_rule` tensors radii with the
+Every polar rule of the package comes from one builder here: `special._gauss`
+maps Gauss-Legendre onto [a, b], and `_polar_rule` tensors radii with the
 `sphere_rule` directions into offsets r*omega and weights (w_r x w_omega) r^k.
 The engine's passes, the verifier's ball integrals, the analytic library's
 pole and profile integrals and the Besov seminorm all take their nodes from
@@ -43,8 +43,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import GridSpec, ScalarField, VectorField, _inner
-from .special import mu_const, riesz_potential_const, riesz_transform_const, sphere_area
+from .fields import ScalarField, VectorField, _inner
+from .special import (_gauss, _leggauss, _read_only, mu_const, riesz_potential_const,
+                      riesz_transform_const, sphere_area)
 
 Array = np.ndarray
 
@@ -104,19 +105,6 @@ def _coarsened(cfg: QuadratureConfig) -> QuadratureConfig:
     )
 
 
-def _read_only(*arrays: Array) -> tuple[Array, ...]:
-    """The arrays, frozen: a cached rule is shared by every later call."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=128)
-def _leggauss(m: int) -> tuple[Array, Array]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    return _read_only(*np.polynomial.legendre.leggauss(int(m)))
-
-
 @lru_cache(maxsize=128)
 def sphere_rule(n: int, m: int) -> tuple[Array, Array]:
     """Directions and weights integrating over S^(n-1) (weights sum to its
@@ -148,14 +136,6 @@ def sphere_rule(n: int, m: int) -> tuple[Array, Array]:
         w = np.outer(wc, np.full(m, 2.0 * math.pi / m)).ravel()
         return _read_only(dirs, w)
     raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-
-
-def _gauss(a, b, m: int) -> tuple[Array, Array]:
-    """m Gauss-Legendre nodes and weights on [a, b]. The ends broadcast
-    against the nodes: ends of shape (..., 1) give one rule per entry."""
-    t, wt = _leggauss(m)
-    half = 0.5 * (b - a)
-    return half * (t + 1.0) + a, half * wt
 
 
 def singular_radial_rule(r_max: float, rho: float, m: int) -> tuple[Array, Array]:
@@ -559,32 +539,3 @@ def riesz_potential_batch(f: ScalarField, beta: float, x, cfg: QuadratureConfig)
 def riesz_transform_batch(f: ScalarField, x, cfg: QuadratureConfig):
     """Vector Riesz transform: principal value via symmetric increment shells."""
     return _run_op((f,), None, x, 0.0, riesz_transform_const(f.n), cfg)
-
-
-# ---------------------------------------------------------------------------
-# derived fields for nested evaluation
-
-def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig) -> ScalarField:
-    """I_beta f as a ScalarField whose evaluator runs the batched quadrature.
-
-    The decay hint (potential of finite mass) is |I f|(x) <= const * ||f||_1
-    * |x|^(beta-n) far out, with ||f||_1 from a quick midpoint estimate.
-    """
-    from .norms import lp_norm  # local import: norms depends on this module
-
-    n = f.n
-    S = f.support_radius if f.support_radius is not None else 8.0
-    l1_bound = lp_norm(f, 1.0, GridSpec((-S,) * n, (S,) * n, (128,) * n))
-    const = riesz_potential_const(n, beta)
-
-    def fn(pts: Array) -> Array:
-        P = pts.reshape(-1, n)
-        vals, _ = riesz_potential_batch(f, beta, P, cfg)
-        return vals.reshape(pts.shape[:-1])
-
-    return ScalarField(
-        n=n,
-        fn=fn,
-        decay=(1.5 * const * l1_bound, n - beta),
-        cache_token=None if f.cache_token is None else f"I_{beta}({f.cache_token})",
-    )

@@ -2,15 +2,43 @@
 
 Everything downstream multiplies by these constants. The gamma function is
 the standard library's `math.gamma` behind a positive-axis guard, accurate to
-about 1e-15 relative, far below any quadrature error in the package.
+about 1e-15 relative, far below any quadrature error in the package. The
+Gauss-Legendre rule every radial integral is built from lives here too, so
+`fields` and `quadrature` both take it from a module that imports neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
+
+Array = np.ndarray
+
+
+def _read_only(*arrays: Array) -> tuple[Array, ...]:
+    """The arrays, frozen: a cached rule is shared by every later call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=128)
+def _leggauss(m: int) -> tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(int(m)))
+
+
+def _gauss(a, b, m: int) -> tuple[Array, Array]:
+    """m Gauss-Legendre nodes and weights on [a, b]. The ends broadcast
+    against the nodes: ends of shape (..., 1) give one rule per entry."""
+    t, wt = _leggauss(m)
+    half = 0.5 * (b - a)
+    return half * (t + 1.0) + a, half * wt
 
 
 def gamma_fn(x: float) -> float:

@@ -17,11 +17,12 @@ constants; the torus symbol is singular there). Nyquist planes are zeroed for
 the odd (i k_j) symbol components so real fields map to real fields.
 
 The per-component steps of a gradient, divergence or Riesz transform run
-concurrently on one thread pool, created on first use with a worker per
-usable CPU; numpy's FFTs release the GIL. Steps stay inline on a pool worker
-or a `verify.run_suite` worker, so parallelism never nests, and a forked
-child starts a pool of its own. Every output has the bits of the serial
-loop at any worker count.
+concurrently on threads that live for one call, one per component up to the
+usable CPUs; numpy's FFTs release the GIL. Steps stay inline on such a
+thread or a `verify.run_suite` worker, so parallelism never nests. No thread
+outlives a call, so there is no shared state to guard or to rebuild in a
+forked child. Every output has the bits of the serial loop at any worker
+count.
 """
 
 from __future__ import annotations
@@ -164,53 +165,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # the fan-out executor from first use on; False on one CPU
-_pool_lock = threading.Lock()
 _fan_out_thread = threading.local()
 
 
 def _serial_thread() -> None:
     """Mark the calling thread as a fan-out worker: the spectral steps it
-    runs stay inline, so parallelism never nests. The initializer of this
-    module's pool and of `verify.run_suite`'s."""
+    runs stay inline, so parallelism never nests. The initializer of
+    `_fan_out`'s threads and of `verify.run_suite`'s."""
     _fan_out_thread.worker = True
 
 
-def _drop_pool() -> None:
-    """In a forked child the parent's pool threads do not exist; start over."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # elsewhere there is no fork
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """The module's thread pool, one worker per usable CPU, created on first
-    use; None when there is one CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = _cpus()
-            if workers > 1:
-                # imported here: importing the package loads and starts nothing new
-                from concurrent.futures import ThreadPoolExecutor
-
-                _pool = ThreadPoolExecutor(workers, thread_name_prefix="fracfield-fft",
-                                           initializer=_serial_thread)
-            else:
-                _pool = False
-        return _pool or None
-
-
 def _fan_out(step, n: int) -> list:
-    """[step(0), ..., step(n - 1)], run on the module's thread pool, or
-    inline when n is 1, there is one CPU, or the caller is itself a fan-out
-    worker. numpy's FFTs release the GIL, so the steps overlap; each writes
-    only its own arrays, so the bits do not depend on the thread count."""
-    pool = None if n == 1 or getattr(_fan_out_thread, "worker", False) else _executor()
-    return list(map(step, range(n)) if pool is None else pool.map(step, range(n)))
+    """[step(0), ..., step(n - 1)], run on min(n, usable CPUs) threads that
+    live for this call, or inline when n is 1, there is one CPU, or the
+    caller is itself a fan-out worker. numpy's FFTs release the GIL, so the
+    steps overlap; each writes only its own arrays, so the bits do not
+    depend on the thread count."""
+    workers = 1 if n == 1 or getattr(_fan_out_thread, "worker", False) else min(n, _cpus())
+    if workers == 1:
+        return list(map(step, range(n)))
+    # imported here: importing the package loads and starts nothing new
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="fracfield-fft",
+                            initializer=_serial_thread) as pool:
+        return list(pool.map(step, range(n)))
 
 
 def _apply_symbol(f: PeriodicField, power: float, gradient: bool) -> PeriodicField:

@@ -46,18 +46,16 @@ from .norms import besov_seminorm, lp_norm
 from .quadrature import (
     QuadratureConfig,
     _ball_radial_rule,
-    _gauss,
     _polar_rule,
     frac_divergence_batch,
     frac_gradient_batch,
     nl_divergence_batch,
     panel_radial_rule,
     riesz_potential_batch,
-    riesz_potential_field,
     singular_radial_rule,
     sphere_rule,
 )
-from .special import FracParams, mu_const, sphere_area
+from .special import FracParams, _gauss, mu_const, riesz_potential_const, sphere_area
 from .spectral import (
     PeriodicField,
     _cached_frac_derivative,
@@ -492,17 +490,28 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     expect: "floor" asserts slope >= n/q - alpha - 0.1; "flat" asserts
     |slope| <= 0.05 (the no-absolute-continuity regime); "exponent" asserts
     |slope - target| <= 0.05 (self-similar measures). params["masses"] holds
-    the ball masses the slope is fitted to.
+    the ball masses the slope is fitted to. Another `expect`, a missing
+    target, fewer than 3 distinct positive radii or a center of another
+    dimension than the source raise ConfigError before anything is computed.
 
     A remark, not a computation: the same ball-mass bound forces a
     nonnegative divergence measure to vanish identically in the subcritical
     range (the exponent is negative, so letting r grow kills the total mass);
     that rigidity is a pure consequence and is not exercised numerically.
     """
+    if expect not in ("floor", "flat", "exponent"):
+        raise ConfigError(f"expect must be 'floor', 'flat' or 'exponent', got {expect!r}")
+    if expect == "exponent" and target is None:
+        raise ConfigError("expect='exponent' needs a target slope")
+    radii = np.asarray(radii, dtype=float)
+    if not (radii.ndim == 1 and radii.size >= 3 and np.all(radii > 0)
+            and np.unique(np.log(radii)).size == radii.size):  # distinct logs: finite slopes
+        raise ConfigError(f"radii must hold at least 3 distinct positive radii, got {radii}")
     c = np.asarray(center, dtype=float)
+    if c.shape != (source.n,):
+        raise ConfigError(f"center must have the source's {source.n} coordinates, got {center!r}")
     n = c.shape[0]
     floor = FracParams(alpha, n, p).decay_exponent_floor()
-    radii = np.asarray(radii, dtype=float)
     if isinstance(source, RadonMeasure):
         meas = source.abs()
     elif hasattr(source, "measure"):
@@ -524,8 +533,6 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
     if np.any(masses <= 0):
         raise ConfigError("ball masses must be positive on the radius list")
     slope = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
-    if expect == "exponent" and target is None:
-        raise ConfigError("expect='exponent' needs a target slope")
     rhs = {"flat": 0.0, "exponent": target, "floor": floor}[expect]
     params = {"alpha": alpha, "n": n, "p": p, "center": tuple(c.tolist()),
               "radii": [float(r) for r in radii], "expect": expect,
@@ -598,6 +605,31 @@ def check_semigroup_spectral() -> VerifyReport:
     diff = float(np.max(np.abs(a.data - b.data)))
     return _report("semigroup_spectral", {"orders": [0.3, 0.4], "grid": "16/1024"},
                    diff, 0.0, 0.0, policy, scale=1.0)
+
+
+def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig) -> ScalarField:
+    """I_beta f as a ScalarField whose evaluator runs the batched quadrature.
+
+    The decay hint (potential of finite mass) is |I f|(x) <= const * ||f||_1
+    * |x|^(beta-n) far out, with ||f||_1 from a quick midpoint estimate over
+    the box of half-width `_support(f)`.
+    """
+    n = f.n
+    S = _support(f)
+    l1_bound = lp_norm(f, 1.0, GridSpec((-S,) * n, (S,) * n, (128,) * n))
+    const = riesz_potential_const(n, beta)
+
+    def fn(pts: Array) -> Array:
+        P = pts.reshape(-1, n)
+        vals, _ = riesz_potential_batch(f, beta, P, cfg)
+        return vals.reshape(pts.shape[:-1])
+
+    return ScalarField(
+        n=n,
+        fn=fn,
+        decay=(1.5 * const * l1_bound, n - beta),
+        cache_token=None if f.cache_token is None else f"I_{beta}({f.cache_token})",
+    )
 
 
 def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:

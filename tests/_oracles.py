@@ -14,12 +14,11 @@ from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import ScalarField, VectorField, _dist2, _inner, _leading, _window
 from fracfield.quadrature import (
     QuadratureConfig,
-    _leggauss,
     frac_divergence_batch,
     singular_radial_rule,
     sphere_rule,
 )
-from fracfield.special import mu_const
+from fracfield.special import _leggauss, mu_const
 from fracfield.spectral import PeriodicField, _freq_grids
 
 Array = np.ndarray

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracfield import cli
 from fracfield.cli import main
-from fracfield.cliconfig import OPERATORS, ExperimentConfig, load_config
+from fracfield.cliconfig import KINDS, OPERATORS, ExperimentConfig, load_config
 from fracfield.errors import ConfigError
 from fracfield.fileio import config_digest, read_grid, write_grid, write_table
 
@@ -87,6 +88,12 @@ def test_spectral_rejects_pole_field():
             "op": {"operator": "frac-gradient", "field": "p", "alpha": 0.5}}
     with pytest.raises(ConfigError, match="smooth"):
         ExperimentConfig.from_dict(cfgd)
+
+
+def test_cli_runners_name_the_config_kinds():
+    """Every kind a config may name has a runner, and every runner a kind."""
+    assert sorted(cli._RUNNERS) == sorted(KINDS)
+    assert len(KINDS) == 5
 
 
 def test_grid_file_roundtrip(tmp_path):

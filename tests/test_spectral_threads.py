@@ -1,7 +1,8 @@
-"""The spectral engine's per-component steps on the thread pool: the same
-bits at any worker count, no nested parallelism, and a forked child that
-can still run them."""
+"""The spectral engine's per-component steps on threads that live for one
+call: the same bits at any worker count, no nested parallelism, no thread
+left behind, and a forked child that can still run them."""
 
+import concurrent.futures
 import os
 import signal
 import subprocess
@@ -47,20 +48,28 @@ def _field(n: int, vector: bool):
     return random_band_limited(grid, 3, seed=10 * n + vector, vector=vector)
 
 
-@pytest.fixture(params=["inline", "pool1", "pool2", "pool3"])
+@pytest.fixture
+def executors(monkeypatch):
+    """The worker counts of the executors `_fan_out` opens, in order."""
+    opened = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+@pytest.fixture(params=["marked", "cpus1", "cpus2", "cpus3"])
 def workers(request, monkeypatch):
-    """The fan-out as one CPU (steps inline), or as a fresh pool of 1, 2 or
-    3 workers; yields the pool, or None."""
-    pool = None
-    if request.param == "inline":
-        monkeypatch.setattr(spectral, "_cpus", lambda: 1)
-        monkeypatch.setattr(spectral, "_pool", None)
+    """The fan-out from a marked caller (steps inline), or with 1, 2 or 3
+    usable CPUs."""
+    if request.param == "marked":
+        monkeypatch.setattr(spectral._fan_out_thread, "worker", True, raising=False)
     else:
-        pool = ThreadPoolExecutor(int(request.param[-1]), initializer=spectral._serial_thread)
-        monkeypatch.setattr(spectral, "_pool", pool)
-    yield pool
-    if pool is not None:
-        pool.shutdown()
+        monkeypatch.setattr(spectral, "_cpus", lambda: int(request.param[-1]))
 
 
 @pytest.mark.parametrize("n", sorted(GRIDS))
@@ -74,11 +83,8 @@ def test_operators_match_the_serial_loop_bit_for_bit(workers, op, n):
     assert np.array_equal(got, want)
 
 
-def test_steps_run_on_the_pool_threads(monkeypatch):
-    """With two or more components every step runs on a pool worker; a
-    single component runs on the caller's thread."""
-    pool = ThreadPoolExecutor(2, thread_name_prefix="probe", initializer=spectral._serial_thread)
-    monkeypatch.setattr(spectral, "_pool", pool)
+def _spy_irfft(monkeypatch) -> list:
+    """The names of the threads that run each np.fft.irfft from now on."""
     seen = []
     irfft = np.fft.irfft
 
@@ -87,33 +93,32 @@ def test_steps_run_on_the_pool_threads(monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", spy)
-    try:
-        spectral_frac_gradient(_field(3, False), 0.5)
-        assert len(seen) == 3 and all(name.startswith("probe") for name in seen)
-        seen.clear()
-        spectral_frac_gradient(_field(1, False), 0.5)
-        assert seen == [threading.current_thread().name]
-    finally:
-        pool.shutdown()
+    return seen
 
 
-def test_concurrent_callers_share_one_pool_and_keep_their_bits(monkeypatch):
-    """Eight unmarked threads, more than the cores, race to build the pool
-    and then call the engine at once: one pool is built, and every result
-    equals the serial loop's."""
-    def slow_cpus():  # widens the window a check-then-act race would need
-        time.sleep(0.002)
-        return 2
+def test_steps_run_on_the_fan_out_threads(monkeypatch):
+    """With two or more components every step runs on a fan-out thread; a
+    single component runs on the caller's thread."""
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    seen = _spy_irfft(monkeypatch)
+    spectral_frac_gradient(_field(3, False), 0.5)
+    assert len(seen) == 3 and all(name.startswith("fracfield-fft") for name in seen)
+    seen.clear()
+    spectral_frac_gradient(_field(1, False), 0.5)
+    assert seen == [threading.current_thread().name]
 
-    monkeypatch.setattr(spectral, "_cpus", slow_cpus)
-    monkeypatch.setattr(spectral, "_pool", None)
+
+def test_concurrent_callers_keep_their_bits(monkeypatch):
+    """Eight unmarked threads, more than the cores, call the engine at once,
+    each fanning out on threads of its own: every result equals the serial
+    loop's."""
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     fields = [_field(3, False), _field(3, True)] * 4
     start = threading.Barrier(len(fields))
-    pools, results = [None] * len(fields), [None] * len(fields)
+    results = [None] * len(fields)
 
     def caller(i):
         start.wait(timeout=30)
-        pools[i] = spectral._executor()
         op = spectral_frac_divergence if fields[i].vector else spectral_frac_gradient
         results[i] = op(fields[i], 0.5).data
 
@@ -128,57 +133,71 @@ def test_concurrent_callers_share_one_pool_and_keep_their_bits(monkeypatch):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    try:
-        assert pools[0] is not None and all(p is pools[0] for p in pools)
-        for f, got in zip(fields, results):
-            assert np.array_equal(got, serial_apply_symbol(f, -0.5, True).data)
-    finally:
-        pools[0].shutdown()
+    for f, got in zip(fields, results):
+        assert np.array_equal(got, serial_apply_symbol(f, -0.5, True).data)
 
 
-def test_pool_is_sized_by_usable_cpus_and_built_once(monkeypatch):
-    monkeypatch.setattr(spectral, "_cpus", lambda: 3)
-    monkeypatch.setattr(spectral, "_pool", None)
-    pool = spectral._executor()
-    try:
-        assert pool._max_workers == 3
-        assert spectral._executor() is pool
-    finally:
-        pool.shutdown()
+@pytest.mark.parametrize("cpus,n,expected", [(3, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_fan_out_takes_a_thread_per_step_up_to_the_usable_cpus(monkeypatch, executors,
+                                                                cpus, n, expected):
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    assert spectral._fan_out(lambda j: j * j, n) == [j * j for j in range(n)]
+    assert executors == [expected]
 
 
-def test_one_cpu_runs_inline_without_a_pool(monkeypatch):
+def test_one_cpu_runs_inline_without_threads(monkeypatch, executors):
     monkeypatch.setattr(spectral, "_cpus", lambda: 1)
-    monkeypatch.setattr(spectral, "_pool", None)
+    seen = _spy_irfft(monkeypatch)
     spectral_frac_gradient(_field(2, False), 0.5)
-    assert spectral._pool is False and spectral._executor() is None
+    assert seen == [threading.current_thread().name] * 2
+    assert executors == []
 
 
-def test_a_marked_thread_never_starts_the_pool(monkeypatch):
-    """A thread marked by `_serial_thread` (run_suite's workers, the pool's
-    own) runs its steps inline: parallelism never nests."""
+def test_a_marked_thread_runs_its_steps_inline(monkeypatch, executors):
+    """A thread marked by `_serial_thread` (run_suite's workers, the
+    fan-out's own) runs its steps inline: parallelism never nests."""
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    monkeypatch.setattr(spectral, "_pool", None)
     f = _field(2, False)
-    with ThreadPoolExecutor(1, initializer=spectral._serial_thread) as outer:
+    seen = _spy_irfft(monkeypatch)
+    with ThreadPoolExecutor(1, thread_name_prefix="outer",
+                            initializer=spectral._serial_thread) as outer:
         got = outer.submit(spectral_frac_gradient, f, 0.5).result(timeout=60)
-    assert spectral._pool is None
+    assert len(seen) == 2 and all(name.startswith("outer") for name in seen)
+    assert executors == []
     assert np.array_equal(got.data, serial_apply_symbol(f, -0.5, True).data)
 
 
 def test_a_step_error_reaches_the_caller(monkeypatch):
-    pool = ThreadPoolExecutor(2, initializer=spectral._serial_thread)
-    monkeypatch.setattr(spectral, "_pool", pool)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
 
     def step(j):
         if j == 1:
             raise ValueError("step 1")
 
-    try:
-        with pytest.raises(ValueError, match="step 1"):
-            spectral._fan_out(step, 2)
-    finally:
-        pool.shutdown()
+    with pytest.raises(ValueError, match="step 1"):
+        spectral._fan_out(step, 2)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "raises"])
+def test_no_thread_outlives_a_fanned_out_call(monkeypatch, executors, fails):
+    """The threads are joined before `_fan_out` returns or raises, even
+    while another step is still running when one raises."""
+    monkeypatch.setattr(spectral, "_cpus", lambda: 3)
+
+    def step(j):
+        if j == 0 and fails:
+            raise ValueError("step 0")
+        time.sleep(0.05)
+        return j
+
+    before = threading.active_count()
+    if fails:
+        with pytest.raises(ValueError, match="step 0"):
+            spectral._fan_out(step, 3)
+    else:
+        assert spectral._fan_out(step, 3) == [0, 1, 2]
+    assert executors == [3]
+    assert threading.active_count() == before
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
@@ -191,34 +210,27 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads, Python >= 3.12
 def test_forked_child_runs_a_threaded_call(monkeypatch):
-    """The parent's pool threads do not exist in a forked child; the child
-    builds its own pool, and its first spectral call returns."""
+    """A child forked after the parent fanned out runs a fanned-out call of
+    its own and gets the parent's bits."""
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    monkeypatch.setattr(spectral, "_pool", None)
     f = _field(2, False)
     want = spectral_frac_gradient(f, 0.5).data
-    try:
-        both = threading.Barrier(2)  # the parent's pool runs two workers ...
-        list(spectral._pool.map(lambda _: both.wait(timeout=10), range(2)))
-        time.sleep(0.2)  # ... both idle: a stale pool would queue the child's work to them
-        pid = os.fork()
-        if pid == 0:  # the child: exit 0 only on the right answer, die on a hang
-            code = 1
-            try:
-                signal.alarm(10)
-                code = 0 if np.array_equal(spectral_frac_gradient(f, 0.5).data, want) else 1
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
-    finally:
-        spectral._pool.shutdown()
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only on the right answer, die on a hang
+        code = 1
+        try:
+            signal.alarm(10)
+            code = 0 if np.array_equal(spectral_frac_gradient(f, 0.5).data, want) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
-    code = ("import sys, threading, fracfield.spectral as s; "
+    code = ("import sys, threading, fracfield.spectral; "
             "assert 'concurrent.futures' not in sys.modules, 'executor loaded'; "
-            "assert threading.active_count() == 1 and s._pool is None")
+            "assert threading.active_count() == 1")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
@@ -228,7 +240,7 @@ SPECTRAL_CHECKS = ["spectral", "symbol_factorization", "riesz_square", "cross_en
 
 
 def test_run_suite_reports_do_not_depend_on_jobs(cfg):
-    """jobs=1 fans each check's transforms out over the pool, jobs=2 runs
+    """jobs=1 fans each check's transforms out over threads, jobs=2 runs
     them on the check's own thread; the reports agree apart from seconds."""
     runs = {}
     for jobs in (1, 2):
@@ -239,9 +251,8 @@ def test_run_suite_reports_do_not_depend_on_jobs(cfg):
     assert [repr(r) for r in runs[1]] == [repr(r) for r in runs[2]]
 
 
-def test_run_suite_workers_never_start_the_pool(cfg, monkeypatch):
+def test_run_suite_workers_never_fan_out(cfg, monkeypatch, executors):
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    monkeypatch.setattr(spectral, "_pool", None)
     reports = run_suite(cfg, jobs=2, names=["riesz_square", "symbol_factorization"])
     assert len(reports) == 2 and all(r.passed for r in reports)
-    assert spectral._pool is None
+    assert executors == []

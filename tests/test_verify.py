@@ -11,7 +11,8 @@ from fracfield import analytic, verify
 from fracfield.analytic import make_delta_pair, spectral_gradient_of
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import ScalarField, cutoff, gaussian, gaussian_vector
-from fracfield.quadrature import QuadratureConfig, _ball_radial_rule, _gauss, panel_radial_rule
+from fracfield.quadrature import QuadratureConfig, _ball_radial_rule, panel_radial_rule
+from fracfield.special import _gauss
 from fracfield.spectral import _cached_frac_derivative
 from fracfield.verify import (
     TolerancePolicy,
@@ -246,12 +247,29 @@ def test_decay_scan_radius_rescaling_invariance(cfg):
     assert "np." not in repr(r1.params)
 
 
-def test_decay_scan_exponent_needs_target(cfg):
+@pytest.mark.parametrize("case", ["exponent-without-target", "smooth-exponent-without-target",
+                                  "unknown-expect", "repeated-radii", "center-dimension"])
+def test_decay_scan_refuses_bad_input_before_computing(monkeypatch, case):
+    """A ConfigError before any ball mass or spectral density is computed."""
     from fracfield.analytic import cantor_measure
 
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the input was checked")
+
+    monkeypatch.setattr(verify, "measure_ball_mass", computed)
+    monkeypatch.setattr(verify, "spectral_divergence_of", computed)
+    source, radii, expect = cantor_measure(4, 1), 3.0 ** -np.arange(4), "floor"
+    if case == "exponent-without-target":
+        source, radii, expect = cantor_measure(6, 1), 3.0 ** -np.arange(0, 6), "exponent"
+    elif case == "smooth-exponent-without-target":
+        source, expect = gaussian_vector((0.0,)), "exponent"
+    elif case == "unknown-expect":
+        expect = "floors"
+    elif case == "repeated-radii":
+        radii = np.array([0.3, 0.3, 0.3])
+    center = (0.0,) * (source.n + (case == "center-dimension"))
     with pytest.raises(ConfigError):
-        decay_scan(cantor_measure(6, 1), 0.5, 1.0, (0.0,),
-                   3.0 ** -np.arange(0, 6), expect="exponent")
+        decay_scan(source, 0.5, 1.0, center, radii, expect=expect)
 
 
 def test_suite_filter_and_determinism(cfg):
