@@ -96,8 +96,7 @@ def _measured_decay(fn, n: int, s: float, ring: float) -> tuple[float, float]:
     return (1.3 * mag * ring**s, s)
 
 
-def _pole_field(ys: Array, zs: Array, ws: Array, alpha: float, ring: float,
-                token: str) -> PoleField:
+def _pole_field(ys: Array, zs: Array, ws: Array, alpha: float, ring: float) -> PoleField:
     """F(x) = mu(n,-a) sum_i w_i [K(x-y_i) - K(x-z_i)], K(v) = v/|v|^(n+1-a),
     whose alpha-divergence is sum_i w_i (delta_{y_i} - delta_{z_i}), with
     coincident atoms of that measure merged. The decay constant is measured
@@ -127,7 +126,7 @@ def _pole_field(ys: Array, zs: Array, ws: Array, alpha: float, ring: float,
     measure = RadonMeasure(n=n, atom_points=np.array([locs[i] for i in keep]).reshape(-1, n),
                            atom_weights=np.array([weights[i] for i in keep]))
     decay = _measured_decay(fn, n, expo, ring) if len(ws) else (0.0, expo)
-    field = VectorField(n=n, fn=fn, decay=decay, cache_token=token)
+    field = VectorField(n=n, fn=fn, decay=decay)
     return PoleField(field=field, alpha=float(alpha), measure=measure)
 
 
@@ -146,8 +145,7 @@ def make_delta_pair(y, z, alpha: float) -> PoleField:
     if float(np.linalg.norm(y - z)) < 1e-12:  # the atoms would merge into none
         raise DomainError("degenerate pole pair (|y - z| < 1e-12) is rejected")
     ring = 10.0 * (1.0 + float(np.linalg.norm(y)) + float(np.linalg.norm(z)))
-    return _pole_field(y[None], z[None], np.array([1.0]), alpha, ring,
-                       f"deltapair(y={tuple(y.tolist())},z={tuple(z.tolist())},a={float(alpha)})")
+    return _pole_field(y[None], z[None], np.array([1.0]), alpha, ring)
 
 
 def make_convolved(nu: RadonMeasure, alpha: float) -> PoleField:
@@ -161,8 +159,7 @@ def make_convolved(nu: RadonMeasure, alpha: float) -> PoleField:
         raise ConfigError("convolved fields support atomic measures only")
     ys = nu.atom_points
     ring = 10.0 * (1.0 + float(np.max(np.abs(ys), initial=0.0)))
-    return _pole_field(ys, ys + _E1[nu.n], nu.atom_weights, alpha, ring,
-                       f"convolved(a={float(alpha)},k={len(ys)})")
+    return _pole_field(ys, ys + _E1[nu.n], nu.atom_weights, alpha, ring)
 
 
 def cantor_measure(level: int, embed_dim: int = 1) -> RadonMeasure:
@@ -409,13 +406,7 @@ def mollified_pole_field(pole_field: PoleField, eps: float) -> VectorField:
 
     s_dec = n + 1.0 - alpha
     ring = min(10.0 * (1.0 + float(np.max(np.abs(poles)))), 0.8 * _PROFILE_T_MAX)
-    field = VectorField(
-        n=n,
-        fn=fn,
-        decay=_measured_decay(fn, n, s_dec, ring),
-        cache_token=f"mollified({pole_field.field.cache_token},eps={float(eps)})",
-    )
-    return field
+    return VectorField(n=n, fn=fn, decay=_measured_decay(fn, n, s_dec, ring))
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,9 @@ class ExperimentConfig:
         alpha = None if operator == "riesz-transform" else _read(
             s, "alpha", float, check=_below(field.n if operator == "riesz-potential" else 1))
         g = _table(self.raw, "grid")  # the output lattice
-        grid = _built(g, GridSpec, _read(g, "lower", _floats), _read(g, "upper", _floats),
-                      _read(g, "counts", _ints))
+        lower = _read(g, "lower", _floats, check=(
+            lambda c: len(c) == field.n, f"have the field's {field.n} coordinates"))
+        grid = _built(g, GridSpec, lower, _read(g, "upper", _floats), _read(g, "counts", _ints))
         g.check_read()
         return {"engine": engine, "operator": operator, "field": field, "alpha": alpha,
                 "grid": grid, **({"spectral": self._spectral(field.n)} if engine == "spectral"

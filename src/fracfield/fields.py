@@ -143,17 +143,22 @@ def _leading(v: Array) -> Array:
     return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
 
+def _check_points(pts: Array, n: int) -> None:
+    """Refuse points whose trailing axis is not n, before any work."""
+    if pts.ndim == 0 or pts.shape[-1] != n:
+        raise ConfigError(f"points must have trailing dimension {n}, got shape {pts.shape}")
+
+
 def _evaluate(field, fn: Callable[[Array], Array], x, vector: bool):
     """The one evaluation of every field call: fn at one point (n,) or at
     points (..., n), 0 outside the support ball; fn's (...) values come back
     as they are, its (n, ...) ones (`vector`) as (..., n). A single point
     gives a float, or an (n,) array."""
     pts = np.asarray(x, dtype=float)
+    _check_points(pts, field.n)
     single = pts.shape == (field.n,)
     if single:
         pts = pts[None, :]
-    elif pts.ndim == 0 or pts.shape[-1] != field.n:
-        raise ConfigError(f"points must have trailing dimension {field.n}, got shape {pts.shape}")
     vals = np.asarray(fn(pts), dtype=float)
     if field.support_radius is not None:
         vals = np.where(_inner(pts) <= field.support_radius**2, vals, 0.0)
@@ -171,7 +176,6 @@ class ScalarField:
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None  # (C, s): |f| <= C |x|^-s far out
     grad_fn: Optional[Callable[[Array], Array]] = None  # (..., n) -> (n, ...)
-    cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
         return _evaluate(self, self.fn, x, vector=False)
@@ -194,7 +198,6 @@ class VectorField:
     fn: Callable[[Array], Array]  # (..., n) -> (n, ...)
     support_radius: Optional[float] = None
     decay: Optional[tuple[float, float]] = None
-    cache_token: Optional[str] = None
 
     def __call__(self, x) -> Array:
         return _evaluate(self, self.fn, x, vector=True)
@@ -205,7 +208,6 @@ class VectorField:
             fn=lambda p, i=i: np.asarray(self.fn(p))[i],
             support_radius=self.support_radius,
             decay=self.decay,
-            cache_token=None if self.cache_token is None else f"{self.cache_token}[{i}]",
         )
 
 
@@ -219,9 +221,6 @@ def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
         n=g.n,
         fn=lambda p: np.asarray(g(p)) * _leading(np.asarray(F(p))),
         support_radius=support,
-        cache_token=None
-        if g.cache_token is None or F.cache_token is None
-        else f"({g.cache_token})*({F.cache_token})",
     )
 
 
@@ -248,7 +247,6 @@ def gaussian(center: Sequence[float], width: float = 1.0, amplitude: float = 1.0
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + 4.0 * w,
         grad_fn=grad,
-        cache_token=f"gaussian(c={tuple(c.tolist())},w={w},a={a})",
     )
 
 
@@ -266,13 +264,10 @@ def gaussian_vector(center: Sequence[float], width: float = 1.0,
     if amps.shape != (n,):
         raise ConfigError(f"gaussian_vector needs {n} amplitudes, got shape {amps.shape}")
     unit = gaussian(center, width)  # amplitude 1: its values are the bare exp
-    w = float(width)
     return VectorField(
         n=n,
         fn=lambda p: np.multiply.outer(amps, unit.fn(p)),
         support_radius=unit.support_radius,
-        cache_token="vec(" + ",".join(
-            f"gaussian(c={tuple(c.tolist())},w={w},a={a})" for a in amps.tolist()) + ")",
     )
 
 
@@ -297,7 +292,6 @@ def compact_bump(center: Sequence[float], radius: float, amplitude: float = 1.0)
         n=n,
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + R,
-        cache_token=f"bump(c={tuple(c.tolist())},R={R},a={a})",
     )
 
 
@@ -315,7 +309,6 @@ def ball_indicator(center: Sequence[float], radius: float) -> ScalarField:
         n=c.shape[0],
         fn=fn,
         support_radius=float(np.linalg.norm(c)) + R,
-        cache_token=f"indicator(c={tuple(c.tolist())},R={R})",
     )
 
 
@@ -353,7 +346,6 @@ def mollifier(eps: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=eps,
-        cache_token=f"mollifier(eps={eps},n={n})",
     )
 
 
@@ -384,5 +376,4 @@ def cutoff(R: float, n: int) -> ScalarField:
         n=n,
         fn=fn,
         support_radius=2.0 * R,
-        cache_token=f"cutoff(R={R},n={n})",
     )

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmbeddingError
-from .fields import GridSpec, VectorField, _index_box, _leading
+from .fields import GridSpec, VectorField, _check_points, _index_box, _leading
 
 Array = np.ndarray
 _BOX = 16.0  # side of the box the cached spectral results are embedded in
@@ -89,6 +89,7 @@ class PeriodicField:
         returned as (..., n).
         """
         pts = np.asarray(x, dtype=float)
+        _check_points(pts, self.n)
         single = pts.shape == (self.n,)
         P = pts.reshape(-1, self.n)
         counts = self.grid.counts

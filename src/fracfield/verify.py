@@ -231,13 +231,10 @@ def check_duality(F, xi: ScalarField, alpha: float, cfg: QuadratureConfig) -> Ve
         lhs, est = duality_pairing(F, xi, cfg)
         mu = F.measure
         rhs = -float(np.sum(mu.atom_weights * xi(mu.atom_points)))
-        params = {"alpha": F.alpha, "n": F.n, "field": F.field.cache_token,
-                  "xi": xi.cache_token}
-        return _report("duality", params, lhs, rhs, est, policy,
+        return _report("duality", {"alpha": F.alpha, "n": F.n}, lhs, rhs, est, policy,
                        scale=max(abs(rhs), 1e-6))
-    params = {"alpha": alpha, "n": F.n, "field": F.cache_token, "xi": xi.cache_token}
-    return _pairing_report("duality", params, F, xi, alpha, _density_pairing(F, xi, alpha),
-                           policy, cfg)
+    return _pairing_report("duality", {"alpha": alpha, "n": F.n}, F, xi, alpha,
+                           _density_pairing(F, xi, alpha), policy, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +272,7 @@ def check_leibniz_pointwise(g: ScalarField, F: VectorField, alpha: float,
         float(np.max(np.abs(sp_grad - t_grad))),
         float(np.max(np.abs(sp_nl - t_nl))),
     )
-    params = {"alpha": alpha, "n": g.n, "points": len(X),
-              "g": g.cache_token, "F": F.cache_token}
+    params = {"alpha": alpha, "n": g.n, "points": len(X)}
     return _report("leibniz_pointwise", params, lhs, 0.0, est, policy,
                    scale=float(np.max(np.abs(t_prod))) + 1e-30,
                    notes=f"max spectral cross-term deviation {cross:.3e}")
@@ -294,8 +290,8 @@ def check_zero_mass_nl(g: ScalarField, F: VectorField, alpha: float,
         return nl_divergence_batch(g, F, alpha, pts, inner)
 
     val, est = polar_integral(fn, n, R, cfg)
-    params = {"alpha": alpha, "n": n, "R": R, "g": g.cache_token, "F": F.cache_token}
-    return _report("leibniz_zero_mass", params, val, 0.0, est, policy, scale=1.0)
+    return _report("leibniz_zero_mass", {"alpha": alpha, "n": n, "R": R}, val, 0.0, est, policy,
+                   scale=1.0)
 
 
 def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
@@ -308,8 +304,8 @@ def check_global_ibp(g: ScalarField, F: VectorField, alpha: float,
         gv = g(pts)
         return gv * dv, np.abs(gv) * de
 
-    params = {"alpha": alpha, "n": g.n, "g": g.cache_token, "F": F.cache_token}
-    return _pairing_report("leibniz_global_ibp", params, F, g, alpha, rhs_fn, policy, cfg)
+    return _pairing_report("leibniz_global_ibp", {"alpha": alpha, "n": g.n}, F, g, alpha,
+                           rhs_fn, policy, cfg)
 
 
 def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
@@ -341,7 +337,7 @@ def check_nl_l1_bound(g: ScalarField, F: VectorField, alpha: float, p: float,
     dom = GridSpec((-S,) * n, (S,) * n, (192,) * n) if n <= 2 else GridSpec((-S,) * 3, (S,) * 3, (48,) * 3)
     rhs = mu_const(n, alpha) * besov_seminorm(g, alpha, q, cfg) * lp_norm(F, p, dom)
     ratio = lhs / rhs if rhs > 0 else math.inf
-    params = {"alpha": alpha, "n": n, "p": p, "q": q, "g": g.cache_token, "F": F.cache_token}
+    params = {"alpha": alpha, "n": n, "p": p, "q": q}
     return _report("leibniz_l1_bound", params, lhs, rhs, est + 0.2 * tail,
                    TolerancePolicy(abs_tol=0.0, rel_tol=0.02, est_factor=0.0), scale=rhs,
                    notes=f"ratio {ratio:.4f}; stated constant asserted, proof-side "
@@ -378,7 +374,6 @@ def check_ball_ibp(F: VectorField, xi: ScalarField, x0, r: float, alpha: float,
     est = e1 + e2 + e3 + e4
     scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-6)
     params = {"alpha": alpha, "n": n, "r": r, "x0": tuple(x0.tolist()),
-              "F": F.cache_token, "xi": xi.cache_token,
               "terms": [round(t1, 6), round(t2, 6), round(t3, 6), round(rhs, 6)]}
     return _report("ball_ibp", params, lhs, rhs, est, policy, scale=scale)
 
@@ -562,8 +557,7 @@ def check_zero_total(F: VectorField, alpha: float, cfg: QuadratureConfig) -> Ver
     rim, _ = frac_divergence_batch(F, alpha, R * dirs, inner)
     mean_rim = float(np.sum(rim * wd)) / sphere_area(F.n)
     corr = mean_rim * sphere_area(F.n) * R**F.n / (alpha + 1.0)
-    params = {"alpha": alpha, "n": F.n, "R": R, "F": F.cache_token,
-              "tail_correction": corr}
+    params = {"alpha": alpha, "n": F.n, "R": R, "tail_correction": corr}
     return _report("zero_total", params, val + corr, 0.0, est + 0.2 * abs(corr),
                    policy, scale=1.0)
 
@@ -583,8 +577,8 @@ def check_div_relation(F: VectorField, phi: ScalarField, alpha: float,
             ests += e * np.abs(gp[..., k])
         return -acc, ests
 
-    params = {"alpha": alpha, "n": F.n, "F": F.cache_token, "phi": phi.cache_token}
-    return _pairing_report("div_relation", params, F, phi, alpha, rhs_fn, policy, cfg)
+    return _pairing_report("div_relation", {"alpha": alpha, "n": F.n}, F, phi, alpha, rhs_fn,
+                           policy, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +618,7 @@ def riesz_potential_field(f: ScalarField, beta: float, cfg: QuadratureConfig) ->
         vals, _ = riesz_potential_batch(f, beta, P, cfg)
         return vals.reshape(pts.shape[:-1])
 
-    return ScalarField(
-        n=n,
-        fn=fn,
-        decay=(1.5 * const * l1_bound, n - beta),
-        cache_token=None if f.cache_token is None else f"I_{beta}({f.cache_token})",
-    )
+    return ScalarField(n=n, fn=fn, decay=(1.5 * const * l1_bound, n - beta))
 
 
 def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:

@@ -51,7 +51,6 @@ def ramp_cutoff_field(eps: float, r: float, x0) -> ScalarField:
         n=x0.shape[0],
         fn=fn,
         support_radius=float(np.linalg.norm(x0)) + r + eps,
-        cache_token=f"ramp(eps={eps},r={r},x0={tuple(x0.tolist())})",
     )
 
 

@@ -70,7 +70,7 @@ def test_criterion_01_delta_pair_duality():
             err = abs(lhs - rhs)
             tol = max(1e-2 * abs(rhs), 5.0 * est)
             worst = max(worst, err / tol)
-            assert err <= tol, (alpha, xi.cache_token, lhs, rhs, est)
+            assert err <= tol, (alpha, lhs, rhs, est)
     dt = time.time() - t0
     _announce(1, "delta-pair duality", worst <= 1.0,
               f"18 cases, worst err/tol {worst:.3f}, {dt:.1f}s")

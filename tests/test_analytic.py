@@ -19,15 +19,7 @@ from fracfield.analytic import (
     spectral_gradient_of,
 )
 from fracfield.errors import DomainError
-from fracfield.fields import (
-    _window,
-    ball_indicator,
-    compact_bump,
-    cutoff,
-    gaussian,
-    gaussian_vector,
-    mollifier,
-)
+from fracfield.fields import _window, gaussian
 from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import (
     QuadratureConfig,
@@ -489,16 +481,3 @@ def test_bulk_sums_bit_identical_to_per_stride_sums(kind):
     fine, coarse = _bulk_sums(pf.field, G, poles, radius)
     assert fine == _bulk_sum_reference(pf.field, G, poles, radius, 1)
     assert coarse == _bulk_sum_reference(pf.field, G, poles, radius, 2)
-
-
-def test_cache_tokens_hold_plain_numbers():
-    """Tokens label report params; numpy scalars must not leak their repr."""
-    c = np.array([0.4, 0.2])
-    dp = make_delta_pair(Y, Z, np.float64(0.5))
-    nu = RadonMeasure(n=2, atom_points=np.array([[0.1, 0.2]]), atom_weights=np.array([1.0]))
-    fields = [gaussian(c), gaussian_vector(c, amplitudes=np.array([1.0, 0.5])),
-              compact_bump(c, 1.0), ball_indicator(c, 1.0), mollifier(0.3, 2),
-              cutoff(1.0, 2), dp.field, make_convolved(nu, np.float64(0.6)).field,
-              ramp_cutoff_field(0.2, 1.0, c), mollified_pole_field(dp, np.float64(0.3))]
-    for f in fields:
-        assert "np." not in f.cache_token, f.cache_token

@@ -517,6 +517,11 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
     *[("op", _edited("op_gaussian_grad.toml", "alpha = 0.5", "alpha = 2.5").replace(
         '"frac-gradient"', '"riesz-potential"').replace('"direct"', f'"{engine}"'), None,
        "config error: op.alpha must lie in (0, 2), got 2.5") for engine in ("direct", "spectral")],
+    *[("op", _edited("op_gaussian_grad.toml", "[32, 32]", "[4, 4, 4]").replace(
+        "[-2.0, -2.0]", "[-1, -1, -1]").replace("[2.0, 2.0]", "[1, 1, 1]").replace(
+        '"direct"', f'"{engine}"') + extra, None,
+       "config error: grid.lower must have the field's 2 coordinates, got [-1.0, -1.0, -1.0]")
+      for engine, extra in (("direct", ""), ("spectral", "\n[spectral]\nresolution = 64\n"))],
     ("verify", "jobs = 0\n" + VERIFY_TEXT, None, "config error: jobs must be at least 1, got 0"),
     ("verify", VERIFY_TEXT, "0", "config error: jobs must be at least 1, got 0"),
 ], ids=["decay-p", "decay-center-dim", "decay-target", "op-alpha", "bench-points",
@@ -530,7 +535,8 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
         "quadrature-near-radius", "quadrature-far-cutoff", "quadrature-node-count",
         "grid-bounds", "grid-counts", "decay-alpha-above-one", "decay-alpha-negative",
         "decay-alpha-zero", "decay-p-below-one", "decay-radii-equal-logs",
-        "riesz-potential-order-direct", "riesz-potential-order-spectral", "jobs-zero",
+        "riesz-potential-order-direct", "riesz-potential-order-spectral",
+        "grid-dimension-direct", "grid-dimension-spectral", "jobs-zero",
         "FRACFIELD_JOBS-zero"])
 def test_cli_malformed_value_is_a_config_error(tmp_path, capsys, monkeypatch, kind, text,
                                                env, named):

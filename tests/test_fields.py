@@ -198,14 +198,12 @@ def _vector_from_components_reference(components):
     hints merged conservatively: the reference for gaussian_vector."""
     sups = [c.support_radius for c in components]
     decays = [c.decay for c in components]
-    toks = [c.cache_token for c in components]
     return VectorField(
         n=components[0].n,
         fn=lambda p: np.stack([np.asarray(c.fn(p)) for c in components]),
         support_radius=None if any(s is None for s in sups) else max(sups),
         decay=None if any(d is None for d in decays)
         else (sum(d[0] for d in decays), min(d[1] for d in decays)),
-        cache_token=None if any(t is None for t in toks) else "vec(" + ",".join(toks) + ")",
     )
 
 
@@ -218,9 +216,10 @@ def test_gaussian_vector_bit_identical_to_component_stack(n):
     pts = np.random.default_rng(n).uniform(-3.5, 3.5, (40, 7, n))
     assert np.array_equal(F(pts), ref(pts))
     assert np.array_equal(F.fn(pts), ref.fn(pts))
-    for hint in ("n", "support_radius", "decay", "cache_token"):
+    for hint in ("n", "support_radius", "decay"):
         assert getattr(F, hint) == getattr(ref, hint), hint
     default = gaussian_vector(center)
-    assert default.cache_token == _vector_from_components_reference([gaussian(center)] * n).cache_token
+    default_ref = _vector_from_components_reference([gaussian(center)] * n)
+    assert np.array_equal(default(pts), default_ref(pts))
     with pytest.raises(ConfigError):
         gaussian_vector(center, 0.7, np.ones(n + 1))

@@ -335,6 +335,21 @@ def test_default_suite_reports_show_the_bounded_quantity(default_run):
         assert r.passed and r.abs_err < 0.0, r
 
 
+def test_default_suite_does_not_depend_on_run_order(cfg, default_run):
+    """The battery run one check at a time in a shuffled order, from an empty
+    spectral cache, gives the sorted run's reports: no check reads state
+    another left behind."""
+    _cached_frac_derivative.cache_clear()
+    thunks = list(default_suite_registry(cfg, seed=0).values())
+    order = np.random.default_rng(7).permutation(len(thunks))
+    shuffled = sorted((thunks[i]() for i in order), key=lambda r: r.name)
+
+    def untimed(reports):
+        return [repr(dataclasses.replace(r, seconds=0.0)) for r in reports]
+
+    assert untimed(shuffled) == untimed(default_run[0])
+
+
 def test_convergence_orders_fails_on_a_nan_order(monkeypatch):
     """A sweep with no usable transition has a NaN order; the gap keeps it
     and the report fails."""
@@ -374,17 +389,15 @@ def test_spectral_roundoff_checks_raise_no_warning(check):
     assert rep.passed and rep.abs_err <= 1e-10
 
 
-def test_spectral_caches_tell_apart_fields_with_one_token():
-    """A field with twice the values and the same token gets its own cached
+def test_spectral_caches_tell_apart_fields_with_equal_hints():
+    """A field with twice the values and the same hints gets its own cached
     gradient and divergence, not the first field's."""
     g = gaussian((0.0, 0.0))
     g2 = dataclasses.replace(g, fn=lambda p: 2.0 * g.fn(p))
-    assert g2.cache_token == g.cache_token
     grad = spectral_gradient_of(g, 0.5).data
     np.testing.assert_array_equal(spectral_gradient_of(g2, 0.5).data, 2.0 * grad)
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
     F2 = dataclasses.replace(F, fn=lambda p: 2.0 * F.fn(p))
-    assert F2.cache_token == F.cache_token
     div = spectral_divergence_of(F, 0.5, N=256).data
     np.testing.assert_array_equal(spectral_divergence_of(F2, 0.5, N=256).data, 2.0 * div)
 
