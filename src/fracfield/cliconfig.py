@@ -273,7 +273,7 @@ class ExperimentConfig:
         return _read(self.raw, "seed", _int, 0, _at_least(0))
 
     def _quadrature(self) -> QuadratureConfig:
-        # integer options take integers; the rest, far_cutoff (default None) too, numbers
+        # integer options take integers, the rest numbers
         q = _table(self.raw, "quadrature")
         cfg = _built(q, QuadratureConfig, sep=".", **{  # its errors start with their field
             f.name: _read(q, f.name, _int if type(f.default) is int else float, f.default)

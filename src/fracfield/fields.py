@@ -2,8 +2,8 @@
 
 Fields are immutable value objects wrapping a vectorized evaluator, plus the
 two hints the quadrature engine reads for its far field: a hard support
-radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s). A field
-with neither needs an explicit far cutoff. Scalar evaluators map points
+radius about the origin, or a decay envelope |f(x)| <= C |x|^(-s). The
+direct engine refuses a field with neither. Scalar evaluators map points
 (..., n) to values (...). Vector evaluators, and a scalar field's
 gradient `grad_fn`, return their values component-major, (n, ...), so every
 elementwise step runs over contiguous component planes; calling a
@@ -212,15 +212,20 @@ class VectorField:
 
 
 def scalar_times_vector(g: ScalarField, F: VectorField) -> VectorField:
-    """Product field gF; support hints combined for the Leibniz checks."""
+    """Product field gF with the factors' hints combined: the smaller
+    support, or without one the product envelope |gF| <= C_g C_F |x|^-(s_g + s_F)."""
     if g.n != F.n:
         raise ConfigError("fields must share the dimension")
     sups = (g.support_radius, F.support_radius)
     support = None if all(s is None for s in sups) else min(s for s in sups if s is not None)
+    decay = None
+    if support is None and g.decay is not None and F.decay is not None:
+        decay = (g.decay[0] * F.decay[0], g.decay[1] + F.decay[1])
     return VectorField(
         n=g.n,
         fn=lambda p: np.asarray(g(p)) * _leading(np.asarray(F(p))),
         support_radius=support,
+        decay=decay,
     )
 
 

@@ -14,8 +14,7 @@ with a three-way split:
   of the increment integrates to exactly zero over full annuli (odd kernel),
   so a compactly supported field has zero tail once R_far >= support + |x|.
   A decay-hinted field adds a closed-form bound to the error estimate. A
-  field with no hint needs an explicit far_cutoff, and its tail is
-  extrapolated from the outermost octaves.
+  field with neither hint is refused.
 
 The error estimate is |fine - coarse| (half node counts) plus the tail bound.
 All evaluators are batched over evaluation points: each pass builds its node
@@ -38,12 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _inner
+from .fields import ScalarField, VectorField, _check_points, _inner
 from .special import (_gauss, _leggauss, _read_only, mu_const, riesz_potential_const,
                       riesz_transform_const, sphere_area)
 
@@ -56,11 +55,10 @@ class QuadratureConfig:
 
     The mid field is resolved by log-spaced radial panels (growth factor
     `mid_panel_growth`, `mid_panel_nodes` Gauss points per panel) times
-    `mid_angular_nodes` directions. `far_cutoff=None` derives R_far from the
-    field hints (support + |x|, giving an exactly-zero far tail for compactly
-    supported fields); a field without hints needs an explicit `far_cutoff`
-    and gets an extrapolated tail. `lq_grid_nodes` sets the translate-norm
-    resolution used by the Besov seminorm.
+    `mid_angular_nodes` directions. R_far comes from the field hints
+    (support + |x|, giving an exactly-zero far tail for compactly supported
+    fields, or a decay bound below `tol`). `lq_grid_nodes` sets the
+    translate-norm resolution used by the Besov seminorm.
     """
 
     near_radius: float = 0.2
@@ -69,7 +67,6 @@ class QuadratureConfig:
     mid_angular_nodes: int = 32
     mid_panel_nodes: int = 6
     mid_panel_growth: float = 2.0
-    far_cutoff: Optional[float] = None
     tol: float = 1e-4
     lq_grid_nodes: int = 96
 
@@ -77,8 +74,6 @@ class QuadratureConfig:
         # every message starts with the field's name
         if self.near_radius <= 0:
             raise ConfigError(f"near_radius must be positive, got {self.near_radius!r}")
-        if self.far_cutoff is not None and self.far_cutoff <= self.near_radius:
-            raise ConfigError(f"far_cutoff must exceed near_radius, got {self.far_cutoff!r}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if self.mid_panel_growth <= 1.0:
@@ -196,25 +191,21 @@ def _decay_bound(C: float, s: float, xmax: float, R: float, kern: float, n: int)
     return sphere_area(n) * C * shade * R ** (-ex) / ex
 
 
-def _far_plan(fields, X: Array, cfg: QuadratureConfig,
-              order: float) -> tuple[float, Optional[float]]:
+def _far_plan(fields, X: Array, cfg: QuadratureConfig, order: float) -> tuple[float, float]:
     """(R_far, tail): the cutoff covering every field as seen from every batch
-    point, and a bound on the neglected |y-x| > R_far part of the integral,
-    or None when it must be extrapolated.
+    point, and a bound on the neglected |y-x| > R_far part of the integral.
 
     - A supported field adds no tail: R_far >= support + |x|, and beyond it
       the increment's frozen part integrates to zero over full annuli (odd
       kernel; the potential has no frozen part).
     - A decay-hinted field grows R_far until its closed-form bound sits below
       the tolerance (capped), and adds that bound.
-    - A field with neither hint needs an explicit far_cutoff, and the tail
-      is extrapolated.
+    - A field with neither hint has no bound, and is refused.
     """
     n = X.shape[1]
     xmax = float(np.max(np.sqrt(_inner(X))))
     need = cfg.near_radius * 2.0
     decays = []
-    hintless = 0
     for f in fields:
         if f.support_radius is not None:
             need = max(need, f.support_radius + xmax + 1e-9)
@@ -225,16 +216,9 @@ def _far_plan(fields, X: Array, cfg: QuadratureConfig,
             need = max(need, R)
             decays.append(f.decay)
         else:
-            hintless += 1
-    if cfg.far_cutoff is None:
-        if hintless:
-            raise ConfigError("a field without a support or decay hint needs a far_cutoff")
-        far_R = need
-    else:
-        far_R = cfg.far_cutoff if hintless == len(fields) else max(cfg.far_cutoff, need)
-    if hintless:
-        return far_R, None
-    return far_R, sum((_decay_bound(C, s, xmax, far_R, order, n) for C, s in decays), 0.0)
+            raise ConfigError("the direct engine needs a support_radius or a decay hint "
+                              "on every field")
+    return need, sum((_decay_bound(C, s, xmax, need, order, n) for C, s in decays), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +335,6 @@ def _far_source_eval(src_fn, src_vector: bool, out_vector: bool, expo: float,
     return fine, coarse
 
 
-def _extrapolated_tail(n, X, numer, kern_pow, cfg, vector, far_R) -> float:
-    """Truncation estimate when no analytic bound exists: geometric
-    extrapolation of the outermost octave's contribution.
-
-    The estimate assumes the octave contributions fall at least by half per
-    octave; the octave [R/4, R/2] checks that against [R/2, R], and a field
-    whose tail falls slower is refused.
-    """
-    def octave(lo: float) -> float:
-        r, w_rad = panel_radial_rule(lo, 2.0 * lo, 2.0, cfg.mid_panel_nodes)
-        return float(np.max(np.abs(_polar_sum(X, numer, r, w_rad, cfg.mid_angular_nodes,
-                                              kern_pow, divide=False, vector=vector))))
-
-    inner, last = octave(far_R / 4.0), octave(far_R / 2.0)
-    if last > 0.5 * inner:
-        raise DomainError(
-            f"far tail does not decay geometrically beyond far_cutoff={far_R:g}: "
-            f"octave contributions {inner:.3g} then {last:.3g} fall by less than "
-            "half; give the field a support or decay hint")
-    return 2.0 * last  # sum of a ratio<=1/2 geometric series bounded by first term x2
-
-
 def _integrand(scalars, vec, X: Array, increment: bool):
     """numer(pts, dirs, rows) of the polar passes around the points X[rows].
 
@@ -443,12 +405,9 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
         raise ConfigError("fields must share the dimension")
     if not increment:
         f, = fields
-        if f.support_radius is None:
-            if f.decay is None:
-                raise ConfigError("Riesz potential needs a support or decay hint")
-            if f.decay[1] <= -order:
-                raise DomainError(f"Riesz potential diverges: decay exponent "
-                                  f"{f.decay[1]} <= order {-order}")
+        if f.support_radius is None and f.decay is not None and f.decay[1] <= -order:
+            raise DomainError(f"Riesz potential diverges: decay exponent "
+                              f"{f.decay[1]} <= order {-order}")
     X = _points(x, n)
     vector = increment and vec is None
     kern_pow = -1.0 - order
@@ -468,14 +427,12 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
             X[far], max(sups), n, cfg)
     if np.any(~far):
         Xn = X[~far]
-        numer = _integrand(scalars, vec, Xn, increment)
         far_R, tail = _far_plan(fields, Xn, cfg, order)
+        numer = _integrand(scalars, vec, Xn, increment)
         fine[~far] = _batched_polar(n, Xn, numer, kern_pow, increment, cfg,
                                     vector, far_R)
         coarse[~far] = _batched_polar(n, Xn, numer, kern_pow, increment,
                                       cfg.coarsened(), vector, far_R)
-        if tail is None:
-            tail = _extrapolated_tail(n, Xn, numer, kern_pow, cfg, vector, far_R)
         tails[~far] = tail
     diff = np.abs(fine - coarse)
     per_point = diff if not vector else np.sqrt(_inner(diff))
@@ -493,11 +450,10 @@ def _check_alpha(alpha: float) -> float:
 
 def _points(x, n) -> Array:
     X = np.asarray(x, dtype=float)
-    if X.shape == (n,):
-        return X[None, :]
-    if X.ndim == 2 and X.shape[1] == n:
-        return X
-    raise ConfigError(f"evaluation points must have shape (n,) or (m, n) with n={n}")
+    _check_points(X, n)
+    if X.ndim > 2:
+        raise ConfigError(f"evaluation points must have shape (n,) or (m, n) with n={n}")
+    return X[None, :] if X.ndim == 1 else X
 
 
 # ---------------------------------------------------------------------------

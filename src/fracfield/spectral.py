@@ -121,9 +121,10 @@ class PeriodicField:
 
     def eval_fourier(self, x) -> Array:
         """Exact trigonometric interpolation (scalar fields, n <= 3)."""
+        pts = np.asarray(x, dtype=float)
+        _check_points(pts, self.n)
         if self.vector:
             raise ConfigError("eval_fourier supports scalar fields; take components")
-        pts = np.asarray(x, dtype=float)
         single = pts.shape == (self.n,)
         P = pts.reshape(-1, self.n)
         spec = self._spectrum

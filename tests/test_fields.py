@@ -21,6 +21,8 @@ from fracfield.fields import (
     scalar_times_vector,
 )
 
+from fracfield.quadrature import QuadratureConfig, frac_gradient_batch
+
 from _oracles import lin_comb
 
 
@@ -82,8 +84,11 @@ def test_gaussian_gradient_shapes_and_mask():
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 1)), np.float64(0.5)],
                          ids=["one-point", "batch", "scalar"])
 def test_field_calls_refuse_points_of_another_dimension(x):
+    """Field calls and the direct engine, which evaluates fields at the
+    points, give the same refusal."""
     g = gaussian((0.0, 0.0))
-    for call in (g, g.gradient, gaussian_vector((0.0, 0.0))):
+    direct = lambda x: frac_gradient_batch(g, 0.5, x, QuadratureConfig())
+    for call in (g, g.gradient, gaussian_vector((0.0, 0.0)), direct):
         with pytest.raises(ConfigError, match="trailing dimension 2"):
             call(x)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fracfield import quadrature
 from fracfield.errors import ConfigError, DomainError
-from fracfield.fields import (GridSpec, ScalarField, _inner, ball_indicator, gaussian,
-                              gaussian_vector)
+from fracfield.fields import (GridSpec, ScalarField, VectorField, _inner, ball_indicator,
+                              gaussian, gaussian_vector, scalar_times_vector)
 from fracfield.norms import besov_seminorm, lp_norm
 from fracfield.quadrature import (
     QuadratureConfig,
@@ -172,14 +172,12 @@ def test_config_validation():
         QuadratureConfig(near_radius=-1.0)
     with pytest.raises(ConfigError):
         QuadratureConfig(tol=0.0)
-    with pytest.raises(ConfigError):
-        QuadratureConfig(far_cutoff=0.1, near_radius=0.2)
 
 
 @pytest.mark.parametrize("cfg", [
     QuadratureConfig(),
     QuadratureConfig(near_radial_nodes=9, near_angular_nodes=5, mid_angular_nodes=7,
-                     mid_panel_nodes=3, far_cutoff=4.0),
+                     mid_panel_nodes=3),
 ])
 def test_coarsened_is_built_once_per_config(cfg):
     """Half the node counts with their floors, as a replace of cfg would
@@ -233,62 +231,39 @@ def test_missing_hints_config_error(cfg):
         frac_gradient_batch(bare, 0.5, (0.0, 0.0), cfg)
 
 
-def test_extrapolated_tail_without_hints():
-    """An explicit far cutoff runs a hintless field on the extrapolated tail,
-    and agrees with the hinted run within the returned estimate."""
-    hinted = gaussian((0.0, 0.0))
-    bare = replace(hinted, support_radius=None)
-    pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
-    v, e = frac_gradient_batch(bare, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
-    ref, _ = frac_gradient_batch(hinted, 0.5, pts, QuadratureConfig())
-    assert np.all(np.isfinite(e)) and np.all(e > 0.0)
-    assert np.all(np.sqrt(np.sum((v - ref) ** 2, axis=-1)) <= e)
-
-
-def _hinted_and_hintless_couple():
-    """A supported scalar field, a supported vector field, and the vector
-    field with its hint removed."""
-    F = gaussian_vector((0.0, 0.2), 0.9)
-    return gaussian((0.1, 0.0)), F, replace(F, support_radius=None)
-
-
-def test_far_plan_refuses_a_hintless_field_without_far_cutoff():
-    g, _, bare = _hinted_and_hintless_couple()
-    with pytest.raises(ConfigError, match="far_cutoff"):
-        nl_divergence_batch(g, bare, 0.5, np.array([[0.3, 0.1]]), QuadratureConfig())
-
-
-def test_far_plan_extrapolates_a_mixed_couple_with_far_cutoff(monkeypatch):
-    """With far_cutoff set, a hinted and a hintless field run on the
-    extrapolated tail, at R_far = max(far_cutoff, the hinted field's need),
-    and agree with the hinted run within the returned estimate."""
-    g, F, bare = _hinted_and_hintless_couple()
+@pytest.mark.parametrize("call", [
+    lambda g, bare, bare_F, X, cfg: frac_gradient_batch(bare, 0.5, X, cfg),
+    lambda g, bare, bare_F, X, cfg: frac_divergence_batch(bare_F, 0.5, X, cfg),
+    lambda g, bare, bare_F, X, cfg: nl_gradient_batch(g, bare, 0.5, X, cfg),
+    lambda g, bare, bare_F, X, cfg: nl_divergence_batch(g, bare_F, 0.5, X, cfg),
+    lambda g, bare, bare_F, X, cfg: riesz_potential_batch(bare, 0.5, X, cfg),
+    lambda g, bare, bare_F, X, cfg: riesz_transform_batch(bare, X, cfg),
+], ids=["frac-gradient", "frac-divergence", "nl-gradient", "nl-divergence",
+        "riesz-potential", "riesz-transform"])
+def test_far_plan_refuses_a_hintless_field(cfg, call):
+    """A field with neither a support nor a decay hint has no far-field
+    bound: every direct operator refuses it, beside a hinted field too."""
+    g = gaussian((0.1, 0.0))
+    bare = replace(g, support_radius=None)
+    bare_F = replace(gaussian_vector((0.0, 0.2), 0.9), support_radius=None)
     X = np.array([[0.3, 0.1], [0.7, -0.4]])
-    cfg = QuadratureConfig(far_cutoff=3.0)
-    need = g.support_radius + float(np.max(np.sqrt(_inner(X)))) + 1e-9
-    assert quadrature._far_plan((g, bare), X, cfg, 0.5) == (max(3.0, need), None)
-    seen = []
-    original = quadrature._extrapolated_tail
-
-    def spy(*args):
-        seen.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(quadrature, "_extrapolated_tail", spy)
-    v, e = nl_divergence_batch(g, bare, 0.5, X, cfg)
-    assert seen == [max(3.0, need)]
-    ref, _ = nl_divergence_batch(g, F, 0.5, X, QuadratureConfig())
-    assert np.all(e > 0.0) and np.all(np.abs(v - ref) <= e)
+    with pytest.raises(ConfigError, match="needs a support_radius or a decay hint"):
+        call(g, bare, bare_F, X, cfg)
 
 
-def test_far_plan_takes_a_small_far_cutoff_as_given_for_hintless_fields():
-    """Only hintless fields: R_far is far_cutoff even below 2 near_radius,
-    the floor that a hinted field raises it to."""
-    bare = replace(gaussian((0.0, 0.0)), support_radius=None)
-    cfg = QuadratureConfig(near_radius=0.2, far_cutoff=0.3)
-    assert quadrature._far_plan((bare,), np.array([[0.1, 0.0]]), cfg, 0.5) == (0.3, None)
-    narrow = gaussian((0.0, 0.0), 0.01)  # support 0.04
-    assert quadrature._far_plan((narrow,), np.array([[0.0, 0.0]]), cfg, 0.5) == (0.4, 0.0)
+def test_product_of_decay_only_fields_carries_the_product_hint(cfg):
+    """gF of two decay-only factors has the envelope C_g C_F |x|^-(s_g + s_F),
+    so the direct engine bounds its far field and runs on it."""
+    g = ScalarField(n=2, fn=lambda p: 1.0 / (1.0 + _inner(p)), decay=(1.0, 2.0))
+    F = VectorField(n=2, fn=lambda p: np.stack([(1.0 + _inner(p)) ** -1.5,
+                                                0.5 * (1.0 + _inner(p)) ** -1.5]),
+                    decay=(1.2, 3.0))
+    gF = scalar_times_vector(g, F)
+    assert gF.support_radius is None and gF.decay == (1.2, 5.0)
+    X = np.array([[0.3, 0.1], [0.7, -0.4]])
+    v, e = frac_divergence_batch(gF, 0.5, X, cfg)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(e))
+    assert np.all(e > 0.0) and np.all(e < 10.0 * cfg.tol)
 
 
 def test_far_plan_adds_a_bound_per_decay_hinted_field():
@@ -302,16 +277,6 @@ def test_far_plan_adds_a_bound_per_decay_hinted_field():
     one = quadrature._decay_bound(1.0, 4.0, 0.5, far_R, 0.5, 2)
     assert far_R >= g.support_radius + 0.5 and tail == 0.0 + one + one
     assert quadrature._far_plan((g,), X, cfg, 0.5) == (g.support_radius + 0.5 + 1e-9, 0.0)
-
-
-def test_extrapolated_tail_refuses_slow_decay():
-    """The extrapolated tail assumes octave contributions fall by half; a
-    hintless field decaying like |x|^-0.1 (octave ratio about 0.73) is
-    refused instead of getting an estimate that understates its tail."""
-    slow = ScalarField(n=2, fn=lambda p: p[..., 0] / (1.0 + _inner(p)) ** 0.55)
-    pts = np.array([[0.3, 0.1], [0.7, -0.4], [1.2, 0.5]])
-    with pytest.raises(DomainError, match="decay geometrically"):
-        frac_gradient_batch(slow, 0.5, pts, QuadratureConfig(far_cutoff=6.0))
 
 
 @pytest.mark.parametrize("call", [
@@ -541,6 +506,8 @@ def test_batch_matches_single(cfg, gauss2d):
         single, _ = frac_gradient_batch(gauss2d, 0.5, p, cfg)
         # batch evaluation shares one far cutoff across points
         assert np.allclose(single[0], vals[i], rtol=1e-8, atol=1e-9)
+    with pytest.raises(ConfigError, match=r"shape \(n,\) or \(m, n\) with n=2"):
+        frac_gradient_batch(gauss2d, 0.5, pts[None], cfg)
 
 
 def test_constant_vector_field_divergence_zero(cfg):

@@ -101,15 +101,17 @@ def test_roundtrip_and_sampling(gauss_pf):
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
 def test_sample_linear_refuses_points_of_another_dimension(small_grid, vector, shape):
     """Points whose trailing axis is not n raise the field evaluator's
-    ConfigError, not a numpy reshape error or a silent reshape."""
+    ConfigError in both samplers, not a numpy reshape error or a silent
+    reshape."""
     pf = PeriodicField(small_grid, np.zeros(((2,) if vector else ()) + small_grid.counts))
     pts = np.zeros(shape)
     with pytest.raises(ConfigError) as ref:
         gaussian((0.0, 0.0))(pts)
-    with pytest.raises(ConfigError) as err:
-        pf.sample_linear(pts)
-    assert str(err.value) == str(ref.value)
-    assert str(err.value) == f"points must have trailing dimension 2, got shape {shape}"
+    assert str(ref.value) == f"points must have trailing dimension 2, got shape {shape}"
+    for sample in (pf.sample_linear, pf.eval_fourier):
+        with pytest.raises(ConfigError) as err:
+            sample(pts)
+        assert str(err.value) == str(ref.value)
 
 
 def test_constant_field_zero(small_grid):
