@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import ScalarField, VectorField, _dist2, _index_box, _inner, _leading, _trailing, _window, mollifier
+from .fields import ScalarField, VectorField, _check_points, _dist2, _index_box, _inner, _leading, _trailing, _window, mollifier
 from .measures import RadonMeasure
 from .quadrature import (
     QuadratureConfig,
@@ -300,9 +300,11 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    Wp = np.asarray(W, dtype=float).reshape(-1, n)
+    n = xi.n
+    x0, W = np.asarray(x0, dtype=float), np.asarray(W, dtype=float)
+    _check_points(x0, n)
+    _check_points(W, n)
+    Wp = W.reshape(-1, n)
     if xi.support_radius is None:
         raise ConfigError("nl_gradient_ball needs a compactly supported field")
     mu = mu_const(n, alpha)
@@ -336,7 +338,7 @@ def nl_gradient_ball(x0, r: float, xi: ScalarField, alpha: float, W,
             inc = xi(pts) - xw[sel, None, None, None]
             radial = np.sum(inc * wt, axis=(2, 3))                    # (b, A)
             out[sel] = (mu * sign[sel])[:, None] * np.einsum("ma,a,ak->mk", radial, w_ang, dirs)
-    return out.reshape(np.shape(W))
+    return out.reshape(W.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .fields import GridSpec, _dist2, _index_box
+from .fields import GridSpec, _check_points, _dist2, _index_box
 
 Array = np.ndarray
 
@@ -32,7 +32,12 @@ class RadonMeasure:
     density_values: Optional[Array] = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.atom_points, dtype=float).reshape(-1, self.n)
+        pts = np.asarray(self.atom_points, dtype=float)
+        if pts.size == 0:  # no atoms, whatever the layout
+            pts = pts.reshape(0, self.n)
+        _check_points(pts, self.n)
+        if pts.ndim != 2:
+            raise ConfigError(f"atom points must be a (k, {self.n}) array, got shape {pts.shape}")
         w = np.asarray(self.atom_weights, dtype=float).reshape(-1)
         if pts.shape[0] != w.shape[0]:
             raise ConfigError("atom points and weights must have equal length")
@@ -63,12 +68,6 @@ class RadonMeasure:
             tv += float(np.sum(np.abs(self.density_values))) * self.density_grid.cell_volume
         return tv
 
-    def total_mass(self) -> float:
-        m = float(np.sum(self.atom_weights))
-        if self.density_grid is not None:
-            m += float(np.sum(self.density_values)) * self.density_grid.cell_volume
-        return m
-
     def abs(self) -> "RadonMeasure":
         return RadonMeasure(
             n=self.n,
@@ -87,7 +86,10 @@ def measure_ball_mass(mu: RadonMeasure, center, r: float) -> float:
     r = float(r)
     if r <= 0:
         raise ConfigError("ball radius must be positive")
-    c = np.asarray(center, dtype=float).reshape(mu.n)
+    c = np.asarray(center, dtype=float)
+    _check_points(c, mu.n)
+    if c.ndim != 1:
+        raise ConfigError(f"ball center must be one point of shape ({mu.n},), got {c.shape}")
     total = 0.0
     if mu.atom_points.shape[0]:
         d2 = _dist2(mu.atom_points, c)

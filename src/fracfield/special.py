@@ -104,11 +104,9 @@ def riesz_transform_const(n: int) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Order/dimension/integrability bundle with the regime classification.
+    """Order/dimension/integrability bundle of the decay checks.
 
-    q is the conjugate exponent of p; p may be math.inf. The regime is a pure
-    function of (alpha, n, p): "subcritical" for p < n/(n-alpha),
-    "supercritical" for p >= n/(1-alpha), "intermediate" between.
+    q is the conjugate exponent of p; p may be math.inf.
     """
 
     alpha: float
@@ -130,15 +128,6 @@ class FracParams:
         else:
             q = self.p / (self.p - 1.0)
         object.__setattr__(self, "q", q)
-
-    def regime(self) -> str:
-        sub = self.n / (self.n - self.alpha) if self.alpha < self.n else math.inf
-        sup = self.n / (1.0 - self.alpha) if self.alpha < 1.0 else math.inf
-        if self.p < sub:
-            return "subcritical"
-        if self.p >= sup:
-            return "supercritical"
-        return "intermediate"
 
     def decay_exponent_floor(self) -> float:
         """One-sided lower bound n/q - alpha for ball-mass log-log slopes."""

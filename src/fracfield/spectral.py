@@ -17,12 +17,12 @@ constants; the torus symbol is singular there). Nyquist planes are zeroed for
 the odd (i k_j) symbol components so real fields map to real fields.
 
 The per-component steps of a gradient, divergence or Riesz transform run
-concurrently on threads that live for one call, one per component up to the
-usable CPUs; numpy's FFTs release the GIL. Steps stay inline on such a
-thread or a `verify.run_suite` worker, so parallelism never nests. No thread
-outlives a call, so there is no shared state to guard or to rebuild in a
-forked child. Every output has the bits of the serial loop at any worker
-count.
+concurrently through `_fan_out`, one thread per component up to the usable
+CPUs; numpy's FFTs release the GIL. `_fan_out` starts every thread of the
+package, `verify.run_suite`'s too, and its one rule is that a fan-out thread
+runs its own steps inline, so parallelism never nests. No thread outlives a
+call, so there is no shared state to guard or to rebuild in a forked child.
+Every output has the bits of the serial loop at any worker count.
 """
 
 from __future__ import annotations
@@ -170,27 +170,21 @@ def _cpus() -> int:
 _fan_out_thread = threading.local()
 
 
-def _serial_thread() -> None:
-    """Mark the calling thread as a fan-out worker: the spectral steps it
-    runs stay inline, so parallelism never nests. The initializer of
-    `_fan_out`'s threads and of `verify.run_suite`'s."""
-    _fan_out_thread.worker = True
-
-
-def _fan_out(step, n: int) -> list:
-    """[step(0), ..., step(n - 1)], run on min(n, usable CPUs) threads that
-    live for this call, or inline when n is 1, there is one CPU, or the
-    caller is itself a fan-out worker. numpy's FFTs release the GIL, so the
-    steps overlap; each writes only its own arrays, so the bits do not
-    depend on the thread count."""
-    workers = 1 if n == 1 or getattr(_fan_out_thread, "worker", False) else min(n, _cpus())
-    if workers == 1:
+def _fan_out(step, n: int, workers: int | None = None) -> list:
+    """[step(0), ..., step(n - 1)] on min(n, workers) threads that live for
+    this call, by default one per usable CPU. The steps run inline when
+    min(n, workers) <= 1 or when the caller is itself a fan-out thread:
+    parallelism never nests. numpy's FFTs release the GIL, so spectral steps
+    overlap; each writes only its own arrays, so the bits do not depend on
+    the thread count. The threads are joined before this returns or raises."""
+    workers = min(n, _cpus() if workers is None else workers)
+    if workers <= 1 or getattr(_fan_out_thread, "worker", False):
         return list(map(step, range(n)))
     # imported here: importing the package loads and starts nothing new
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers, thread_name_prefix="fracfield-fft",
-                            initializer=_serial_thread) as pool:
+    with ThreadPoolExecutor(workers, thread_name_prefix="fracfield-fan-out", initializer=setattr,
+                            initargs=(_fan_out_thread, "worker", True)) as pool:  # marks its threads
         return list(pool.map(step, range(n)))
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -59,7 +58,7 @@ from .special import FracParams, _gauss, mu_const, riesz_potential_const, sphere
 from .spectral import (
     PeriodicField,
     _cached_frac_derivative,
-    _serial_thread,
+    _fan_out,
     embed,
     random_band_limited,
     spectral_frac_gradient,
@@ -818,19 +817,13 @@ def run_suite(cfg: Optional[QuadratureConfig] = None, seed: int = 0,
               jobs: int = 1, names: Optional[Sequence[str]] = None) -> list[VerifyReport]:
     """Run the default battery (optionally filtered by name substring).
 
-    With jobs > 1 the checks run on that many threads, and each check's
-    spectral transforms stay on its own thread (`spectral._serial_thread`)."""
+    The checks run through `spectral._fan_out` on min(jobs, checks) threads,
+    inline at jobs=1. A check on such a thread runs its spectral steps
+    inline: parallelism never nests."""
     cfg = cfg or QuadratureConfig()
     reg = default_suite_registry(cfg, seed=seed)
-    selected = {
-        k: v for k, v in reg.items()
-        if names is None or any(s in k for s in names)
-    }
-    if not selected:
+    thunks = [v for k, v in reg.items() if names is None or any(s in k for s in names)]
+    if not thunks:
         raise ConfigError(f"no checks match the filter {names!r}")
-    if jobs <= 1:
-        reports = [thunk() for thunk in selected.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs, initializer=_serial_thread) as pool:
-            reports = list(pool.map(lambda kv: kv[1](), selected.items()))
+    reports = _fan_out(lambda i: thunks[i](), len(thunks), jobs)
     return sorted(reports, key=lambda r: r.name)

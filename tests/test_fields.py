@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fracfield.analytic import nl_gradient_ball
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import (
     GridSpec,
@@ -21,6 +22,7 @@ from fracfield.fields import (
     scalar_times_vector,
 )
 
+from fracfield.measures import RadonMeasure, measure_ball_mass
 from fracfield.quadrature import QuadratureConfig, frac_gradient_batch
 
 from _oracles import lin_comb
@@ -84,11 +86,15 @@ def test_gaussian_gradient_shapes_and_mask():
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 1)), np.float64(0.5)],
                          ids=["one-point", "batch", "scalar"])
 def test_field_calls_refuse_points_of_another_dimension(x):
-    """Field calls and the direct engine, which evaluates fields at the
-    points, give the same refusal."""
+    """Field calls, the direct engine, which evaluates fields at the points,
+    a measure's ball mass and the ball indicator's gradient give the same
+    refusal."""
     g = gaussian((0.0, 0.0))
     direct = lambda x: frac_gradient_batch(g, 0.5, x, QuadratureConfig())
-    for call in (g, g.gradient, gaussian_vector((0.0, 0.0)), direct):
+    mu = RadonMeasure(n=2, atom_points=[[0.5, 0.0]], atom_weights=[1.0])
+    ball_mass = lambda x: measure_ball_mass(mu, x, 1.0)
+    ball_gradient = lambda x: nl_gradient_ball(np.zeros(2), 0.5, g, 0.5, x, QuadratureConfig())
+    for call in (g, g.gradient, gaussian_vector((0.0, 0.0)), direct, ball_mass, ball_gradient):
         with pytest.raises(ConfigError, match="trailing dimension 2"):
             call(x)
 

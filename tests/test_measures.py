@@ -15,8 +15,17 @@ def test_total_variation_and_mass():
     mu = RadonMeasure(n=2, atom_points=np.array([[0.0, 0.0], [1.0, 0.0]]),
                       atom_weights=np.array([1.0, -1.0]))
     assert mu.total_variation() == pytest.approx(2.0)
-    assert mu.total_mass() == pytest.approx(0.0)
-    assert mu.abs().total_mass() == pytest.approx(2.0)
+    assert np.array_equal(mu.abs().atom_weights, [1.0, 1.0])
+    assert mu.abs().total_variation() == pytest.approx(2.0)
+
+
+def test_atom_points_of_another_dimension_are_refused():
+    """(k, n) atom points only: three points in R^3 are not three in R^2."""
+    with pytest.raises(ConfigError, match="trailing dimension 2"):
+        RadonMeasure(n=2, atom_points=[[0, 1, 2], [3, 4, 5]], atom_weights=[1, 1, 1])
+    with pytest.raises(ConfigError, match=r"\(k, 2\) array"):
+        RadonMeasure(n=2, atom_points=[0.0, 1.0], atom_weights=[1.0])
+    assert RadonMeasure(n=2).atom_points.shape == (0, 2)
 
 
 def test_distinct_atoms_required():
@@ -33,6 +42,8 @@ def test_ball_mass_empty_and_single_atom():
     for r in (0.1, 1.0, 5.0):
         assert measure_ball_mass(single, (0.3, 0.3), r) == 1.0
     assert measure_ball_mass(single, (2.0, 2.0), 0.5) == 0.0
+    with pytest.raises(ConfigError, match="one point"):
+        measure_ball_mass(single, [(0.3, 0.3), (2.0, 2.0)], 1.0)
 
 
 def test_ball_mass_open_ball_semantics():
@@ -43,7 +54,7 @@ def test_ball_mass_open_ball_semantics():
 
 def test_cantor_ball_masses():
     mu = cantor_measure(8, 1)
-    assert mu.total_mass() == pytest.approx(1.0)
+    assert np.sum(mu.atom_weights) == pytest.approx(1.0)
     # level-8 measure, r = 3^-5 at a Cantor point: one level-5 cylinder
     assert measure_ball_mass(mu, (0.0,), 3.0**-5) == pytest.approx(2.0**-5, abs=2.0**-8 * 0)
     for j in range(0, 7):

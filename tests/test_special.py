@@ -115,10 +115,6 @@ def test_riesz_constants():
 
 
 def test_frac_params_regimes():
-    assert FracParams(0.5, 2, 1.2).regime() == "subcritical"
-    assert FracParams(0.5, 2, 3.0).regime() == "intermediate"
-    assert FracParams(0.5, 2, math.inf).regime() == "supercritical"
-    assert FracParams(0.5, 2, 4.0).regime() == "supercritical"  # n/(1-a) = 4
     fp = FracParams(0.5, 2, math.inf)
     assert fp.q == 1.0
     assert fp.decay_exponent_floor() == pytest.approx(1.5)

@@ -102,7 +102,7 @@ def test_steps_run_on_the_fan_out_threads(monkeypatch):
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     seen = _spy_irfft(monkeypatch)
     spectral_frac_gradient(_field(3, False), 0.5)
-    assert len(seen) == 3 and all(name.startswith("fracfield-fft") for name in seen)
+    assert len(seen) == 3 and all(name.startswith("fracfield-fan-out") for name in seen)
     seen.clear()
     spectral_frac_gradient(_field(1, False), 0.5)
     assert seen == [threading.current_thread().name]
@@ -154,17 +154,16 @@ def test_one_cpu_runs_inline_without_threads(monkeypatch, executors):
 
 
 def test_a_marked_thread_runs_its_steps_inline(monkeypatch, executors):
-    """A thread marked by `_serial_thread` (run_suite's workers, the
-    fan-out's own) runs its steps inline: parallelism never nests."""
+    """A fan-out thread (run_suite's checks, the spectral steps) runs the
+    steps of its own calls inline: parallelism never nests."""
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    f = _field(2, False)
+    fields = [_field(2, False), _field(3, False)]
     seen = _spy_irfft(monkeypatch)
-    with ThreadPoolExecutor(1, thread_name_prefix="outer",
-                            initializer=spectral._serial_thread) as outer:
-        got = outer.submit(spectral_frac_gradient, f, 0.5).result(timeout=60)
-    assert len(seen) == 2 and all(name.startswith("outer") for name in seen)
-    assert executors == []
-    assert np.array_equal(got.data, serial_apply_symbol(f, -0.5, True).data)
+    got = spectral._fan_out(lambda i: spectral_frac_gradient(fields[i], 0.5), 2)
+    assert len(seen) == 5 and all(name.startswith("fracfield-fan-out") for name in seen)
+    assert executors == [2]
+    for f, g in zip(fields, got):
+        assert np.array_equal(g.data, serial_apply_symbol(f, -0.5, True).data)
 
 
 def test_a_step_error_reaches_the_caller(monkeypatch):
@@ -228,7 +227,7 @@ def test_forked_child_runs_a_threaded_call(monkeypatch):
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
-    code = ("import sys, threading, fracfield.spectral; "
+    code = ("import sys, threading, fracfield.spectral, fracfield.verify, fracfield.cli; "
             "assert 'concurrent.futures' not in sys.modules, 'executor loaded'; "
             "assert threading.active_count() == 1")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -252,7 +251,9 @@ def test_run_suite_reports_do_not_depend_on_jobs(cfg):
 
 
 def test_run_suite_workers_never_fan_out(cfg, monkeypatch, executors):
+    """run_suite's own fan-out opens the one executor; its checks' spectral
+    steps run inline on its threads."""
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     reports = run_suite(cfg, jobs=2, names=["riesz_square", "symbol_factorization"])
     assert len(reports) == 2 and all(r.passed for r in reports)
-    assert executors == []
+    assert executors == [2]

@@ -296,6 +296,10 @@ def test_suite_parallel_matches_serial(cfg):
         assert x.seconds > 0.0 and y.seconds > 0.0
 
 
+def _untimed(reports):
+    return [repr(dataclasses.replace(r, seconds=0.0)) for r in reports]
+
+
 @pytest.fixture(scope="module")
 def default_run(cfg):
     """(reports, caught warnings, wall seconds) of the default battery."""
@@ -343,11 +347,14 @@ def test_default_suite_does_not_depend_on_run_order(cfg, default_run):
     thunks = list(default_suite_registry(cfg, seed=0).values())
     order = np.random.default_rng(7).permutation(len(thunks))
     shuffled = sorted((thunks[i]() for i in order), key=lambda r: r.name)
+    assert _untimed(shuffled) == _untimed(default_run[0])
 
-    def untimed(reports):
-        return [repr(dataclasses.replace(r, seconds=0.0)) for r in reports]
 
-    assert untimed(shuffled) == untimed(default_run[0])
+def test_default_suite_at_two_jobs_matches_the_serial_run(cfg, default_run):
+    """The whole battery, two checks at a time from an empty spectral cache,
+    gives the serial run's reports apart from seconds."""
+    _cached_frac_derivative.cache_clear()
+    assert _untimed(run_suite(cfg, seed=0, jobs=2)) == _untimed(default_run[0])
 
 
 def test_convergence_orders_fails_on_a_nan_order(monkeypatch):
