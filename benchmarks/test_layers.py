@@ -32,7 +32,7 @@ size of the thread pool their per-component transforms run on.
 The verifier benchmarks time one layer on the exact inputs of a default
 suite check, captured by running the check's own code once:
 `nl_gradient_ball` on the fine term-3 batch of `ball_ibp_r1.0`,
-`measure_ball_mass` over the six radii of `decay_smooth_pinf` (a 2048^2
+`measure_ball_mass` over the six radii of `decay_smooth_pinf` (a 1024^2
 density), and `duality_pairing` on `duality_convolved` with its spectral
 gradient already cached.
 """

@@ -41,7 +41,7 @@ from .quadrature import (
     sphere_rule,
 )
 from .special import _gauss, _mu_raw, mu_const, omega_const
-from .spectral import _BOX, PeriodicField, _cached_frac_derivative
+from .spectral import _BOX, _NODES, PeriodicField, _cached_frac_derivative
 
 Array = np.ndarray
 
@@ -201,8 +201,8 @@ def grad_chi_ball(r: float, x0, alpha: float, y, surface_nodes: int = 192) -> Ar
         mu(n,a)/(n+a-1) * int_{bd B_r} nu(z) |z-y|^(1-n-a) dH(z).
     The polar-angle rule is graded toward the near point of the sphere, so
     points with |dist to sphere| down to ~1e-9 r stay accurate (256 nodes
-    agree with 2048 to 5e-13 relative in R^2 and 2e-7 in R^3 there). Closer
-    points raise a RuntimeWarning.
+    agree with eight times as many to 5e-13 relative in R^2 and 2e-7 in R^3
+    there). Closer points raise a RuntimeWarning.
     """
     r = float(r)
     alpha = float(alpha)
@@ -416,8 +416,8 @@ def mollified_pole_field(pole_field: PoleField, eps: float) -> VectorField:
 
 def spectral_gradient_of(xi: ScalarField, alpha: float) -> PeriodicField:
     """Cached spectral fractional gradient of a smooth compact field (_BOX-wide
-    box, 1024^n nodes)."""
-    return _cached_frac_derivative(xi, float(alpha), 1024)
+    box, _NODES^n nodes)."""
+    return _cached_frac_derivative(xi, float(alpha), _NODES)
 
 
 def _bulk_sums(F: VectorField, G: PeriodicField, poles: Array,

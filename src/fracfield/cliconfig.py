@@ -64,7 +64,7 @@ def _ints(v) -> list:
 
 
 def _atoms(v) -> list:
-    if not v:
+    if len({len(pt) for pt, _ in v}) != 1:  # no atom, or points of several dimensions
         raise ValueError(v)
     return [[_floats(pt), float(w)] for pt, w in v]
 
@@ -76,9 +76,14 @@ def _checks(v):
 
 
 _WHAT = {float: "a number", _int: "an integer", _floats: "a list of numbers",
-         _ints: "a list of integers", _atoms: "a non-empty list of [point, weight] atoms",
-         _checks: "'default' or a list of check-name filters"}
+         _ints: "a list of integers", _checks: "'default' or a list of check-name filters",
+         _atoms: "a non-empty list of [point, weight] atoms whose points share one dimension"}
 _POW2 = (spectral._is_pow2, "be a power of two")
+# the largest convergence sweeps, each near 1.4 GB at its peak: a spectral
+# sweep's finest grid per axis (about 90 B a node) and the direct sweep's
+# levels (its per-point node block grows fourfold a level)
+_SPECTRAL_FINEST_MAX = 4096
+_DIRECT_LEVELS_MAX = 10
 
 
 def _at_least(k: int):
@@ -186,8 +191,8 @@ def _parse_field(spec: _Table) -> tuple[dict, Any]:
 
 
 def _built(table: _Table, build, *args, sep: str = ": ", **kwargs):
-    """build(*args, **kwargs); a ValueError it raises (DomainError, ConfigError,
-    or numpy's on unequal atom dimensions) becomes a ConfigError naming table."""
+    """build(*args, **kwargs); a ValueError it raises (DomainError or
+    ConfigError) becomes a ConfigError naming table."""
     try:
         return build(*args, **kwargs)
     except ValueError as e:
@@ -313,11 +318,15 @@ class ExperimentConfig:
 
     def _parse_convergence(self, s: _Table) -> dict:
         engine = _read(self.raw, "engine", ENGINES, "spectral")
-        return {"engine": engine,
+        base = _read(s, "base_resolution", _int, 32, _POW2) if engine == "spectral" else None
+        top, cap = ((_DIRECT_LEVELS_MAX, "the direct sweep's cap") if base is None else (
+            (_SPECTRAL_FINEST_MAX // base).bit_length(),  # base * 2^(top - 1) <= the cap
+            f"the finest grid, base_resolution * 2^(levels - 1), is capped at "
+            f"{_SPECTRAL_FINEST_MAX} per axis"))
+        return {"engine": engine, "base_resolution": base,
                 "alpha": _read(s, "alpha", float, 0.5, _below(1)),
-                "levels": _read(s, "levels", _int, 4, _at_least(2)),
-                "base_resolution": _read(s, "base_resolution", _int, 32, _POW2)
-                if engine == "spectral" else None}
+                "levels": _read(s, "levels", _int, 4,
+                                (lambda v: 2 <= v <= top, f"lie in [2, {top}]: {cap}"))}
 
     def _parse_decay(self, s: _Table) -> dict:
         source = self._field_ref(s, "source", "decay")

@@ -42,7 +42,7 @@ from .errors import ConfigError, DomainError, EmbeddingError
 from .fields import GridSpec, VectorField, _check_points, _index_box, _leading
 
 Array = np.ndarray
-_BOX = 16.0  # side of the box the cached spectral results are embedded in
+_BOX, _NODES = 16.0, 1024  # the cached spectral results' grid: box side, nodes per axis
 
 
 def _is_pow2(m: int) -> bool:
@@ -335,9 +335,9 @@ def embed(field, L: float, N: int, margin: float = 2.0) -> PeriodicField:
 @lru_cache(maxsize=2)
 def _cached_frac_derivative(field, alpha: float, N: int) -> PeriodicField:
     """grad^alpha of a ScalarField or div^alpha of a VectorField in the
-    _BOX-wide box at N^n nodes, keyed on the field itself (frozen: hints by
-    value, evaluator by identity), so two different fields never share an
-    entry. Callers pass float(alpha) and int(N) positionally."""
+    _BOX-wide box at N^n nodes (the wrappers pass _NODES), keyed on the field
+    itself (frozen: hints by value, evaluator by identity), so two fields
+    never share an entry. Callers pass float(alpha) and N positionally."""
     pf = embed(field, _BOX, N)
     if isinstance(field, VectorField):
         return spectral_frac_divergence(pf, alpha)

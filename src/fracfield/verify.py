@@ -56,6 +56,8 @@ from .quadrature import (
 )
 from .special import FracParams, _gauss, mu_const, riesz_potential_const, sphere_area
 from .spectral import (
+    _BOX,
+    _NODES,
     PeriodicField,
     _cached_frac_derivative,
     _fan_out,
@@ -201,19 +203,15 @@ def _refined(cfg: QuadratureConfig) -> QuadratureConfig:
 
 
 def _support(*fields, default: float = 8.0) -> float:
-    out = 0.0
-    found = False
-    for f in fields:
-        if f.support_radius is not None:
-            out = max(out, f.support_radius)
-            found = True
-    return out if found else default
+    """The largest support radius the fields declare, else default."""
+    radii = [f.support_radius for f in fields if f.support_radius is not None]
+    return max(radii) if radii else default
 
 
-def spectral_divergence_of(F: VectorField, alpha: float, N: int = 1024) -> PeriodicField:
+def spectral_divergence_of(F: VectorField, alpha: float) -> PeriodicField:
     """Cached spectral fractional divergence of a smooth compact field
-    (_BOX-wide box, N^n nodes)."""
-    return _cached_frac_derivative(F, float(alpha), int(N))
+    (_BOX-wide box, _NODES^n nodes)."""
+    return _cached_frac_derivative(F, float(alpha), _NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +508,10 @@ def decay_scan(source, alpha: float, p: float, center, radii, expect: str = "flo
         meas = source.abs()
     elif hasattr(source, "measure"):
         meas = source.measure.abs()
-    elif source.n == 3:  # the 2048^3 box below would need tens of GB
+    elif source.n == 3:  # its _NODES^3 box would need tens of GB
         raise DomainError("a smooth decay source must lie in R^1 or R^2, got R^3")
     else:
-        dens = spectral_divergence_of(source, alpha, N=2048)
+        dens = spectral_divergence_of(source, alpha)
         h = dens.grid.spacing
         grid = GridSpec(
             tuple(l - 0.5 * hh for l, hh in zip(dens.grid.lower, h)),
@@ -592,11 +590,11 @@ def _mean_free(pf: PeriodicField) -> PeriodicField:
 
 def check_semigroup_spectral() -> VerifyReport:
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
-    pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 1024))
+    pf = _mean_free(embed(gaussian((0.0, 0.0)), _BOX, _NODES))
     a = spectral_riesz_potential(spectral_riesz_potential(pf, 0.4), 0.3)
     b = spectral_riesz_potential(pf, 0.7)
     diff = float(np.max(np.abs(a.data - b.data)))
-    return _report("semigroup_spectral", {"orders": [0.3, 0.4], "grid": "16/1024"},
+    return _report("semigroup_spectral", {"orders": [0.3, 0.4], "grid": f"{_BOX:g}/{_NODES}"},
                    diff, 0.0, 0.0, policy, scale=1.0)
 
 
@@ -637,7 +635,7 @@ def check_semigroup_direct(cfg: QuadratureConfig) -> VerifyReport:
 def check_symbol_factorization() -> VerifyReport:
     """Spectral grad^a f == spectral gradient of I_{1-a} f at roundoff."""
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
-    pf = _mean_free(embed(gaussian((0.0, 0.0)), 16.0, 512))
+    pf = _mean_free(embed(gaussian((0.0, 0.0)), _BOX, 512))
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9):
         a = spectral_frac_gradient(pf, alpha)
@@ -650,14 +648,14 @@ def check_symbol_factorization() -> VerifyReport:
 def check_riesz_square() -> VerifyReport:
     """sum_i R_i^2 == -Id on mean-zero band-limited fields (spectral)."""
     policy = TolerancePolicy(abs_tol=1e-10, est_factor=0.0)
-    grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (128, 128))
+    grid = GridSpec((-_BOX / 2.0,) * 2, (_BOX / 2.0,) * 2, (128, 128))
     f = random_band_limited(grid, 6, seed=7)
     R = spectral_riesz_transform(f)
     acc = np.zeros_like(f.data)
     for j in range(2):
         acc += spectral_riesz_transform(PeriodicField(grid, R.data[j])).data[j]
     diff = float(np.max(np.abs(acc + f.data)))
-    return _report("riesz_square", {"grid": "16/128", "kmax": 6}, diff, 0.0, 0.0,
+    return _report("riesz_square", {"grid": f"{_BOX:g}/128", "kmax": 6}, diff, 0.0, 0.0,
                    policy, scale=1.0)
 
 
@@ -689,7 +687,7 @@ def convergence_sweep_spectral(levels: Sequence[int] = (32, 64, 128, 256),
                                alpha: float = 0.5) -> list[dict]:
     """Spectral self-convergence on a narrow Gaussian; rows per level."""
     G = gaussian((0.0, 0.0), width=1.1)
-    L = 16.0
+    L = _BOX
     finest = max(levels)
     ref = spectral_frac_gradient(embed(G, L, finest), alpha)
     rows = []

@@ -312,7 +312,7 @@ def test_cli_decay_takes_dimension_from_source(tmp_path, capsys):
 
 
 def test_cli_decay_refuses_a_3d_smooth_source_before_embedding(tmp_path, capsys, monkeypatch):
-    """A 3-D smooth source would be embedded at 2048^3 nodes: decay exits 3
+    """A 3-D smooth source would be embedded at 1024^3 nodes: decay exits 3
     before spectral.embed is ever called."""
     import fracfield.spectral
 
@@ -487,6 +487,16 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      "grid.counts: [8.7, 8] is not a list of integers"),
     ("convergence", _edited("convergence_spectral.toml", "= 32", "= 48"), None,
      "convergence.base_resolution must be a power of two, got 48"),
+    ("convergence", _edited("convergence_spectral.toml", "levels = 4", "levels = 9"), None,
+     "convergence.levels must lie in [2, 8]: the finest grid, base_resolution * "
+     "2^(levels - 1), is capped at 4096 per axis, got 9"),
+    ("convergence", 'kind = "convergence"\nengine = "direct"\n[convergence]\nlevels = 11\n', None,
+     "convergence.levels must lie in [2, 10]: the direct sweep's cap, got 11"),
+    ("decay", 'kind = "decay"\n[fields.nu]\ntemplate = "convolved"\n'
+     'atoms = [[[0.0, 0.0], 1.0], [[1.0], 2.0]]\n'
+     '[decay]\nsource = "nu"\nradii = [0.1, 0.2, 0.4]\n', None,
+     "fields.nu.atoms: [[[0.0, 0.0], 1.0], [[1.0], 2.0]] is not a non-empty list of "
+     "[point, weight] atoms whose points share one dimension\n"),
     ("decay", re.sub(r"radii = \[[^]]*\]", "pow3_levels = 10",
                      (CONFIG_DIR / "decay_cantor.toml").read_text()), None,
      "decay.radii is required"),
@@ -531,6 +541,7 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
         "misspelled-section", "quadrature-tail-model", "gaussian-vector-amplitude",
         "op-order-alias", "template-constructor-error", "seed-fraction", "seed-bool",
         "quadrature-int-fraction", "grid-counts-fraction", "base-resolution-pow2",
+        "spectral-sweep-cap", "direct-sweep-cap", "convolved-mixed-dimension",
         "decay-pow3-levels-alone", "quadrature-tol", "quadrature-panel-growth",
         "quadrature-near-radius", "quadrature-far-cutoff", "quadrature-node-count",
         "grid-bounds", "grid-counts", "decay-alpha-above-one", "decay-alpha-negative",
@@ -617,6 +628,32 @@ def test_cli_refuses_a_value_the_run_would_ignore(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert err == f"config error: unknown key: {name}\n", err
     assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.bin"))
+
+
+@pytest.mark.parametrize("engine,section,ok", [
+    ("spectral", {"levels": 8, "base_resolution": 32}, True),
+    ("spectral", {"levels": 9, "base_resolution": 32}, False),
+    ("spectral", {"levels": 2, "base_resolution": 8192}, False),
+    ("spectral", {"levels": 10**9}, False),
+    ("direct", {"levels": 10}, True),
+    ("direct", {"levels": 11}, False),
+    ("direct", {"levels": 10**9}, False),
+])
+def test_convergence_sweep_is_capped_at_parse_time(monkeypatch, engine, section, ok):
+    """A spectral sweep's finest grid is base_resolution * 2^(levels - 1) per
+    axis, at most 4096; the direct sweep takes at most 10 levels. Parsing
+    alone accepts or refuses the sweep: no sweep runs."""
+    from fracfield import verify
+
+    def ran(*args):
+        raise AssertionError("a sweep ran while parsing")
+
+    monkeypatch.setattr(verify, "convergence_sweep_spectral", ran)
+    monkeypatch.setattr(verify, "convergence_sweep_direct", ran)
+    data = {"kind": "convergence", "engine": engine, "convergence": section}
+    with nullcontext() if ok else pytest.raises(ConfigError, match="4096 per axis" if engine
+                                                == "spectral" else "direct sweep's cap"):
+        assert ExperimentConfig.from_dict(data).params["levels"] == section["levels"]
 
 
 def test_cli_convergence_engine_flag(tmp_path, capsys):

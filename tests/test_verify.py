@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -7,13 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fracfield import analytic, verify
+from fracfield import analytic, spectral, verify
 from fracfield.analytic import make_delta_pair, spectral_gradient_of
 from fracfield.errors import ConfigError, DomainError
 from fracfield.fields import ScalarField, cutoff, gaussian, gaussian_vector
 from fracfield.quadrature import QuadratureConfig, _ball_radial_rule, panel_radial_rule
 from fracfield.special import _gauss
-from fracfield.spectral import _cached_frac_derivative
+from fracfield.spectral import _cached_frac_derivative, embed
 from fracfield.verify import (
     TolerancePolicy,
     VerifyReport,
@@ -405,21 +406,21 @@ def test_spectral_caches_tell_apart_fields_with_equal_hints():
     np.testing.assert_array_equal(spectral_gradient_of(g2, 0.5).data, 2.0 * grad)
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
     F2 = dataclasses.replace(F, fn=lambda p: 2.0 * F.fn(p))
-    div = spectral_divergence_of(F, 0.5, N=256).data
-    np.testing.assert_array_equal(spectral_divergence_of(F2, 0.5, N=256).data, 2.0 * div)
+    div = _cached_frac_derivative(F, 0.5, 256).data
+    np.testing.assert_array_equal(_cached_frac_derivative(F2, 0.5, 256).data, 2.0 * div)
 
 
 def test_spectral_cache_entry_is_the_recomputed_result_for_every_call_form():
     F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
-    div = spectral_divergence_of(F, 0.5, 256)
-    assert spectral_divergence_of(F, 0.5, N=256) is div
-    assert spectral_divergence_of(F, alpha=np.float64(0.5), N=256) is div
+    div = _cached_frac_derivative(F, 0.5, 256)
+    assert _cached_frac_derivative(F, 0.5, 256) is div
+    assert _cached_frac_derivative(F, np.float64(0.5), 256) is div
     np.testing.assert_array_equal(
         div.data, _cached_frac_derivative.__wrapped__(F, 0.5, 256).data)
     g = gaussian((0.0, 0.0))
     grad = spectral_gradient_of(g, 0.5)
     assert spectral_gradient_of(g, alpha=0.5) is grad
-    assert spectral_divergence_of(F, 0.5) is spectral_divergence_of(F, 0.5, 1024)
+    assert spectral_divergence_of(F, alpha=np.float64(0.5)) is _cached_frac_derivative(F, 0.5, 1024)
     np.testing.assert_array_equal(
         grad.data, _cached_frac_derivative.__wrapped__(g, 0.5, 1024).data)
 
@@ -434,12 +435,44 @@ def test_spectral_cache_under_threads_keeps_each_field_its_own_result():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futs = [pool.submit(spectral_divergence_of, fields[i % 3], 0.5, 64) for i in range(60)]
+            futs = [pool.submit(_cached_frac_derivative, fields[i % 3], 0.5, 64) for i in range(60)]
             got = [f.result(timeout=60) for f in futs]
     finally:
         sys.setswitchinterval(old)
     for i, pf in enumerate(got):
         np.testing.assert_array_equal(pf.data, want[i % 3])
+
+
+def _embed_spy(monkeypatch):
+    """The node counts of every embed the verifier makes, in call order."""
+    sizes = []
+
+    def spy(field, L, N, *args, **kwargs):
+        sizes.append(N)
+        return embed(field, L, N, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "embed", spy)
+    monkeypatch.setattr(verify, "embed", spy)
+    return sizes
+
+
+def test_smooth_decay_scan_reads_the_cached_divergence(monkeypatch):
+    """A smooth source's ball masses come from the divergence the duality and
+    ball checks cache: once it is cached, the scan embeds nothing."""
+    F = gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5))
+    spectral_divergence_of(F, 0.5)
+    sizes = _embed_spy(monkeypatch)
+    rep = decay_scan(F, 0.5, math.inf, (0.3, 0.2), np.geomspace(0.1, 0.8, 6))
+    assert sizes == [] and rep.passed
+
+
+def test_default_suite_embeds_no_grid_finer_than_1024(cfg, monkeypatch):
+    """The serial battery, from an empty spectral cache, embeds every field at
+    no more than 1024 nodes per axis."""
+    sizes = _embed_spy(monkeypatch)
+    _cached_frac_derivative.cache_clear()
+    run_suite(cfg, seed=0, jobs=1)
+    assert sizes and max(sizes) <= 1024, sizes
 
 
 def test_div_relation_needs_closed_form_gradient(cfg, gauss_vec2d):
