@@ -64,7 +64,8 @@ def _ints(v) -> list:
 
 
 def _atoms(v) -> list:
-    if len({len(pt) for pt, _ in v}) != 1:  # no atom, or points of several dimensions
+    dims = {len(pt) for pt, _ in v}
+    if len(dims) != 1 or 0 in dims:  # no atom, points of several dimensions, or of none
         raise ValueError(v)
     return [[_floats(pt), float(w)] for pt, w in v]
 
@@ -77,7 +78,8 @@ def _checks(v):
 
 _WHAT = {float: "a number", _int: "an integer", _floats: "a list of numbers",
          _ints: "a list of integers", _checks: "'default' or a list of check-name filters",
-         _atoms: "a non-empty list of [point, weight] atoms whose points share one dimension"}
+         _atoms: "a non-empty list of [point, weight] atoms whose points share one "
+                 "dimension of at least one coordinate"}
 _POW2 = (spectral._is_pow2, "be a power of two")
 # the largest convergence sweeps, each near 1.4 GB at its peak: a spectral
 # sweep's finest grid per axis (about 90 B a node) and the direct sweep's

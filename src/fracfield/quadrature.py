@@ -3,9 +3,10 @@
 Every operator is computed in polar coordinates around the evaluation point
 with a three-way split:
 
-* near field [0, delta]: the radial singularity is flattened exactly by the
-  substitution u = r^(1+rho) (rho the radial power of the integrand), with
-  Gauss-Legendre nodes in u and a uniform antipodally-symmetric angular rule;
+* near field [0, delta]: u = r^(1+kern+p) flattens the singularity exactly
+  (kern the kernel's radial power, p the integrand's vanishing order), with
+  Gauss-Legendre nodes in u, weights times r^(-p) and a uniform
+  antipodally-symmetric angular rule;
 * mid field [delta, R_far]: geometrically growing radial panels with
   Gauss-Legendre nodes per panel, times the angular rule: the annulus
   geometry is matched exactly, there are no partially covered cells;
@@ -20,8 +21,8 @@ The error estimate is |fine - coarse| (half node counts) plus the tail bound.
 All evaluators are batched over evaluation points: each pass builds its node
 template once and evaluates it around blocks of points sized so a block's
 temporaries stay in cache (`_BLOCK_NODES`). Every public operator is one call
-of the driver `_run_op` with its kernel order, constant and integrand kind;
-it takes one point of shape (n,) or a batch of shape (m, n) and returns
+of `_run_op` with its fields, order and integrand kind, not a constant; it
+takes one point of shape (n,) or a batch of shape (m, n) and returns
 `(values, estimates)` with one row per point.
 
 Every polar rule of the package comes from one builder here: `special._gauss`
@@ -43,8 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fields import ScalarField, VectorField, _check_points, _inner
-from .special import (_gauss, _leggauss, _read_only, mu_const, riesz_potential_const,
-                      riesz_transform_const, sphere_area)
+from .special import _gauss, _leggauss, _read_only, mu_const, riesz_potential_const, sphere_area
 
 Array = np.ndarray
 
@@ -224,35 +224,18 @@ def _far_plan(fields, X: Array, cfg: QuadratureConfig, order: float) -> tuple[fl
 # ---------------------------------------------------------------------------
 # batched polar engine
 
-def _batched_polar(
-    n: int,
-    X: Array,
-    numer: Callable[[Array, Array], Array],
-    kern_pow: float,
-    near_divide: bool,
-    cfg: QuadratureConfig,
-    vector: bool,
-    far_R: float,
-) -> Array:
-    """One resolution pass; returns (m,) or (m, n) values (no constant)."""
-    m_pts = X.shape[0]
-    delta = min(cfg.near_radius, 0.5 * far_R)
-    out_shape = (m_pts, n) if vector else (m_pts,)
-    acc = np.zeros(out_shape)
-
-    rho = kern_pow + 1.0 if near_divide else kern_pow
-    r, w_rad = singular_radial_rule(delta, rho, cfg.near_radial_nodes)
-    # difference quotients below r_floor are frozen: pure roundoff guard
-    r_floor = 1e-7 * min(1.0, delta)
-    acc += _polar_sum(X, numer, np.maximum(r, r_floor), w_rad, cfg.near_angular_nodes,
-                      0.0, divide=near_divide, vector=vector)
-
-    if far_R > delta * (1.0 + 1e-12):
-        r2, w_rad2 = panel_radial_rule(delta, far_R, cfg.mid_panel_growth,
-                                       cfg.mid_panel_nodes)
-        acc += _polar_sum(X, numer, r2, w_rad2, cfg.mid_angular_nodes, kern_pow,
-                          divide=False, vector=vector)
-    return acc
+def _batched_polar(X: Array, numer: Callable[[Array, Array], Array], kern_pow: float,
+                   p: float, cfg: QuadratureConfig, vector: bool, far_R: float) -> Array:
+    """One pass of numer (vanishing to order p at the point) against r^kern_pow
+    dr dOmega, without the constant `_run_op` derives: (m,) or (m, n) values.
+    The near zone ends at near_radius, the mid zone at far_R (>= 2 near_radius)."""
+    delta = cfg.near_radius
+    r, w_rad = singular_radial_rule(delta, kern_pow + p, cfg.near_radial_nodes)
+    # difference quotients are frozen below a radius floor: pure roundoff guard
+    r = np.maximum(r, 1e-7 * min(1.0, delta))
+    near = _polar_sum(X, numer, r, w_rad, cfg.near_angular_nodes, -p, vector)
+    r2, w_rad2 = panel_radial_rule(delta, far_R, cfg.mid_panel_growth, cfg.mid_panel_nodes)
+    return near + _polar_sum(X, numer, r2, w_rad2, cfg.mid_angular_nodes, kern_pow, vector)
 
 
 # Nodes per block of evaluation points: a (points, radii, angles, n)
@@ -274,7 +257,7 @@ def _blocks(m_pts: int, nodes_per_pt: int):
     return (slice(i, i + step) for i in range(0, m_pts, step))
 
 
-def _polar_sum(X, numer, r, w_rad, m_ang, k, divide, vector):
+def _polar_sum(X, numer, r, w_rad, m_ang, k, vector):
     """Accumulate sum_{r,omega} numer(x + r w, w, rows) * weight over blocks
     of points, with the polar rule of radii r (weights w_rad r^k) and the
     m_ang sphere rule.
@@ -292,8 +275,6 @@ def _polar_sum(X, numer, r, w_rad, m_ang, k, divide, vector):
         # every elementwise step then runs over contiguous components
         pts = np.add(X[rows].T[:, :, None, None], disp[:, None], order="C").transpose(1, 2, 3, 0)
         vals = numer(pts, dirs, rows)                            # (b, R, A)
-        if divide:
-            vals = vals / r[:, None]
         out[rows] = np.einsum("mra,kra->mk" if vector else "mra,ra->m", vals, w)
     return out
 
@@ -345,7 +326,7 @@ def _integrand(scalars, vec, X: Array, increment: bool):
     """
     if not increment:
         f, = scalars
-        return lambda pts, dirs, rows: f(pts)
+        return lambda pts, _dirs, _rows: f(pts)
     bases = [f(X) for f in scalars]
     vbase = None if vec is None else vec(X).T  # (n, m)
 
@@ -384,23 +365,25 @@ def _source(scalars, vec):
     return src
 
 
-def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfig,
-            increment: bool = True):
-    """The direct engine's one driver: constant * integral of the integrand
-    against the kernel of the given order, with its error estimate.
+def _run_op(scalars, vec, x, order: float, cfg: QuadratureConfig, increment: bool = True):
+    """The direct engine's one operator path: the kernel's constant times the
+    integral of the integrand against the kernel of the given order, with its
+    error estimate. A public operator passes its fields, order and integrand
+    kind; the constant and the integrand's vanishing order p follow from them.
 
     `scalars` are ScalarFields and `vec` an optional VectorField. Increment
-    integrands (the gradients, divergences and Riesz transform) are divided
-    by r near the point and integrated against (y-x)|y-x|^(-n-1-order); the
-    output is an n-vector unless a vector field is contracted. A value
-    integrand (the potential, order -beta) meets |y-x|^(-n-order).
+    integrands (p = 1: the gradients, divergences and, at order 0, the Riesz
+    transform) meet mu(n, order) (y-x)|y-x|^(-n-1-order); the output is an
+    n-vector unless a vector field is contracted. A value integrand (p = 0:
+    the potential, order -beta) meets its constant times |y-x|^(-n-order).
     """
     fields = tuple(scalars) + (() if vec is None else (vec,))
+    n = fields[0].n  # the constant refuses a bad potential order before any kind check
+    constant = mu_const(n, order) if increment else riesz_potential_const(n, -order)
     kinds = (ScalarField,) * len(scalars) + (VectorField,)  # zip drops the last if vec is None
     for f, kind in zip(fields, kinds):
         if not isinstance(f, kind):
             raise ConfigError(f"operator takes a {kind.__name__}, got {type(f).__name__}")
-    n = fields[0].n
     if any(f.n != n for f in fields):
         raise ConfigError("fields must share the dimension")
     if not increment:
@@ -410,6 +393,7 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
                               f"{f.decay[1]} <= order {-order}")
     X = _points(x, n)
     vector = increment and vec is None
+    p = 1.0 if increment else 0.0
     kern_pow = -1.0 - order
     sups = [f.support_radius for f in fields]
     out_shape = (X.shape[0], n) if vector else (X.shape[0],)
@@ -422,17 +406,14 @@ def _run_op(scalars, vec, x, order: float, constant: float, cfg: QuadratureConfi
         far = np.zeros(X.shape[0], dtype=bool)
     if np.any(far):
         fine[far], coarse[far] = _far_source_eval(
-            _source(scalars, vec), vec is not None, vector,
-            n + order + (1.0 if increment else 0.0),
+            _source(scalars, vec), vec is not None, vector, n + order + p,
             X[far], max(sups), n, cfg)
     if np.any(~far):
         Xn = X[~far]
         far_R, tail = _far_plan(fields, Xn, cfg, order)
         numer = _integrand(scalars, vec, Xn, increment)
-        fine[~far] = _batched_polar(n, Xn, numer, kern_pow, increment, cfg,
-                                    vector, far_R)
-        coarse[~far] = _batched_polar(n, Xn, numer, kern_pow, increment,
-                                      cfg.coarsened(), vector, far_R)
+        fine[~far] = _batched_polar(Xn, numer, kern_pow, p, cfg, vector, far_R)
+        coarse[~far] = _batched_polar(Xn, numer, kern_pow, p, cfg.coarsened(), vector, far_R)
         tails[~far] = tail
     diff = np.abs(fine - coarse)
     per_point = diff if not vector else np.sqrt(_inner(diff))
@@ -462,36 +443,35 @@ def _points(x, n) -> Array:
 def frac_gradient_batch(xi: ScalarField, alpha: float, x, cfg: QuadratureConfig):
     """Fractional gradient of a scalar field at a batch of points."""
     alpha = _check_alpha(alpha)
-    return _run_op((xi,), None, x, alpha, mu_const(xi.n, alpha), cfg)
+    return _run_op((xi,), None, x, alpha, cfg)
 
 
 def frac_divergence_batch(F: VectorField, alpha: float, x, cfg: QuadratureConfig):
     """Fractional divergence of a vector field at a batch of points."""
     alpha = _check_alpha(alpha)
-    return _run_op((), F, x, alpha, mu_const(F.n, alpha), cfg)
+    return _run_op((), F, x, alpha, cfg)
 
 
 def nl_gradient_batch(f: ScalarField, g: ScalarField, alpha: float, x,
                       cfg: QuadratureConfig):
     """Bilinear nonlocal gradient of the couple (f, g)."""
     alpha = _check_alpha(alpha)
-    return _run_op((f, g), None, x, alpha, mu_const(f.n, alpha), cfg)
+    return _run_op((f, g), None, x, alpha, cfg)
 
 
 def nl_divergence_batch(g: ScalarField, F: VectorField, alpha: float, x,
                         cfg: QuadratureConfig):
     """Bilinear nonlocal divergence of the couple (g, F)."""
     alpha = _check_alpha(alpha)
-    return _run_op((g,), F, x, alpha, mu_const(g.n, alpha), cfg)
+    return _run_op((g,), F, x, alpha, cfg)
 
 
 def riesz_potential_batch(f: ScalarField, beta: float, x, cfg: QuadratureConfig):
     """Order-beta Riesz potential; requires decay s > beta (or compact support)."""
     beta = float(beta)
-    return _run_op((f,), None, x, -beta, riesz_potential_const(f.n, beta), cfg,
-                   increment=False)
+    return _run_op((f,), None, x, -beta, cfg, increment=False)
 
 
 def riesz_transform_batch(f: ScalarField, x, cfg: QuadratureConfig):
-    """Vector Riesz transform: principal value via symmetric increment shells."""
-    return _run_op((f,), None, x, 0.0, riesz_transform_const(f.n), cfg)
+    """Vector Riesz transform, the order-0 gradient: a principal value."""
+    return _run_op((f,), None, x, 0.0, cfg)

@@ -64,7 +64,8 @@ def mu_const(n: int, alpha: float) -> float:
 
     mu(n, alpha) = 2^alpha pi^(-n/2) Gamma((n+alpha+1)/2) / Gamma((1-alpha)/2),
     defined for alpha in (-1, 1); negative orders appear in the explicit
-    delta-divergence example fields.
+    delta-divergence example fields. At alpha = 0 it is the Riesz transform's
+    constant, pi^(-(n+1)/2) Gamma((n+1)/2).
     """
     if not -1.0 < alpha < 1.0:
         raise DomainError(f"mu_const requires alpha in (-1, 1), got {alpha!r}")
@@ -95,11 +96,6 @@ def riesz_potential_const(n: int, beta: float) -> float:
         * gamma_fn((n - beta) / 2.0)
         / gamma_fn(beta / 2.0)
     )
-
-
-def riesz_transform_const(n: int) -> float:
-    """Kernel constant of the vector-valued Riesz transform on R^n."""
-    return math.pi ** (-(n + 1.0) / 2.0) * gamma_fn((n + 1.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -496,7 +496,11 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
      'atoms = [[[0.0, 0.0], 1.0], [[1.0], 2.0]]\n'
      '[decay]\nsource = "nu"\nradii = [0.1, 0.2, 0.4]\n', None,
      "fields.nu.atoms: [[[0.0, 0.0], 1.0], [[1.0], 2.0]] is not a non-empty list of "
-     "[point, weight] atoms whose points share one dimension\n"),
+     "[point, weight] atoms whose points share one dimension of at least one coordinate\n"),
+    ("decay", 'kind = "decay"\n[fields.main]\ntemplate = "convolved"\natoms = [[[], 1.0]]\n'
+     '[decay]\nsource = "main"\nradii = [0.1, 0.2, 0.4]\n', None,
+     "config error: fields.main.atoms: [[[], 1.0]] is not a non-empty list of [point, weight] "
+     "atoms whose points share one dimension of at least one coordinate\n"),
     ("decay", re.sub(r"radii = \[[^]]*\]", "pow3_levels = 10",
                      (CONFIG_DIR / "decay_cantor.toml").read_text()), None,
      "decay.radii is required"),
@@ -542,6 +546,7 @@ VERIFY_TEXT = (CONFIG_DIR / "verify_default.toml").read_text()
         "op-order-alias", "template-constructor-error", "seed-fraction", "seed-bool",
         "quadrature-int-fraction", "grid-counts-fraction", "base-resolution-pow2",
         "spectral-sweep-cap", "direct-sweep-cap", "convolved-mixed-dimension",
+        "convolved-empty-point",
         "decay-pow3-levels-alone", "quadrature-tol", "quadrature-panel-growth",
         "quadrature-near-radius", "quadrature-far-cutoff", "quadrature-node-count",
         "grid-bounds", "grid-counts", "decay-alpha-above-one", "decay-alpha-negative",

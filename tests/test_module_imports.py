@@ -1,6 +1,7 @@
 """Every package import sits at a module's top, so the import graph is the
-one the module headers state and a cycle fails at import time; and every
-name a module imports is used, so a simplification leaves no import behind."""
+one the module headers state and a cycle fails at import time; every name a
+module imports is used, and every parameter a function takes is read, so a
+simplification leaves no import or parameter behind."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in read]
 
 
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """'line: function(parameter)' for each parameter of a def or lambda that
+    its body never reads. `self`, `cls` and names starting with `_` (a
+    callback's protocol slot) are exempt."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "lambda")
+        found += [f"{fn.lineno}: {name}({p})" for p in params
+                  if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"fields", "quadrature", "spectral", "verify"}
 
@@ -86,3 +106,21 @@ def test_the_guard_sees_an_unused_import():
                      "    import math\n"
                      "    return np.sum(_inner(x))\n")
     assert _unused_imports(tree) == ["2: os", "4: GridSpec", "6: math"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_parameters(tree) == []
+
+
+def test_the_guard_sees_an_unused_parameter():
+    tree = ast.parse("def f(x, y, *args, _slot, **kw):\n"
+                     "    def g(self, z):\n"
+                     "        return x\n"
+                     "    return lambda p, q: p + g(None, kw)\n"
+                     "class C:\n"
+                     "    def h(self, cls, w=1):\n"
+                     "        pass\n")
+    assert _unused_parameters(tree) == [
+        "1: f(y)", "1: f(args)", "2: g(z)", "4: lambda(q)", "6: h(w)"]

@@ -11,7 +11,6 @@ from fracfield.special import (
     mu_const,
     omega_const,
     riesz_potential_const,
-    riesz_transform_const,
 )
 
 # frozen high-precision references (30-digit arithmetic, computed once offline)
@@ -109,7 +108,9 @@ def test_omega_values():
 
 def test_riesz_constants():
     assert riesz_potential_const(2, 0.5) == pytest.approx(0.076074279862467708, rel=1e-12)
-    assert riesz_transform_const(2) > 0
+    for n in (1, 2, 3):  # the Riesz transform is the order-0 gradient
+        riesz = math.pi ** (-(n + 1) / 2) * math.gamma((n + 1) / 2)
+        assert mu_const(n, 0.0) == pytest.approx(riesz, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         riesz_potential_const(2, 2.5)
 
