@@ -378,12 +378,12 @@ def _run_op(scalars, vec, x, order: float, cfg: QuadratureConfig, increment: boo
     the potential, order -beta) meets its constant times |y-x|^(-n-order).
     """
     fields = tuple(scalars) + (() if vec is None else (vec,))
-    n = fields[0].n  # the constant refuses a bad potential order before any kind check
-    constant = mu_const(n, order) if increment else riesz_potential_const(n, -order)
     kinds = (ScalarField,) * len(scalars) + (VectorField,)  # zip drops the last if vec is None
     for f, kind in zip(fields, kinds):
         if not isinstance(f, kind):
             raise ConfigError(f"operator takes a {kind.__name__}, got {type(f).__name__}")
+    n = fields[0].n
+    constant = mu_const(n, order) if increment else riesz_potential_const(n, -order)
     if any(f.n != n for f in fields):
         raise ConfigError("fields must share the dimension")
     if not increment:
@@ -400,14 +400,11 @@ def _run_op(scalars, vec, x, order: float, cfg: QuadratureConfig, increment: boo
     fine = np.zeros(out_shape)
     coarse = np.zeros(out_shape)
     tails = np.zeros(X.shape[0])
-    if all(s is not None for s in sups):
-        far = np.sqrt(_inner(X)) > max(sups) + 1.0
-    else:
-        far = np.zeros(X.shape[0], dtype=bool)
+    S = max(sups) if all(s is not None for s in sups) else math.inf
+    far = np.sqrt(_inner(X)) > S + min(1.0, S)  # beyond, x would see the source in a narrow cone
     if np.any(far):
         fine[far], coarse[far] = _far_source_eval(
-            _source(scalars, vec), vec is not None, vector, n + order + p,
-            X[far], max(sups), n, cfg)
+            _source(scalars, vec), vec is not None, vector, n + order + p, X[far], S, n, cfg)
     if np.any(~far):
         Xn = X[~far]
         far_R, tail = _far_plan(fields, Xn, cfg, order)

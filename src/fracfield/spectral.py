@@ -338,10 +338,10 @@ def _cached_frac_derivative(field, alpha: float, N: int) -> PeriodicField:
     _BOX-wide box at N^n nodes (the wrappers pass _NODES), keyed on the field
     itself (frozen: hints by value, evaluator by identity), so two fields
     never share an entry. Callers pass float(alpha) and N positionally."""
-    pf = embed(field, _BOX, N)
-    if isinstance(field, VectorField):
-        return spectral_frac_divergence(pf, alpha)
-    return spectral_frac_gradient(pf, alpha)
+    op = spectral_frac_divergence if isinstance(field, VectorField) else spectral_frac_gradient
+    out = op(embed(field, _BOX, N), alpha)
+    out.data.setflags(write=False)  # shared by every later call: read-only
+    return out
 
 
 def random_band_limited(grid: GridSpec, kmax: int, seed: int,

@@ -381,69 +381,53 @@ def _ball_polar_integral(fn_batch, x0, r, cfg) -> tuple[float, float]:
         fn_batch, *_gauss(0.0, r, 4 * q.mid_panel_nodes), q.mid_angular_nodes), cfg)
 
 
-def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
-    """int F . gradNL^a(chi_{B_r(x0)}, xi) with radial grading at the sphere.
+def _sphere_radii(r, R_out, alpha, m, q) -> tuple[Array, Array]:
+    """Radii across the sphere rho = r, out to R_out: the u-substitution rule
+    of m nodes in s = |rho - r| on each side (inside up to r, outside up to
+    s0 = min(r, 1)), then geometric panels from r + s0. The singular rules
+    integrate S(s) s^(-alpha); their weights take s^alpha back, so the
+    radii integrate a function of rho."""
+    s0 = min(r, 1.0)
+    s_in, w_in = singular_radial_rule(r, -alpha, m)
+    s_on, w_on = singular_radial_rule(s0, -alpha, m)
+    rho_of, w_of = panel_radial_rule(r + s0, R_out, q.mid_panel_growth, q.mid_panel_nodes)
+    return (np.concatenate([r - s_in, r + s_on, rho_of]),
+            np.concatenate([w_in * s_in**alpha, w_on * s_on**alpha, w_of]))
 
-    The integrand is bounded but only Hoelder-1-alpha across the boundary;
-    geometric panels toward rho = r keep the outer rule accurate.
-    """
+
+def _term3_nl_integral(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
+    """int F . gradNL^a(chi_{B_r(x0)}, xi): the integrand is bounded but only
+    Hoelder-(1 - alpha) across the sphere. It takes twice term 2's nodes a
+    side; at term 2's count the fine-coarse estimate can undercut the error."""
     R_out = _support(F) + float(np.linalg.norm(x0)) + 1.0
 
     def rule(q):
-        m = q.mid_panel_nodes
-        s_min = r * 2.0**-12
-        s_in, w_in = panel_radial_rule(s_min, r, 2.0, m)
-        s0 = min(r, 1.0)
-        s_on, w_on = panel_radial_rule(s_min, s0, 2.0, m)
-        far, w_far = panel_radial_rule(r + s0, R_out, q.mid_panel_growth, m)
-        rho = np.concatenate([
-            r - s_in,                      # inside, graded toward the sphere
-            np.array([r - 0.5 * s_min]),   # inner strip, midpoint
-            np.array([r + 0.5 * s_min]),   # outer strip, midpoint
-            r + s_on,                      # outside, graded away
-            far,
-        ])
-        w = np.concatenate([w_in, [s_min], [s_min], w_on, w_far])
-
         def fn(pts):
             nl = nl_gradient_ball(x0, r, xi, alpha, pts, q)
             return _inner(F(pts), nl), np.zeros(pts.shape[0])
-        return fn, rho, w, q.mid_angular_nodes
+        return (fn, *_sphere_radii(r, R_out, alpha, 4 * q.near_radial_nodes, q),
+                q.mid_angular_nodes)
 
     return _fine_coarse(x0, rule, cfg)
 
 
 def _term2_sphere_gradient(F, xi, x0, r, alpha, cfg) -> tuple[float, float]:
-    """int xi F . grad^a chi_{B_r(x0)} via the radial profile g(rho).
-
-    grad^a chi is radial, singular like |rho - r|^(-alpha): both sides of the
-    sphere use the u-substitution rule in s = |rho - r|, the outer region
-    continues with geometric panels.
-    """
+    """int xi F . grad^a chi_{B_r(x0)} via the radial profile g(rho):
+    grad^a chi(x0 + rho omega) = g(rho) omega, singular like |rho - r|^(-alpha)."""
     n = x0.shape[0]
     R_out = _support(xi) + float(np.linalg.norm(x0)) + 1.0
 
-    def run(q):
-        # inside: s = r - rho in (0, r]; outside near: s = rho - r in (0, s0];
-        # outside far: panels
-        s0 = min(r, 1.0)
-        s_in, w_in = singular_radial_rule(r, -alpha, 2 * q.near_radial_nodes)
-        s_on, w_on = singular_radial_rule(s0, -alpha, 2 * q.near_radial_nodes)
-        rho_of, w_of = panel_radial_rule(r + s0, R_out, q.mid_panel_growth,
-                                         q.mid_panel_nodes)
-        rhos = np.concatenate([r - s_in, r + s_on, rho_of])
-        # the singular rules integrate S(s) s^(-alpha); the profile g carries
-        # the singularity, so their weights take s^alpha back
-        w_r = np.concatenate([w_in * s_in**alpha, w_on * s_on**alpha, w_of])
-        dirs, disp, w = _polar_rule(n, rhos, w_r, q.mid_angular_nodes, n - 1)
-        pts = (x0[:, None, None] + disp).reshape(n, -1).T
-        proj = _inner(F(pts).reshape(w.shape + (n,)), dirs)
-        xv = xi(pts).reshape(w.shape)
+    def rule(q):
+        rhos, w_r = _sphere_radii(r, R_out, alpha, 2 * q.near_radial_nodes, q)
+        dirs, _ = sphere_rule(n, q.mid_angular_nodes)
         g = grad_chi_ball_profile(r, alpha, n, rhos, 8 * q.mid_angular_nodes)
-        return float(np.einsum("r,ra,ra,ra->", g, xv, proj, w))
+        grad_chi = (g[:, None, None] * dirs[None]).reshape(-1, n)
 
-    v_f = run(cfg)
-    return v_f, abs(v_f - run(cfg.coarsened()))
+        def fn(pts):
+            return xi(pts) * _inner(F(pts), grad_chi), np.zeros(pts.shape[0])
+        return fn, rhos, w_r, q.mid_angular_nodes
+
+    return _fine_coarse(x0, rule, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ independent check.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +23,14 @@ from fracfield.special import _leggauss, mu_const
 from fracfield.spectral import PeriodicField, _freq_grids
 
 Array = np.ndarray
+
+
+def scaled_nodes(cfg: QuadratureConfig, k: int) -> QuadratureConfig:
+    """cfg with every node count times k: a refined run to measure against."""
+    return replace(cfg, near_radial_nodes=k * cfg.near_radial_nodes,
+                   near_angular_nodes=k * cfg.near_angular_nodes,
+                   mid_angular_nodes=k * cfg.mid_angular_nodes,
+                   mid_panel_nodes=k * cfg.mid_panel_nodes)
 
 
 def lin_comb(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:

@@ -33,6 +33,8 @@ from fracfield.verify import (
     spectral_divergence_of,
 )
 
+from _oracles import scaled_nodes
+
 
 def test_policy_branches():
     pol = TolerancePolicy(abs_tol=1e-3, rel_tol=1e-2, est_factor=5.0)
@@ -145,14 +147,26 @@ def test_ball_ibp_large_radius_degenerates(cfg, gauss_vec2d):
     assert rep.passed
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("r", [0.8, 1.0, 1.3])
-def test_ball_ibp_raises_no_warning(cfg, gauss_vec2d, r):
+def test_ball_ibp_raises_no_warning(cfg, gauss_vec2d, r, alpha):
     """The sphere-gradient term samples the profile at its singular-rule
     nodes, which stay above grad_chi_ball's 1e-9 r accuracy floor."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_ball_ibp(gauss_vec2d, gaussian((0.4, 0.2)), np.zeros(2), r, 0.5, cfg)
+        rep = check_ball_ibp(gauss_vec2d, gaussian((0.4, 0.2)), np.zeros(2), r, alpha, cfg)
     assert rep.passed
+
+
+def test_ball_ibp_term3_estimate_covers_a_doubled_rule(cfg, gauss_vec2d):
+    """Term 3 is Hoelder-(1 - alpha) across the sphere; its estimate covers
+    the distance to the same term with every node count doubled, off-center
+    at the largest order whose doubled run is itself a reference."""
+    x0, r, alpha = np.array([0.3, -0.2]), 0.8, 0.7
+    xi = gaussian((0.4, 0.2))
+    val, est = verify._term3_nl_integral(gauss_vec2d, xi, x0, r, alpha, cfg)
+    ref, _ = verify._term3_nl_integral(gauss_vec2d, xi, x0, r, alpha, scaled_nodes(cfg, 2))
+    assert abs(val - ref) <= est
 
 
 # odd counts, so coarsened() floors them (5 -> 2, 9 -> 4) and a coarse level
@@ -213,7 +227,7 @@ def test_ball_ibp_terms_take_levels_cfg_and_its_coarsening(monkeypatch, gauss_ve
     the rule of its coarsening; term 3's inner nonlocal gradient follows
     the level it serves."""
     r, xi = 1.0, gaussian((0.4, 0.2))
-    s0, s_min = min(r, 1.0), r * 2.0**-12
+    s0 = min(r, 1.0)
     inner_cfgs = []
     nl = verify.nl_gradient_ball
     monkeypatch.setattr(verify, "nl_gradient_ball",
@@ -230,9 +244,8 @@ def test_ball_ibp_terms_take_levels_cfg_and_its_coarsening(monkeypatch, gauss_ve
                                          q.mid_panel_growth, q.mid_panel_nodes),
         q.mid_angular_nodes))
     nonlocal_ = _levels(lambda q: (
-        panels(s_min, r, 2.0, q.mid_panel_nodes) + 2 + panels(s_min, s0, 2.0, q.mid_panel_nodes)
-        + panels(r + s0, gauss_vec2d.support_radius + 1.0, q.mid_panel_growth,
-                 q.mid_panel_nodes),
+        8 * q.near_radial_nodes + panels(r + s0, gauss_vec2d.support_radius + 1.0,
+                                         q.mid_panel_growth, q.mid_panel_nodes),
         q.mid_angular_nodes))
     assert calls == ball + sphere + nonlocal_ + ball
     assert inner_cfgs == [ODD_CFG, ODD_CFG.coarsened()]
@@ -423,6 +436,18 @@ def test_spectral_cache_entry_is_the_recomputed_result_for_every_call_form():
     assert spectral_divergence_of(F, alpha=np.float64(0.5)) is _cached_frac_derivative(F, 0.5, 1024)
     np.testing.assert_array_equal(
         grad.data, _cached_frac_derivative.__wrapped__(g, 0.5, 1024).data)
+
+
+def test_spectral_cache_entries_are_read_only():
+    """An edit to a cached result raises instead of reaching the next caller,
+    and the entry keeps the bits of a fresh computation."""
+    for field in (gaussian_vector((0.2, 0.0), amplitudes=(1.0, 0.5)), gaussian((0.0, 0.0))):
+        cached = _cached_frac_derivative(field, 0.5, 256)
+        with pytest.raises(ValueError):
+            cached.data[(0,) * cached.data.ndim] += 1.0
+        np.testing.assert_array_equal(
+            _cached_frac_derivative(field, 0.5, 256).data,
+            _cached_frac_derivative.__wrapped__(field, 0.5, 256).data)
 
 
 def test_spectral_cache_under_threads_keeps_each_field_its_own_result():
